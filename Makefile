@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-diff bench-smoke fuzz-smoke loadtest-smoke verify
+.PHONY: build test race bench bench-diff bench-smoke fuzz-smoke loadtest-smoke streambench-check verify
 
 build:
 	$(GO) build ./...
@@ -53,4 +53,11 @@ scale-smoke:
 loadtest-smoke:
 	$(GO) run ./cmd/streamsched -loadtest -rate 50 -requests 100 -seed 7 -workload synth:fft -pes 8
 
-verify: build test bench-smoke
+# streambench-check vets and tests the end-to-end benchmark, a module of
+# its own that `go build ./...` and `go test ./...` do not reach; it
+# imports the service client and the sweep agent, so a break there must
+# fail here.
+streambench-check:
+	cd cmd/streambench && $(GO) vet ./... && $(GO) test ./...
+
+verify: build test bench-smoke streambench-check

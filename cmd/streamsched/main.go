@@ -39,10 +39,9 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -51,6 +50,7 @@ import (
 
 	"repro/internal/buffers"
 	"repro/internal/desim"
+	"repro/internal/httpapi"
 	"repro/internal/noc"
 	"repro/internal/results"
 	"repro/internal/schedule"
@@ -184,7 +184,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	v, err := streamcli.ParseVariant(*variant)
+	v, err := schedule.ParseVariant(*variant)
 	if err != nil {
 		return err
 	}
@@ -299,12 +299,19 @@ func run() error {
 // tenant contract from tenantsPath (when the -tenants flag named a
 // file); a malformed file is logged and the running contract kept.
 func runServe(addr string, opt service.Options, tenantsPath string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
 	s := service.New(opt)
 	s.Start()
 
-	srv := &http.Server{Addr: addr, Handler: s.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	context.AfterFunc(ctx, func() {
+		stop() // a second signal now kills the process the default way
+		fmt.Fprintln(os.Stderr, "streamsched: draining...")
+	})
 
 	if tenantsPath != "" {
 		hup := make(chan os.Signal, 1)
@@ -321,28 +328,21 @@ func runServe(addr string, opt service.Options, tenantsPath string) error {
 		}()
 	}
 
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "streamsched: serving on %s (queue cap %d, batch cap %d, tick %s, shed %s)\n",
 		addr, opt.QueueCap, opt.BatchCap, opt.Tick, opt.ShedPolicy)
 
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
+	// Stop accepting connections first, then drain the job queue.
+	err = httpapi.Serve(ln, s.Handler(), ctx.Done(), 30*time.Second)
+	if ctx.Err() == nil {
+		return err // the server failed before any signal
 	}
-	stop() // a second signal now kills the process the default way
-
-	fmt.Fprintln(os.Stderr, "streamsched: draining...")
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	// Stop accepting connections first, then drain the job queue.
-	shutdownErr := srv.Shutdown(drainCtx)
-	if err := s.Close(drainCtx); err != nil {
-		return fmt.Errorf("drain: %w", err)
+	if cerr := s.Close(drainCtx); cerr != nil {
+		return fmt.Errorf("drain: %w", cerr)
 	}
-	if shutdownErr != nil && !errors.Is(shutdownErr, http.ErrServerClosed) {
-		return shutdownErr
+	if err != nil {
+		return err
 	}
 	st := s.Status()
 	fmt.Fprintf(os.Stderr, "streamsched: drained (accepted %d, completed %d, rejected %d)\n",

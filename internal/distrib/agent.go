@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,15 +8,14 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/distrib/faultpoint"
 	"repro/internal/experiments"
+	"repro/internal/httpapi"
 	"repro/internal/results"
-	"repro/internal/retry"
 )
 
 // Agent is a pull-based distributed-sweep worker: it fetches the run
@@ -84,13 +82,6 @@ func (a *Agent) log() io.Writer {
 	return os.Stderr
 }
 
-func (a *Agent) client() *http.Client {
-	if a.Client != nil {
-		return a.Client
-	}
-	return &http.Client{Timeout: 5 * time.Minute}
-}
-
 func (a *Agent) worker() string {
 	if a.Worker != "" {
 		return a.Worker
@@ -100,32 +91,6 @@ func (a *Agent) worker() string {
 		host = "agent"
 	}
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
-
-// newIdleTimer returns a stopped, drained timer ready for sleepCtx: the
-// polling and retry loops reset this one timer instead of allocating a
-// fresh time.After channel (and its runtime timer) on every iteration.
-func newIdleTimer() *time.Timer {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return t
-}
-
-// sleepCtx waits d on the reused timer t or returns the context's error as
-// soon as it is canceled, leaving t stopped and drained for the next wait.
-func sleepCtx(ctx context.Context, t *time.Timer, d time.Duration) error {
-	t.Reset(d)
-	select {
-	case <-ctx.Done():
-		if !t.Stop() {
-			<-t.C
-		}
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // Run executes the agent loop until the run completes, the context is
@@ -156,8 +121,10 @@ func (a *Agent) Run(ctx context.Context) (AgentReport, error) {
 	fmt.Fprintf(a.log(), "distrib: agent %s joined run %s: %d jobs total, batches of %d\n",
 		worker, info.Run, info.Jobs, info.BatchSize)
 
-	idle := newIdleTimer()
-	defer idle.Stop()
+	// One timer serves every idle wait; it starts stopped, so each Reset
+	// below arms a timer with an empty channel.
+	idle := time.NewTimer(time.Hour)
+	idle.Stop()
 	for {
 		if err := ctx.Err(); err != nil {
 			return rep, err
@@ -175,8 +142,12 @@ func (a *Agent) Run(ctx context.Context) (AgentReport, error) {
 			if wait <= 0 {
 				wait = time.Second
 			}
-			if err := sleepCtx(ctx, idle, wait); err != nil {
-				return rep, err
+			idle.Reset(wait)
+			select {
+			case <-ctx.Done():
+				idle.Stop()
+				return rep, ctx.Err()
+			case <-idle.C:
 			}
 			continue
 		}
@@ -234,69 +205,45 @@ func (a *Agent) sessionDone(rep AgentReport, start time.Time) (AgentReport, erro
 // session ends cleanly.
 func (a *Agent) sessionEnd(rep AgentReport, start time.Time, err error) (AgentReport, error) {
 	rep.Elapsed = time.Since(start)
-	var he *httpError
-	if errors.As(err, &he) {
+	if httpapi.Code(err) != 0 {
 		return rep, err
 	}
 	fmt.Fprintf(a.log(), "distrib: agent %s: coordinator unreachable (%v); assuming the run ended\n", a.worker(), err)
 	return rep, nil
 }
 
+// connectWait is ConnectWait with its default applied.
+func (a *Agent) connectWait() time.Duration {
+	if a.ConnectWait <= 0 {
+		return 30 * time.Second
+	}
+	return a.ConnectWait
+}
+
 // fetchRunInfo retries the initial GET /v1/run until the coordinator is
 // reachable, so agents can be started before (or while) the coordinator
-// comes up. It issues single attempts (not the RetryWait-budgeted call
-// loop) so ConnectWait alone governs how long joining may take, backing
-// off with jitter between attempts. A 503 is retried like a transport
-// failure — that is the recovery gate saying the coordinator is up but
-// still replaying its journal; any other rejection is fatal.
+// comes up. Its own retry policy (not postJSON's RetryWait budget) lets
+// ConnectWait alone govern how long joining may take. A 503 is retried
+// like a transport failure — that is the recovery gate saying the
+// coordinator is up but still replaying its journal; any other rejection
+// is fatal.
 func (a *Agent) fetchRunInfo(ctx context.Context) (RunInfo, error) {
-	wait := a.ConnectWait
-	if wait <= 0 {
-		wait = 30 * time.Second
-	}
-	deadline := time.Now().Add(wait)
-	bo := retry.New(150*time.Millisecond, 2*time.Second, a.RetrySeed)
-	timer := newIdleTimer()
-	defer timer.Stop()
+	wait := a.connectWait()
 	var info RunInfo
-	for {
-		err := a.doOnce(ctx, http.MethodGet, "/v1/run", nil, &info)
-		if err == nil {
-			return info, nil
-		}
-		var he *httpError
-		if errors.As(err, &he) && !retryableErr(err) {
-			return RunInfo{}, fmt.Errorf("distrib: agent: joining run: %w", err)
-		}
-		if ctx.Err() != nil {
-			return RunInfo{}, ctx.Err()
-		}
-		if time.Now().After(deadline) {
-			return RunInfo{}, fmt.Errorf("distrib: agent: coordinator at %s unreachable after %v: %w", a.URL, wait, err)
-		}
-		d := bo.Next()
-		if ra := retryAfterOf(err); ra > d {
-			d = ra
-		}
-		if err := sleepCtx(ctx, timer, d); err != nil {
-			return RunInfo{}, err
-		}
+	policy := httpapi.Retry{Budget: wait, Base: 150 * time.Millisecond, Cap: 2 * time.Second, Seed: a.RetrySeed, Retryable: retryableErr}
+	err := policy.Do(ctx, func() error { return a.once(ctx, http.MethodGet, "/v1/run", nil, &info) })
+	switch {
+	case err == nil:
+		return info, nil
+	case ctx.Err() != nil:
+		return RunInfo{}, ctx.Err()
+	case !retryableErr(err):
+		return RunInfo{}, fmt.Errorf("distrib: agent: joining run: %w", err)
 	}
+	return RunInfo{}, fmt.Errorf("distrib: agent: coordinator at %s unreachable after %v: %w", a.URL, wait, err)
 }
 
-func (a *Agent) getJSON(ctx context.Context, path string, out any) error {
-	return a.call(ctx, http.MethodGet, path, nil, out)
-}
-
-func (a *Agent) postJSON(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	return a.call(ctx, http.MethodPost, path, body, out)
-}
-
-// call issues one logical request, retrying transient failures —
+// postJSON issues one logical POST, retrying transient failures —
 // transport errors, per-request timeouts, and 429/502/503/504 answers —
 // with capped jittered exponential backoff for up to RetryWait. A
 // Retry-After the server sent (the recovery gate does, and so does
@@ -312,80 +259,38 @@ func (a *Agent) postJSON(ctx context.Context, path string, in, out any) error {
 // and only the first is worth ConnectWait's patience. Failures from a
 // live coordinator (timeouts, the recovery gate's 503s, a broken
 // journal) keep the full RetryWait.
-func (a *Agent) call(ctx context.Context, method, path string, body []byte, out any) error {
+func (a *Agent) postJSON(ctx context.Context, path string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
 	budget := a.RetryWait
 	if budget == 0 {
 		budget = 2 * time.Minute
 	}
-	refused := a.ConnectWait
-	if refused <= 0 {
-		refused = 30 * time.Second
-	}
-	if refused > budget {
-		refused = budget
-	}
-	bo := retry.New(0, 0, a.RetrySeed)
-	timer := newIdleTimer()
-	defer timer.Stop()
-	start := time.Now()
-	deadline := start.Add(budget)
-	refusedDeadline := start.Add(refused)
-	for {
-		err := a.doOnce(ctx, method, path, body, out)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil || !retryableErr(err) {
-			return err
-		}
-		now := time.Now()
-		if budget <= 0 || now.After(deadline) {
-			return err
-		}
-		if errors.Is(err, syscall.ECONNREFUSED) && now.After(refusedDeadline) {
-			return err
-		}
-		wait := bo.Next()
-		if ra := retryAfterOf(err); ra > wait {
-			wait = ra
-		}
-		if serr := sleepCtx(ctx, timer, wait); serr != nil {
-			return serr
-		}
-	}
+	refusedDeadline := time.Now().Add(min(a.connectWait(), budget))
+	policy := httpapi.Retry{Budget: budget, Seed: a.RetrySeed, Retryable: func(err error) bool {
+		return retryableErr(err) && !(errors.Is(err, syscall.ECONNREFUSED) && time.Now().After(refusedDeadline))
+	}}
+	return policy.Do(ctx, func() error { return a.once(ctx, http.MethodPost, path, body, out) })
 }
 
-// doOnce issues a single attempt under the per-request timeout.
-func (a *Agent) doOnce(ctx context.Context, method, path string, body []byte, out any) error {
+// once issues a single attempt under the per-request timeout.
+func (a *Agent) once(ctx context.Context, method, path string, body []byte, out any) error {
 	if err := faultpoint.Hit("distrib.agent.request"); err != nil {
 		return err
 	}
-	if method == http.MethodPost && path == "/v1/complete" {
+	if path == "/v1/complete" {
 		if err := faultpoint.Hit("distrib.agent.upload"); err != nil {
 			return err
 		}
 	}
-	to := a.RequestTimeout
-	if to <= 0 {
-		to = 2 * time.Minute
+	timeout := a.RequestTimeout
+	if timeout <= 0 {
+		timeout = 2 * time.Minute
 	}
-	rctx, cancel := context.WithTimeout(ctx, to)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(rctx, method, strings.TrimSuffix(a.URL, "/")+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if a.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+a.Token)
-	}
-	return a.do(req, out)
+	cl := httpapi.Client{HTTP: a.Client, Base: strings.TrimSuffix(a.URL, "/"), Token: a.Token, Timeout: timeout}
+	return cl.Call(ctx, method, path, body, out)
 }
 
 // retryableErr reports whether an attempt's failure is worth retrying:
@@ -394,49 +299,12 @@ func (a *Agent) doOnce(ctx context.Context, method, path string, body []byte, ou
 // 502/504 from an intermediary, 503 from the recovery gate or a
 // coordinator whose journal is catching its breath.
 func retryableErr(err error) bool {
-	var he *httpError
-	if errors.As(err, &he) {
-		switch he.code {
-		case http.StatusTooManyRequests, http.StatusBadGateway,
-			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return true
-		}
-		return false
+	switch httpapi.Code(err) {
+	case 0, http.StatusTooManyRequests, http.StatusBadGateway,
+		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		return true
 	}
-	return true
-}
-
-// retryAfterOf extracts a server-suggested wait, if the error carries one.
-func retryAfterOf(err error) time.Duration {
-	var he *httpError
-	if errors.As(err, &he) {
-		return he.retryAfter
-	}
-	return 0
-}
-
-// do issues the request and decodes the JSON response. Non-2xx responses
-// surface as *httpError so callers can distinguish a protocol rejection
-// from a transport failure.
-func (a *Agent) do(req *http.Request, out any) error {
-	resp, err := a.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		he := &httpError{code: resp.StatusCode, msg: fmt.Sprintf("%s %s: %s: %s",
-			req.Method, req.URL.Path, resp.Status, strings.TrimSpace(string(msg)))}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			he.retryAfter = time.Duration(secs) * time.Second
-		}
-		return he
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return false
 }
 
 // FetchStatus retrieves a coordinator's /v1/status report; it backs
@@ -446,7 +314,7 @@ func (a *Agent) do(req *http.Request, out any) error {
 func FetchStatus(ctx context.Context, client *http.Client, url, token string) (Status, error) {
 	a := &Agent{URL: url, Client: client, Token: token}
 	var st Status
-	if err := a.doOnce(ctx, http.MethodGet, "/v1/status", nil, &st); err != nil {
+	if err := a.once(ctx, http.MethodGet, "/v1/status", nil, &st); err != nil {
 		return Status{}, fmt.Errorf("distrib: fetching status from %s: %w", url, err)
 	}
 	return st, nil

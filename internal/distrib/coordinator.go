@@ -1,24 +1,17 @@
 package distrib
 
 import (
-	"context"
 	"crypto/rand"
-	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"mime"
-	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/distrib/faultpoint"
 	"repro/internal/experiments"
+	"repro/internal/httpapi"
 	"repro/internal/results"
 )
 
@@ -244,20 +237,6 @@ func (c *Coordinator) Info() RunInfo {
 	}
 }
 
-// httpError carries the status code an HTTP handler should reject with
-// (and, on the client side, any Retry-After the server suggested).
-type httpError struct {
-	code       int
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func rejectf(code int, format string, args ...any) error {
-	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
-}
-
 // expireLocked requeues the unresolved jobs of every lease whose deadline
 // has lapsed, journaling the expiry first when the run is persistent. If
 // the journal refuses the record the leases simply stay open until a
@@ -291,7 +270,7 @@ func (c *Coordinator) appendLocked(now time.Time, recs ...*walRecord) error {
 		return nil
 	}
 	if err := c.wal.append(now, recs...); err != nil {
-		return rejectf(http.StatusServiceUnavailable, "coordinator journal unavailable (%v); retry", err)
+		return httpapi.Errorf(http.StatusServiceUnavailable, "coordinator journal unavailable (%v); retry", err)
 	}
 	c.sinceSnap += len(recs)
 	return nil
@@ -302,7 +281,7 @@ func (c *Coordinator) appendLocked(now time.Time, recs ...*walRecord) error {
 // the next recovery silently wrong. Callers hold c.mu.
 func (c *Coordinator) walUsableLocked() error {
 	if c.wal != nil && c.wal.broken != nil {
-		return rejectf(http.StatusServiceUnavailable,
+		return httpapi.Errorf(http.StatusServiceUnavailable,
 			"coordinator journal failed (%v); restart the coordinator to recover", c.wal.broken)
 	}
 	return nil
@@ -382,7 +361,7 @@ func (c *Coordinator) workerLocked(name string, now time.Time) *WorkerStatus {
 // interpret the granted indices as different jobs.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if req.PlanHash != c.planHash {
-		return LeaseResponse{}, rejectf(http.StatusConflict,
+		return LeaseResponse{}, httpapi.Errorf(http.StatusConflict,
 			"plan hash %q does not match this run's %q: the worker compiled a different plan (different code version, registry contents, or options)",
 			req.PlanHash, c.planHash)
 	}
@@ -419,7 +398,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		return LeaseResponse{RetryAfter: c.retryAfterLocked(now)}, nil
 	}
 	if err := faultpoint.Hit("distrib.lease.grant"); err != nil {
-		return LeaseResponse{}, rejectf(http.StatusServiceUnavailable, "%v; retry", err)
+		return LeaseResponse{}, httpapi.Errorf(http.StatusServiceUnavailable, "%v; retry", err)
 	}
 	rec := &walRecord{
 		Type:     recLease,
@@ -465,16 +444,16 @@ func (c *Coordinator) retryAfterLocked(now time.Time) time.Duration {
 // first result is as good as any.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	if req.PlanHash != c.planHash {
-		return CompleteResponse{}, rejectf(http.StatusConflict,
+		return CompleteResponse{}, httpapi.Errorf(http.StatusConflict,
 			"plan hash %q does not match this run's %q", req.PlanHash, c.planHash)
 	}
 	art := &req.Artifact
 	if art.Schema != results.SchemaVersion {
-		return CompleteResponse{}, rejectf(http.StatusConflict,
+		return CompleteResponse{}, httpapi.Errorf(http.StatusConflict,
 			"artifact schema %d, this coordinator speaks %d", art.Schema, results.SchemaVersion)
 	}
 	if !results.MetaCompatible(c.meta, art.Meta) {
-		return CompleteResponse{}, rejectf(http.StatusConflict,
+		return CompleteResponse{}, httpapi.Errorf(http.StatusConflict,
 			"batch metadata does not match this run's configuration (different experiments, seed, graph count, or synth config)")
 	}
 
@@ -490,22 +469,22 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	// Validate every result before journaling or applying any.
 	for _, cell := range art.Cells {
 		if _, ok := c.keyIdx[cell.Key]; !ok {
-			return CompleteResponse{}, rejectf(http.StatusBadRequest,
+			return CompleteResponse{}, httpapi.Errorf(http.StatusBadRequest,
 				"cell %s addresses no job of this run", cell.Key)
 		}
 		if err := results.ValidateCellMetrics(c.meta.Variants, cell); err != nil {
-			return CompleteResponse{}, rejectf(http.StatusBadRequest, "%v", err)
+			return CompleteResponse{}, httpapi.Errorf(http.StatusBadRequest, "%v", err)
 		}
 	}
 	for _, f := range art.Failures {
 		if _, ok := c.labelIdx[f.Label]; !ok {
-			return CompleteResponse{}, rejectf(http.StatusBadRequest,
+			return CompleteResponse{}, httpapi.Errorf(http.StatusBadRequest,
 				"failure %q addresses no job of this run", f.Label)
 		}
 	}
 
 	if err := faultpoint.Hit("distrib.complete.apply"); err != nil {
-		return CompleteResponse{}, rejectf(http.StatusServiceUnavailable, "%v; retry", err)
+		return CompleteResponse{}, httpapi.Errorf(http.StatusServiceUnavailable, "%v; retry", err)
 	}
 	// Journal the validated upload verbatim, then apply it. Replay runs
 	// the identical first-write-wins dedup (applyCompleteLocked is the
@@ -526,7 +505,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	resp, err := c.applyCompleteLocked(rec)
 	if err != nil {
 		// Unreachable: every cell and failure was validated above.
-		return CompleteResponse{}, rejectf(http.StatusInternalServerError, "%v", err)
+		return CompleteResponse{}, httpapi.Errorf(http.StatusInternalServerError, "%v", err)
 	}
 	c.maybeCheckpointLocked()
 	return resp, nil
@@ -618,150 +597,12 @@ func (c *Coordinator) FailureCount() int {
 // Handler exposes the coordinator's four endpoints as an http.Handler.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/run", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpReject(w, rejectf(http.StatusMethodNotAllowed, "GET only"))
-			return
-		}
-		writeJSON(w, c.Info())
-	})
-	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
-		var req LeaseRequest
-		if err := readJSON(w, r, &req, maxLeaseBody); err != nil {
-			return
-		}
-		resp, err := c.Lease(req)
-		if err != nil {
-			httpReject(w, err)
-			return
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/v1/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req CompleteRequest
-		if err := readJSON(w, r, &req, maxCompleteBody); err != nil {
-			return
-		}
-		resp, err := c.Complete(req)
-		if err != nil {
-			httpReject(w, err)
-			return
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpReject(w, rejectf(http.StatusMethodNotAllowed, "GET only"))
-			return
-		}
-		writeJSON(w, c.Status())
-	})
+	mux.Handle("/v1/run", httpapi.Get(c.Info))
+	mux.Handle("/v1/lease", httpapi.Post(maxLeaseBody, c.Lease))
+	mux.Handle("/v1/complete", httpapi.Post(maxCompleteBody, c.Complete))
+	mux.Handle("/v1/status", httpapi.Get(c.Status))
 	if c.token != "" {
-		return requireToken(c.token, mux)
+		return httpapi.RequireToken("distrib", c.token, mux)
 	}
 	return mux
-}
-
-// requireToken demands `Authorization: Bearer <token>` on every request.
-// Both sides are hashed before comparing so the comparison is constant
-// time even across lengths, and the rejection is a JSON body like every
-// other error a client of this API sees.
-func requireToken(token string, next http.Handler) http.Handler {
-	want := sha256.Sum256([]byte(token))
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got := [32]byte{}
-		auth := r.Header.Get("Authorization")
-		const prefix = "Bearer "
-		ok := strings.HasPrefix(auth, prefix)
-		if ok {
-			got = sha256.Sum256([]byte(auth[len(prefix):]))
-		}
-		if !ok || subtle.ConstantTimeCompare(want[:], got[:]) != 1 {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="distrib"`)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusUnauthorized)
-			json.NewEncoder(w).Encode(map[string]string{
-				"error": "missing or invalid bearer token (pass -token)",
-			})
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// Serve serves the coordinator on addr until every job is resolved, then
-// shuts the server down gracefully and returns. Progress notes go to logw
-// (pass io.Discard to silence them).
-func (c *Coordinator) Serve(addr string, logw io.Writer) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("distrib: coordinator listen: %w", err)
-	}
-	fmt.Fprintf(logw, "distrib: coordinator %s serving %d jobs on http://%s (status: http://%s/v1/status)\n",
-		c.run, len(c.plan.Jobs), ln.Addr(), ln.Addr())
-	srv := &http.Server{Handler: c.Handler()}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case <-c.Done():
-	case err := <-errCh:
-		return fmt.Errorf("distrib: coordinator server: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("distrib: coordinator shutdown: %w", err)
-	}
-	<-errCh // http.ErrServerClosed after a clean Shutdown
-	st := c.Status()
-	fmt.Fprintf(logw, "distrib: run %s complete: %d cells, %d failures, %d requeues, %d workers, elapsed %v\n",
-		c.run, st.Completed, st.Failed, st.Requeues, len(st.Workers), st.Elapsed.Round(time.Millisecond))
-	return nil
-}
-
-// writeJSON, readJSON, and httpReject are the tiny JSON plumbing shared by
-// the endpoints.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func readJSON(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) error {
-	if r.Method != http.MethodPost {
-		err := rejectf(http.StatusMethodNotAllowed, "POST only")
-		httpReject(w, err)
-		return err
-	}
-	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if err != nil || mt != "application/json" {
-		err := rejectf(http.StatusUnsupportedMediaType,
-			"Content-Type %q: POST bodies must be application/json", r.Header.Get("Content-Type"))
-		httpReject(w, err)
-		return err
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			err = rejectf(http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d byte limit for this endpoint", maxBytes)
-		} else {
-			err = rejectf(http.StatusBadRequest, "bad request body: %v", err)
-		}
-		httpReject(w, err)
-		return err
-	}
-	return nil
-}
-
-func httpReject(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	if he, ok := err.(*httpError); ok {
-		code = he.code
-	}
-	http.Error(w, err.Error(), code)
 }

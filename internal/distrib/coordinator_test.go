@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/httpapi"
 	"repro/internal/results"
 )
 
@@ -67,12 +68,12 @@ func wantHTTPCode(t *testing.T, err error, code int, context string) {
 	if err == nil {
 		t.Fatalf("%s: want rejection with HTTP %d, got success", context, code)
 	}
-	he, ok := err.(*httpError)
+	he, ok := err.(*httpapi.Error)
 	if !ok {
-		t.Fatalf("%s: want *httpError %d, got %T: %v", context, code, err, err)
+		t.Fatalf("%s: want *httpapi.Error %d, got %T: %v", context, code, err, err)
 	}
-	if he.code != code {
-		t.Fatalf("%s: want HTTP %d, got %d (%v)", context, code, he.code, err)
+	if he.Code != code {
+		t.Fatalf("%s: want HTTP %d, got %d (%v)", context, code, he.Code, err)
 	}
 }
 

@@ -33,7 +33,7 @@
 // retried, matching the local engine's semantics: one pathological graph
 // drops its samples from the tables instead of wedging the run.
 //
-// Entry points: NewCoordinator + Coordinator.Handler (or ListenAndServe)
+// Entry points: ServeRecovering (or NewCoordinator + Coordinator.Handler)
 // on the serving side, Agent.Run on the worker side; `cmd/experiments
 // -serve`, `-agent`, and `-status` wire them to flags. The protocol
 // walkthrough, a worked two-agent session, and the troubleshooting table

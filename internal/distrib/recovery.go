@@ -12,8 +12,6 @@ package distrib
 // agents see a clean "come back shortly" instead of half-answers.
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/results"
 )
 
@@ -405,58 +404,50 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(w, r)
 		return
 	}
-	w.Header().Set("Retry-After", "1")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	json.NewEncoder(w).Encode(map[string]string{
-		"error": "coordinator is recovering; retry shortly",
+	httpapi.Reject(w, &httpapi.Error{
+		Code:       http.StatusServiceUnavailable,
+		Msg:        "coordinator is recovering; retry shortly",
+		RetryAfter: time.Second,
 	})
 }
 
 // ServeRecovering binds addr immediately, serves 503 + Retry-After
 // while build constructs (and possibly replays) the coordinator, then
-// swaps in the real handler and serves until every job is resolved —
-// the restart-side counterpart of Coordinator.Serve. Binding before
-// building means agents that outlived a crashed coordinator start
-// getting well-formed "retry shortly" answers the moment the new
-// process is up, not connection refusals racing the replay.
+// swaps in the real handler and serves until every job is resolved.
+// Binding before building means agents that outlived a crashed
+// coordinator start getting well-formed "retry shortly" answers the
+// moment the new process is up, not connection refusals racing the
+// replay.
 func ServeRecovering(addr string, logw io.Writer, build func() (*Coordinator, error)) (*Coordinator, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("distrib: coordinator listen: %w", err)
 	}
 	gate := NewGate()
-	srv := &http.Server{Handler: gate}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	shutdown := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-errCh
-	}
+	ended := make(chan struct{}) // closed once build fails or the run completes
+	served := make(chan error, 1)
+	go func() { served <- httpapi.Serve(ln, gate, ended, 5*time.Second) }()
 	c, err := build()
+	if err == nil {
+		if ri := c.Recovery(); ri != nil {
+			fmt.Fprintf(logw, "distrib: recovery: %s\n", ri)
+		}
+		fmt.Fprintf(logw, "distrib: coordinator %s serving %d jobs on http://%s (status: http://%s/v1/status)\n",
+			c.run, len(c.plan.Jobs), ln.Addr(), ln.Addr())
+		gate.Ready(c.Handler())
+		select {
+		case <-c.Done():
+		case serr := <-served:
+			return nil, fmt.Errorf("distrib: coordinator server: %w", serr)
+		}
+	}
+	close(ended)
+	if serr := <-served; serr != nil {
+		return nil, fmt.Errorf("distrib: coordinator server: %w", serr)
+	}
 	if err != nil {
-		shutdown()
 		return nil, err
 	}
-	if ri := c.Recovery(); ri != nil {
-		fmt.Fprintf(logw, "distrib: recovery: %s\n", ri)
-	}
-	fmt.Fprintf(logw, "distrib: coordinator %s serving %d jobs on http://%s (status: http://%s/v1/status)\n",
-		c.run, len(c.plan.Jobs), ln.Addr(), ln.Addr())
-	gate.Ready(c.Handler())
-	select {
-	case <-c.Done():
-	case err := <-errCh:
-		return nil, fmt.Errorf("distrib: coordinator server: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return nil, fmt.Errorf("distrib: coordinator shutdown: %w", err)
-	}
-	<-errCh // http.ErrServerClosed after a clean Shutdown
 	st := c.Status()
 	fmt.Fprintf(logw, "distrib: run %s complete: %d cells, %d failures, %d requeues, %d workers, elapsed %v\n",
 		c.run, st.Completed, st.Failed, st.Requeues, len(st.Workers), st.Elapsed.Round(time.Millisecond))

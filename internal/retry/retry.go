@@ -1,5 +1,6 @@
 // Package retry provides capped exponential backoff with jitter for the
-// HTTP clients of internal/distrib and internal/service. The policy is
+// retry loop of internal/httpapi, which the HTTP clients of
+// internal/distrib and internal/service share. The policy is
 // the standard "equal jitter" shape: the wait before the n-th retry is
 // half a deterministic exponentially growing ceiling plus a uniformly
 // random half, so a fleet of clients that failed together fans back out

@@ -50,6 +50,18 @@ func (v Variant) String() string {
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
+// ParseVariant maps the spellings the command line and the service
+// accept, "lts" and "rlx", to variants.
+func ParseVariant(s string) (Variant, error) {
+	switch s {
+	case "lts":
+		return SBLTS, nil
+	case "rlx":
+		return SBRLX, nil
+	}
+	return SBLTS, fmt.Errorf("unknown variant %q (want lts or rlx)", s)
+}
+
 // Block is one temporally multiplexed component of spatially executed tasks.
 type Block struct {
 	// Nodes lists every node assigned to the block, including passive ones

@@ -10,6 +10,18 @@ import (
 	"repro/internal/synth"
 )
 
+func TestParseVariant(t *testing.T) {
+	if v, err := ParseVariant("lts"); err != nil || v != SBLTS {
+		t.Fatalf("lts: got %v, %v", v, err)
+	}
+	if v, err := ParseVariant("rlx"); err != nil || v != SBRLX {
+		t.Fatalf("rlx: got %v, %v", v, err)
+	}
+	if _, err := ParseVariant("heft"); err == nil {
+		t.Fatal("unknown variant accepted")
+	}
+}
+
 // TestAlgorithm1Rejects: bad PE counts are refused.
 func TestAlgorithm1Rejects(t *testing.T) {
 	tg := core.New()

@@ -1,17 +1,15 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"syscall"
 	"time"
 
-	"repro/internal/retry"
+	"repro/internal/httpapi"
 )
 
 // Client speaks the service's JSON protocol to a remote instance.
@@ -38,71 +36,29 @@ type Client struct {
 	RetrySeed int64
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
-// reqCtx derives the per-attempt context.
-func (c *Client) reqCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.RequestTimeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, c.RequestTimeout)
-}
-
-// doRetry runs attempt under the retry policy: per-attempt timeout, and
-// — when RetryWait is armed — capped jittered exponential backoff
-// through failures shouldRetry approves.
-func (c *Client) doRetry(ctx context.Context, shouldRetry func(error) bool, attempt func(context.Context) error) error {
-	if c.RetryWait <= 0 {
-		rctx, cancel := c.reqCtx(ctx)
-		defer cancel()
-		return attempt(rctx)
-	}
-	bo := retry.New(0, 0, c.RetrySeed)
-	deadline := time.Now().Add(c.RetryWait)
-	for {
-		rctx, cancel := c.reqCtx(ctx)
-		err := attempt(rctx)
-		cancel()
-		if err == nil || ctx.Err() != nil || !shouldRetry(err) || time.Now().After(deadline) {
-			return err
-		}
-		t := time.NewTimer(bo.Next())
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
+// call issues one logical request: attempts bounded by RequestTimeout,
+// failures that retryable approves retried for up to RetryWait.
+func (c *Client) call(ctx context.Context, retryable func(error) bool, method, path string, body []byte, out any) error {
+	cl := httpapi.Client{HTTP: c.HTTP, Base: c.Base, Timeout: c.RequestTimeout}
+	policy := httpapi.Retry{Budget: c.RetryWait, Seed: c.RetrySeed, Retryable: retryable}
+	return policy.Do(ctx, func() error { return cl.Call(ctx, method, path, body, out) })
 }
 
 // retryableGet approves retrying an idempotent request: any transport
 // failure, or a gateway/availability status.
 func retryableGet(err error) bool {
-	var se *statusError
-	if errors.As(err, &se) {
-		switch se.code {
-		case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return true
-		}
-		return false
+	switch httpapi.Code(err) {
+	case 0, http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		return true
 	}
-	return true
+	return false
 }
 
 // retryableSubmit approves retrying a submission: only failures that
 // prove the request was never admitted.
 func retryableSubmit(err error) bool {
-	var se *statusError
-	if errors.As(err, &se) {
-		return se.code == http.StatusServiceUnavailable
-	}
-	return errors.Is(err, syscall.ECONNREFUSED)
+	code := httpapi.Code(err)
+	return code == http.StatusServiceUnavailable || code == 0 && errors.Is(err, syscall.ECONNREFUSED)
 }
 
 // Submit posts one submission. A 429 returns accepted=false with the
@@ -113,49 +69,29 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (resp SubmitResp
 	if err != nil {
 		return SubmitResponse{}, 0, false, err
 	}
-	err = c.doRetry(ctx, retryableSubmit, func(rctx context.Context) error {
-		hreq, err := http.NewRequestWithContext(rctx, http.MethodPost, c.Base+"/v1/submit", bytes.NewReader(body))
-		if err != nil {
-			return err
+	err = c.call(ctx, retryableSubmit, http.MethodPost, "/v1/submit", body, &resp)
+	var he *httpapi.Error
+	if errors.As(err, &he) && he.Code == http.StatusTooManyRequests {
+		var rej rejection
+		if err := json.Unmarshal(he.Body, &rej); err != nil {
+			return SubmitResponse{}, 0, false, err
 		}
-		hreq.Header.Set("Content-Type", "application/json")
-		hresp, err := c.http().Do(hreq)
-		if err != nil {
-			return err
-		}
-		defer hresp.Body.Close()
-		switch hresp.StatusCode {
-		case http.StatusOK:
-			accepted = true
-			if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-				return err
-			}
-			depth = resp.QueueDepth
-			return nil
-		case http.StatusTooManyRequests:
-			var rej rejection
-			if err := json.NewDecoder(hresp.Body).Decode(&rej); err != nil {
-				return err
-			}
-			depth = rej.QueueDepth
-			return nil
-		}
-		return httpStatusError(hresp)
-	})
+		return SubmitResponse{}, rej.QueueDepth, false, nil
+	}
 	if err != nil {
 		return SubmitResponse{}, 0, false, err
 	}
-	return resp, depth, accepted, nil
+	return resp, resp.QueueDepth, true, nil
 }
 
 // Result fetches a job's status, long-polling up to wait when positive.
 func (c *Client) Result(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
-	url := c.Base + "/v1/result/" + id
+	path := "/v1/result/" + id
 	if wait > 0 {
-		url += "?wait=" + wait.String()
+		path += "?wait=" + wait.String()
 	}
 	var st JobStatus
-	if err := c.getJSON(ctx, url, &st); err != nil {
+	if err := c.call(ctx, retryableGet, http.MethodGet, path, nil, &st); err != nil {
 		return JobStatus{}, err
 	}
 	return st, nil
@@ -164,46 +100,10 @@ func (c *Client) Result(ctx context.Context, id string, wait time.Duration) (Job
 // Statusz fetches the service health report.
 func (c *Client) Statusz(ctx context.Context) (Statusz, error) {
 	var st Statusz
-	if err := c.getJSON(ctx, c.Base+"/v1/statusz", &st); err != nil {
+	if err := c.call(ctx, retryableGet, http.MethodGet, "/v1/statusz", nil, &st); err != nil {
 		return Statusz{}, err
 	}
 	return st, nil
-}
-
-func (c *Client) getJSON(ctx context.Context, url string, v any) error {
-	return c.doRetry(ctx, retryableGet, func(rctx context.Context) error {
-		hreq, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
-		if err != nil {
-			return err
-		}
-		hresp, err := c.http().Do(hreq)
-		if err != nil {
-			return err
-		}
-		defer hresp.Body.Close()
-		if hresp.StatusCode != http.StatusOK {
-			return httpStatusError(hresp)
-		}
-		return json.NewDecoder(hresp.Body).Decode(v)
-	})
-}
-
-// statusError is a non-2xx response, typed so the retry policy can
-// branch on the code.
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
-func httpStatusError(resp *http.Response) error {
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var rej rejection
-	if json.Unmarshal(data, &rej) == nil && rej.Error != "" {
-		return &statusError{code: resp.StatusCode, msg: fmt.Sprintf("%s: %s", resp.Status, rej.Error)}
-	}
-	return &statusError{code: resp.StatusCode, msg: fmt.Sprintf("%s: %s", resp.Status, bytes.TrimSpace(data))}
 }
 
 // ErrShed is the Await result of a job the service accepted but then
@@ -244,23 +144,7 @@ func (t *HTTPTarget) Await(ctx context.Context, id string) error {
 	if wait <= 0 {
 		wait = 10 * time.Second
 	}
-	for {
-		st, err := t.Client.Result(ctx, id, wait)
-		if err != nil {
-			return err
-		}
-		switch st.State {
-		case StateDone:
-			return nil
-		case StateShed:
-			return ErrShed
-		case StateFailed:
-			return fmt.Errorf("job %s failed: %s", id, st.Error)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
+	return await(ctx, id, func() (JobStatus, error) { return t.Client.Result(ctx, id, wait) })
 }
 
 // LocalTarget drives an in-process Service directly — the same admission
@@ -283,8 +167,14 @@ func (t *LocalTarget) Submit(ctx context.Context, tenant, workload string) (stri
 }
 
 func (t *LocalTarget) Await(ctx context.Context, id string) error {
+	return await(ctx, id, func() (JobStatus, error) { return t.Service.Wait(ctx, id, maxWait) })
+}
+
+// await long-polls job id until it resolves: nil once done, ErrShed or
+// the failure otherwise.
+func await(ctx context.Context, id string, poll func() (JobStatus, error)) error {
 	for {
-		st, err := t.Service.Wait(ctx, id, maxWait)
+		st, err := poll()
 		if err != nil {
 			return err
 		}

@@ -41,7 +41,7 @@ func referenceBytes(t *testing.T, req SubmitRequest) []byte {
 	if varName == "" {
 		varName = "lts"
 	}
-	v, err := parseVariant(varName)
+	v, err := schedule.ParseVariant(varName)
 	if err != nil {
 		t.Fatal(err)
 	}

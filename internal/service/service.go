@@ -3,8 +3,9 @@
 // requests, schedules each onto a shared device model through a bounded
 // worker pool, and streams results back. It turns the batch pipeline —
 // load a graph, run schedule.Algorithm1 + schedule.Schedule, exit — into
-// continuous operation, reusing the protocol idioms of internal/distrib
-// (versioned JSON endpoints, typed rejections, context-aware shutdown).
+// continuous operation over the same HTTP layer as internal/distrib
+// (internal/httpapi: versioned JSON endpoints, typed rejections, graceful
+// shutdown).
 //
 // The protocol is three endpoints:
 //
@@ -48,19 +49,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"mime"
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/httpapi"
 	"repro/internal/results"
 	"repro/internal/schedule"
 	"repro/internal/synth"
@@ -603,7 +602,7 @@ func (s *Service) lookupCached(j *job) (*ScheduleReport, error, bool) {
 func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 	tg, err := buildGraph(req)
 	if err != nil {
-		return SubmitResponse{}, rejectf(http.StatusBadRequest, "bad submission: %v", err)
+		return SubmitResponse{}, httpapi.Errorf(http.StatusBadRequest, "bad submission: %v", err)
 	}
 	pes := req.PEs
 	if pes <= 0 {
@@ -613,9 +612,9 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if varName == "" {
 		varName = "lts"
 	}
-	variant, err := parseVariant(varName)
+	variant, err := schedule.ParseVariant(varName)
 	if err != nil {
-		return SubmitResponse{}, rejectf(http.StatusBadRequest, "bad submission: %v", err)
+		return SubmitResponse{}, httpapi.Errorf(http.StatusBadRequest, "bad submission: %v", err)
 	}
 	tenant := strings.TrimSpace(req.Tenant)
 	if tenant == "" {
@@ -626,7 +625,7 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return SubmitResponse{}, rejectf(http.StatusServiceUnavailable, "service is draining")
+		return SubmitResponse{}, httpapi.Errorf(http.StatusServiceUnavailable, "service is draining")
 	}
 	t := s.tenantLocked(tenant)
 	if t.cfg.MaxOpen > 0 && t.open >= t.cfg.MaxOpen {
@@ -795,7 +794,7 @@ func (s *Service) Result(id string) (JobStatus, error) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return JobStatus{}, rejectf(http.StatusNotFound, "unknown job %q", id)
+		return JobStatus{}, httpapi.Errorf(http.StatusNotFound, "unknown job %q", id)
 	}
 	return s.statusLocked(j), nil
 }
@@ -818,7 +817,7 @@ func (s *Service) Wait(ctx context.Context, id string, wait time.Duration) (JobS
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
 	if !ok {
-		return JobStatus{}, rejectf(http.StatusNotFound, "unknown job %q", id)
+		return JobStatus{}, httpapi.Errorf(http.StatusNotFound, "unknown job %q", id)
 	}
 	if wait > 0 {
 		timer := time.NewTimer(wait)
@@ -898,29 +897,6 @@ func buildGraph(req SubmitRequest) (*core.TaskGraph, error) {
 	return nil, fmt.Errorf("choose exactly one of workload and graph")
 }
 
-func parseVariant(s string) (schedule.Variant, error) {
-	switch s {
-	case "lts":
-		return schedule.SBLTS, nil
-	case "rlx":
-		return schedule.SBRLX, nil
-	}
-	return schedule.SBLTS, fmt.Errorf("unknown variant %q (want lts or rlx)", s)
-}
-
-// httpError carries the status code an HTTP handler should reject with
-// (the same idiom as internal/distrib).
-type httpError struct {
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func rejectf(code int, format string, args ...any) error {
-	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
-}
-
 // admissionError is a 429 with its Retry-After hint and the queue depth
 // at rejection time, surfaced in both the header and the JSON body.
 // quota distinguishes a per-tenant quota rejection (whose Retry-After is
@@ -939,23 +915,30 @@ func (e *admissionError) Error() string {
 	return fmt.Sprintf("admission queue full (%d queued); retry after %v", e.depth, e.retryAfter)
 }
 
-// rejection is the JSON body of a non-2xx response.
+// rejection is the JSON body of a 429: the shared error body plus the
+// admission fields.
 type rejection struct {
 	Error string `json:"error"`
-	// Tenant names the rejected tenant on 429s.
+	// Tenant names the rejected tenant.
 	Tenant string `json:"tenant,omitempty"`
-	// QueueDepth and RetryAfterMs accompany 429s so open-loop clients can
-	// record queue pressure without a second statusz round trip.
+	// QueueDepth and RetryAfterMs let open-loop clients record queue
+	// pressure without a second statusz round trip.
 	QueueDepth   int     `json:"queue_depth,omitempty"`
 	RetryAfterMs float64 `json:"retry_after_ms,omitempty"`
 }
+
+// maxSubmitBody caps a submission body. Inline graphs are the only big
+// field, and even the XL workload families are registered by name rather
+// than posted — 8 MiB is room for any sane inline graph while keeping a
+// hostile client from buffering the service into an OOM.
+const maxSubmitBody = 8 << 20
 
 // Handler exposes the service's three endpoints as an http.Handler.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/submit", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := httpapi.ReadJSON(w, r, &req, maxSubmitBody); err != nil {
 			return
 		}
 		if req.Tenant == "" {
@@ -963,14 +946,14 @@ func (s *Service) Handler() http.Handler {
 		}
 		resp, err := s.Submit(req)
 		if err != nil {
-			httpReject(w, err)
+			reject(w, err)
 			return
 		}
-		writeJSON(w, resp)
+		httpapi.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/v1/result/", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			httpReject(w, rejectf(http.StatusMethodNotAllowed, "GET only"))
+			reject(w, httpapi.Errorf(http.StatusMethodNotAllowed, "GET only"))
 			return
 		}
 		id := strings.TrimPrefix(r.URL.Path, "/v1/result/")
@@ -978,7 +961,7 @@ func (s *Service) Handler() http.Handler {
 		if v := r.URL.Query().Get("wait"); v != "" {
 			d, err := time.ParseDuration(v)
 			if err != nil || d < 0 {
-				httpReject(w, rejectf(http.StatusBadRequest, "bad wait %q", v))
+				reject(w, httpapi.Errorf(http.StatusBadRequest, "bad wait %q", v))
 				return
 			}
 			if d > maxWait {
@@ -988,87 +971,29 @@ func (s *Service) Handler() http.Handler {
 		}
 		st, err := s.Wait(r.Context(), id, wait)
 		if err != nil {
-			httpReject(w, err)
+			reject(w, err)
 			return
 		}
-		writeJSON(w, st)
+		httpapi.WriteJSON(w, http.StatusOK, st)
 	})
-	mux.HandleFunc("/v1/statusz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpReject(w, rejectf(http.StatusMethodNotAllowed, "GET only"))
-			return
-		}
-		writeJSON(w, s.Status())
-	})
+	mux.Handle("/v1/statusz", httpapi.Get(s.Status))
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+// reject answers an admission rejection with 429, Retry-After, and the
+// admission fields; every other error goes to the shared rejection
+// writer.
+func reject(w http.ResponseWriter, err error) {
+	e, ok := err.(*admissionError)
+	if !ok {
+		httpapi.Reject(w, err)
+		return
 	}
-}
-
-// maxSubmitBody caps a submission body. Inline graphs are the only big
-// field, and even the XL workload families are registered by name rather
-// than posted — 8 MiB is room for any sane inline graph while keeping a
-// hostile client from buffering the service into an OOM.
-const maxSubmitBody = 8 << 20
-
-func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	if r.Method != http.MethodPost {
-		err := rejectf(http.StatusMethodNotAllowed, "POST only")
-		httpReject(w, err)
-		return err
-	}
-	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if err != nil || mt != "application/json" {
-		err := rejectf(http.StatusUnsupportedMediaType,
-			"Content-Type %q: POST bodies must be application/json", r.Header.Get("Content-Type"))
-		httpReject(w, err)
-		return err
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			err = rejectf(http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d byte limit", maxSubmitBody)
-		} else {
-			err = rejectf(http.StatusBadRequest, "bad request body: %v", err)
-		}
-		httpReject(w, err)
-		return err
-	}
-	return nil
-}
-
-// httpReject writes err as a JSON rejection with the right status code:
-// admission rejections become 429 + Retry-After, httpErrors keep their
-// code, anything else is a 500.
-func httpReject(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	body := rejection{Error: err.Error()}
-	switch e := err.(type) {
-	case *admissionError:
-		code = http.StatusTooManyRequests
-		secs := int((e.retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		body.Tenant = e.tenant
-		body.QueueDepth = e.depth
-		body.RetryAfterMs = float64(e.retryAfter) / float64(time.Millisecond)
-	case *httpError:
-		code = e.code
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(body) //nolint:errcheck // the connection is already gone if this fails
+	httpapi.SetRetryAfter(w, e.retryAfter)
+	httpapi.WriteJSON(w, http.StatusTooManyRequests, rejection{
+		Error:        e.Error(),
+		Tenant:       e.tenant,
+		QueueDepth:   e.depth,
+		RetryAfterMs: float64(e.retryAfter) / float64(time.Millisecond),
+	})
 }

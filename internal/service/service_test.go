@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/httpapi"
 )
 
 func fftReq(seed int64) SubmitRequest {
@@ -111,6 +113,41 @@ func TestAdmissionHTTP(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyRules: the submit endpoint refuses a body past its 8 MiB
+// ceiling with 413 and a non-JSON media type with 415, before either can
+// reach admission.
+func TestSubmitBodyRules(t *testing.T) {
+	s := New(Options{QueueCap: 1})
+	h := s.Handler()
+	post := func(contentType, body string) *http.Response {
+		req := httptest.NewRequest(http.MethodPost, "/v1/submit", strings.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Result()
+	}
+	big := `{"workload":"synth:fft","graph":"` + strings.Repeat("a", maxSubmitBody) + `"}`
+	for _, c := range []struct {
+		name, contentType, body string
+		want                    int
+	}{
+		{"over 8 MiB", "application/json", big, http.StatusRequestEntityTooLarge},
+		{"text/plain", "text/plain", `{"workload":"synth:fft"}`, http.StatusUnsupportedMediaType},
+	} {
+		resp := post(c.contentType, c.body)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		}
+		var rej rejection
+		if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil || rej.Error == "" {
+			t.Errorf("%s: body is not a JSON error (%+v, %v)", c.name, rej, err)
+		}
+	}
+	if st := s.Status(); st.Accepted != 0 || st.Rejected != 0 {
+		t.Errorf("refused bodies reached admission: %+v", st)
+	}
+}
+
 // TestSubmitBadInputs: malformed submissions are 400s and never occupy
 // queue space.
 func TestSubmitBadInputs(t *testing.T) {
@@ -127,9 +164,9 @@ func TestSubmitBadInputs(t *testing.T) {
 	}
 	for _, c := range cases {
 		_, err := s.Submit(c.req)
-		he, ok := err.(*httpError)
-		if !ok || he.code != http.StatusBadRequest {
-			t.Errorf("%s: got %v, want 400 httpError", c.name, err)
+		he, ok := err.(*httpapi.Error)
+		if !ok || he.Code != http.StatusBadRequest {
+			t.Errorf("%s: got %v, want 400 httpapi.Error", c.name, err)
 		}
 	}
 	if st := s.Status(); st.Queued != 0 || st.Accepted != 0 {
@@ -167,7 +204,7 @@ func TestDrainOnShutdown(t *testing.T) {
 	}
 	if _, err := s.Submit(fftReq(1)); err == nil {
 		t.Error("draining service accepted a submission")
-	} else if he, ok := err.(*httpError); !ok || he.code != http.StatusServiceUnavailable {
+	} else if he, ok := err.(*httpapi.Error); !ok || he.Code != http.StatusServiceUnavailable {
 		t.Errorf("draining rejection: %v, want 503", err)
 	}
 }

@@ -1,6 +1,6 @@
 // Package streamcli holds the testable core of cmd/streamsched's batch
 // mode: graph loading from every input source the CLI accepts (-graph,
-// -synth, -model), variant parsing, the parallel PE sweep, and the
+// -synth, -model), the parallel PE sweep, and the
 // plain-text report tables. cmd/streamsched is a thin flag layer over
 // these functions; internal/service reuses the same graph sources for
 // streaming submissions. Every function writes to an io.Writer so tests
@@ -89,18 +89,6 @@ func ParseTenantMix(s string) ([]service.TenantShare, error) {
 		mix = append(mix, ts)
 	}
 	return mix, nil
-}
-
-// ParseVariant maps the CLI spellings of the spatial-block heuristics to
-// schedule variants.
-func ParseVariant(s string) (schedule.Variant, error) {
-	switch s {
-	case "lts":
-		return schedule.SBLTS, nil
-	case "rlx":
-		return schedule.SBRLX, nil
-	}
-	return schedule.SBLTS, fmt.Errorf("unknown variant %q (want lts or rlx)", s)
 }
 
 // LoadGraph builds the task graph selected by exactly one of path (a JSON

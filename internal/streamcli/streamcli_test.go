@@ -94,18 +94,6 @@ func TestParseTenantMix(t *testing.T) {
 	}
 }
 
-func TestParseVariant(t *testing.T) {
-	if v, err := ParseVariant("lts"); err != nil || v != schedule.SBLTS {
-		t.Fatalf("lts: got %v, %v", v, err)
-	}
-	if v, err := ParseVariant("rlx"); err != nil || v != schedule.SBRLX {
-		t.Fatalf("rlx: got %v, %v", v, err)
-	}
-	if _, err := ParseVariant("heft"); err == nil {
-		t.Fatal("unknown variant accepted")
-	}
-}
-
 func TestLoadGraphSynth(t *testing.T) {
 	for _, name := range []string{"chain", "fft", "gaussian", "cholesky"} {
 		tg, err := LoadGraph("", name, "", 8, 1)
