@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-diff bench-smoke fuzz-smoke loadtest-smoke streambench-check verify
+.PHONY: build test race bench bench-diff bench-smoke fuzz-smoke scale-smoke loadtest-smoke streambench-check verify
 
 build:
 	$(GO) build ./...
@@ -48,8 +48,8 @@ scale-smoke:
 
 # loadtest-smoke drives a short fixed-seed open-loop load test against an
 # in-process scheduling service and fails on any error or dropped accepted
-# job (docs/SERVICE.md; the committed LOAD_<N>.json artifacts come from the
-# longer 30s variant of the same command).
+# job (docs/SERVICE.md gives the recipe of the committed LOAD_<N>.json
+# artifact).
 loadtest-smoke:
 	$(GO) run ./cmd/streamsched -loadtest -rate 50 -requests 100 -seed 7 -workload synth:fft -pes 8
 

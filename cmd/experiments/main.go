@@ -4,7 +4,7 @@
 //
 //	experiments [-exp all|fig10|...|placement,heft,pipeline] [-graphs N] [-seed S]
 //	            [-quick] [-full-models] [-workers N] [-shard i/n] [-out shard.json]
-//	            [-cache dir] [-report] [-sim-engine leap|reference]
+//	            [-cache dir] [-report]
 //	            [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //	experiments -merge a.json b.json ...
 //	experiments -serve addr [-lease-timeout d] [-batch N] [-state dir]
@@ -39,9 +39,7 @@
 //
 // Simulating experiments run on desim's auto engine, which picks the
 // event-leaping fast path or the unit-stepping reference loop per simulation
-// via a cost model; -sim-engine leap or -sim-engine reference forces one
-// engine for A/B timing (cells are byte-identical in every mode, so caches
-// and artifacts are unaffected).
+// via a cost model (cells are byte-identical under every engine).
 // -cpuprofile and -memprofile write pprof profiles of the run — also with
 // -agent — so sweep hot spots can be inspected without a test harness.
 //
@@ -70,7 +68,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/desim"
 	"repro/internal/distrib"
 	"repro/internal/experiments"
 	"repro/internal/results"
@@ -100,7 +97,6 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 0, "with -serve -state: journal records between snapshots (default 256; negative disables snapshots)")
 	token := flag.String("token", "", "shared bearer token: required of every client with -serve, sent with -agent and -status")
 	status := flag.String("status", "", "print the status JSON of the coordinator at this URL, then exit")
-	simEngine := flag.String("sim-engine", "auto", "discrete-event engine for simulate cells: auto (cost-model pick), leap (event-leaping fast path), or reference (unit-stepping oracle); results are byte-identical")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	flag.Parse()
@@ -111,7 +107,7 @@ func main() {
 	if err := run(*exp, *graphs, *seed, *quick, *fullModels, *workers, *shard,
 		*out, *cacheDir, *cacheStats, *cacheGC, *merge, *report, *listVariants,
 		*serve, *agent, *workerID, *leaseTimeout, *batch, *stateDir, *snapshotEvery, *token, *status,
-		*simEngine, *cpuProfile, *memProfile,
+		*cpuProfile, *memProfile,
 		explicit, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
@@ -123,13 +119,9 @@ func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int
 	merge, report, listVariants bool,
 	serve, agent, workerID string, leaseTimeout time.Duration, batch int,
 	stateDir string, snapshotEvery int, token, status string,
-	simEngine, cpuProfile, memProfile string,
+	cpuProfile, memProfile string,
 	explicit map[string]bool, args []string) error {
 
-	engine, err := desim.ParseEngine(simEngine)
-	if err != nil {
-		return fmt.Errorf("-sim-engine: %w", err)
-	}
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
 		if err != nil {
@@ -231,7 +223,7 @@ func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int
 	if err != nil {
 		return err
 	}
-	runner := experiments.Runner{Workers: workers, ShardIndex: idx, ShardCount: count, SimEngine: engine}
+	runner := experiments.Runner{Workers: workers, ShardIndex: idx, ShardCount: count}
 	var cache *results.Cache
 	if cacheDir != "" {
 		cache, err = results.OpenCache(cacheDir)

@@ -48,8 +48,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/buffers"
-	"repro/internal/desim"
+	"repro/internal/experiments"
 	"repro/internal/httpapi"
 	"repro/internal/noc"
 	"repro/internal/results"
@@ -76,7 +75,6 @@ func run() error {
 		pes       = flag.Int("pes", 4, "number of processing elements")
 		variant   = flag.String("variant", "lts", "spatial block heuristic: lts or rlx")
 		sim       = flag.Bool("sim", false, "validate the schedule with the discrete-event simulator")
-		simEngine = flag.String("sim-engine", "auto", "simulator engine for -sim: auto (cost-model pick), leap (event-leaping fast path), or reference (unit-stepping oracle); results are identical")
 		dotPath   = flag.String("dot", "", "write the task graph in Graphviz DOT format to this file")
 		showTasks = flag.Bool("tasks", false, "print the per-task schedule table")
 		gantt     = flag.Bool("gantt", false, "print an ASCII Gantt chart of the schedule")
@@ -193,33 +191,12 @@ func run() error {
 		return streamcli.RunSweep(os.Stdout, tg, v, *sweepPEs, *workers, *shard)
 	}
 
-	part, err := schedule.Algorithm1(tg, *pes, schedule.Options{Variant: v})
+	ev, err := experiments.NewEvalContext().Evaluate(tg, *pes, v, *sim)
 	if err != nil {
 		return err
 	}
-	res, err := schedule.Schedule(tg, part, *pes)
-	if err != nil {
-		return err
-	}
-	sizes := buffers.Sizes(tg, res)
-
-	fmt.Printf("graph: %d nodes (%d compute), %d edges\n",
-		tg.Len(), tg.NumComputeNodes(), tg.G.NumEdges())
-	fmt.Printf("schedule (%s, %d PEs): %d spatial blocks, makespan %.0f\n",
-		v, *pes, part.NumBlocks(), res.Makespan)
-	fmt.Printf("T1 %.0f   speedup %.2f   SSLR %.3f   utilization %.1f%%\n",
-		schedule.SequentialTime(tg), res.Speedup(tg), res.SSLR(tg), 100*res.Utilization(tg, *pes))
-
-	var extra int64
-	var cycleEdges int
-	for _, e := range sizes {
-		if e.OnCycle {
-			cycleEdges++
-			extra += e.Space
-		}
-	}
-	fmt.Printf("buffers: %d streaming edges, %d on undirected cycles, %d total FIFO slots on cycle edges\n",
-		len(sizes), cycleEdges, extra)
+	res := ev.Res
+	streamcli.PrintSummary(os.Stdout, tg, *pes, v, ev)
 
 	if *showTasks {
 		streamcli.PrintTasks(os.Stdout, tg, res)
@@ -262,22 +239,7 @@ func run() error {
 			p.Latency, p.InitiationInterval, p.Throughput())
 	}
 
-	if *sim {
-		engine, err := desim.ParseEngine(*simEngine)
-		if err != nil {
-			return fmt.Errorf("-sim-engine: %w", err)
-		}
-		st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res), Engine: engine})
-		if err != nil {
-			return err
-		}
-		if st.Deadlocked {
-			fmt.Printf("simulation: DEADLOCK at cycle %d\n", st.DeadlockCycle)
-		} else {
-			fmt.Printf("simulation: makespan %.0f (relative error %+.2f%%), no deadlock\n",
-				st.Makespan, 100*st.RelativeError(res.Makespan))
-		}
-	}
+	streamcli.PrintSim(os.Stdout, ev)
 
 	if *dotPath != "" {
 		f, err := os.Create(*dotPath)

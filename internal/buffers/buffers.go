@@ -12,11 +12,12 @@
 // path, divided by the production interval of u (Equation 5), capped by the
 // edge's total data volume.
 //
-// Entry points: SizeMap returns the per-edge FIFO capacities for a
-// schedule (what desim.Config consumes and the ablation compares against
-// unit FIFOs); Sizes exposes the per-edge derivation. Sizing is a pure
-// function of the frozen graph and its schedule — no randomness, no
-// state — so sized simulations are reproducible and cacheable.
+// Entry points: Sizes derives the per-edge FIFO depths of a schedule;
+// FIFOCaps (or SizeMap, which does both) keys them the way desim.Config
+// consumes them, and CycleSpace sums the deadlock-freedom budget. Sizing
+// is a pure function of the frozen graph and its schedule — no
+// randomness, no state — so sized simulations are reproducible and
+// cacheable.
 package buffers
 
 import (
@@ -63,11 +64,30 @@ func Sizes(t *core.TaskGraph, r *schedule.Result) []EdgeSpace {
 
 // SizeMap returns Sizes as a map keyed by [from, to].
 func SizeMap(t *core.TaskGraph, r *schedule.Result) map[[2]graph.NodeID]int64 {
-	m := make(map[[2]graph.NodeID]int64)
-	for _, e := range Sizes(t, r) {
+	return FIFOCaps(Sizes(t, r))
+}
+
+// FIFOCaps keys already computed sizes by [from, to], the form
+// desim.Config.FIFOCap consumes.
+func FIFOCaps(sizes []EdgeSpace) map[[2]graph.NodeID]int64 {
+	m := make(map[[2]graph.NodeID]int64, len(sizes))
+	for _, e := range sizes {
 		m[[2]graph.NodeID{e.From, e.To}] = e.Space
 	}
 	return m
+}
+
+// CycleSpace sums the Equation 5 requirement over sizes: the number of
+// edges whose head lies on an undirected cycle, and their total FIFO
+// slots (the deadlock-freedom budget the reports print).
+func CycleSpace(sizes []EdgeSpace) (edges int, slots int64) {
+	for _, e := range sizes {
+		if e.OnCycle {
+			edges++
+			slots += e.Space
+		}
+	}
+	return edges, slots
 }
 
 // sizeBlock applies Equation 5 within one spatial block.

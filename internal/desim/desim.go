@@ -95,7 +95,7 @@ const (
 	EngineReference
 )
 
-// String returns the flag spelling of the engine: auto, leap, or reference.
+// String returns the engine name: auto, leap, or reference.
 func (e Engine) String() string {
 	switch e {
 	case EngineAuto:
@@ -106,20 +106,6 @@ func (e Engine) String() string {
 		return "reference"
 	}
 	return fmt.Sprintf("Engine(%d)", uint8(e))
-}
-
-// ParseEngine parses the -sim-engine flag spelling used by cmd/experiments
-// and cmd/streamsched.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "auto":
-		return EngineAuto, nil
-	case "leap":
-		return EngineLeap, nil
-	case "reference":
-		return EngineReference, nil
-	}
-	return EngineAuto, fmt.Errorf("unknown engine %q (want auto, leap, or reference)", s)
 }
 
 // Config controls the simulation.

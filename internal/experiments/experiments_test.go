@@ -31,7 +31,10 @@ func TestRunSweepShapes(t *testing.T) {
 	opt := Quick()
 	opt.Graphs = 4
 	topo := Topologies()[0] // Chain
-	points := RunSweep(topo, opt, true)
+	points, rep := Runner{}.Sweep(topo, opt, true)
+	if len(rep.Failures) != 0 {
+		t.Fatalf("sweep failures: %v", rep.Failures)
+	}
 	if len(points) != len(topo.PEs) {
 		t.Fatalf("%d points, want %d", len(points), len(topo.PEs))
 	}

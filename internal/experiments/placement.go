@@ -43,14 +43,11 @@ func (placementVariant) Metrics() []string {
 }
 
 func (placementVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
-	part, err := schedule.PartitionLTS(tg, p.PEs)
+	ev, err := ctx.Evaluate(tg, p.PEs, schedule.SBLTS, false)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ctx.Sched.Schedule(tg, part, p.PEs)
-	if err != nil {
-		return nil, err
-	}
+	res := ev.Res
 	mesh := noc.NewMesh(p.PEs)
 	_, costs, err := noc.PlaceAll(tg, res, mesh, placementAnnealIters, placementSeed)
 	if err != nil {

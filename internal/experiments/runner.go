@@ -97,11 +97,10 @@ type Runner struct {
 	// per sweep; RunPlan always uses the plan's own cache, which is shared
 	// with table rendering.
 	Cache *GraphCache
-	// SimEngine selects the desim engine every worker uses (flag
-	// -sim-engine). The zero value desim.EngineAuto lets the cost model pick
-	// per simulation; the fixed settings are the A/B seam. All engines
-	// produce byte-identical Stats, so cells and cache keys are
-	// engine-independent.
+	// SimEngine selects the desim engine every worker uses. The zero value
+	// desim.EngineAuto lets the cost model pick per simulation; the fixed
+	// settings are the engine-equivalence test seam. All engines produce
+	// byte-identical Stats, so cells and cache keys are engine-independent.
 	SimEngine desim.Engine
 	// Results, when set, is the persistent cell cache: a job whose
 	// (graph fingerprint, PEs, variant, simulate) content key is already
@@ -131,17 +130,6 @@ func (r Runner) inShard(i int) bool {
 		return true
 	}
 	return i%r.ShardCount == r.ShardIndex%r.ShardCount
-}
-
-func (r Runner) measure() func(func()) time.Duration {
-	if r.measureFn != nil {
-		return r.measureFn
-	}
-	return func(f func()) time.Duration {
-		t0 := time.Now()
-		f()
-		return time.Since(t0)
-	}
 }
 
 // GraphCache memoizes graph constructions so that concurrent jobs touching
@@ -233,7 +221,11 @@ func (r Runner) runJobs(jobs []CellJob, graphs *GraphCache) ([]*results.Cell, Re
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := &EvalContext{Sched: schedule.NewScheduler(), Part: schedule.NewPartitioner(), Sim: desim.NewScratch(), SimEngine: r.SimEngine, measure: r.measure()}
+			ws := NewEvalContext()
+			ws.SimEngine = r.SimEngine
+			if r.measureFn != nil {
+				ws.measure = r.measureFn
+			}
 			for i := range idxCh {
 				t0 := time.Now()
 				cell, cached, err := r.runCellJob(jobs[i], graphs, ws)

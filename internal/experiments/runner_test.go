@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/desim"
 )
 
 // sweepOpt is a reduced but non-trivial sweep configuration shared by the
@@ -242,5 +244,32 @@ func TestGraphCacheKeyedByConfig(t *testing.T) {
 	}
 	if wantSmall := RunSweepSequential(topo, small, false); !reflect.DeepEqual(gotSmall, wantSmall) {
 		t.Errorf("first sweep diverges from sequential")
+	}
+}
+
+// TestSimEnginesRenderIdentically: the fig13 and ablation tables — the
+// quick two-graph plans of the experiments that simulate — render byte
+// for byte the same under every desim engine, so the engine never reaches
+// cells, caches or artifacts.
+func TestSimEnginesRenderIdentically(t *testing.T) {
+	opt := sweepOpt(2)
+	render := func(e desim.Engine) string {
+		p, err := Compile([]Spec{{Name: "fig13", Opt: opt}, {Name: "ablation", Opt: opt}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, rep := Runner{SimEngine: e}.RunPlan(p)
+		if len(rep.Failures) != 0 {
+			t.Fatalf("%s: %d failed jobs: %v", e, len(rep.Failures), rep.Failures[0])
+		}
+		var buf bytes.Buffer
+		Render(&buf, p, set)
+		return buf.String()
+	}
+	want := render(desim.EngineAuto)
+	for _, e := range []desim.Engine{desim.EngineLeap, desim.EngineReference} {
+		if got := render(e); got != want {
+			t.Errorf("%s engine tables differ from auto:\n%s\nvs\n%s", e, got, want)
+		}
 	}
 }

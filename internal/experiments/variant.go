@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/buffers"
 	"repro/internal/core"
 	"repro/internal/desim"
 	"repro/internal/graph"
@@ -12,25 +13,24 @@ import (
 )
 
 // EvalContext is the per-worker evaluation state handed to every variant: a
-// reusable scheduler and simulator so the hot paths allocate no per-run
-// state, plus the engine's timing seam for the measured experiments.
+// reusable partitioner, scheduler and simulator so the hot paths allocate no
+// per-run state, plus the engine's timing seam for the measured experiments.
+// One context serves one goroutine at a time.
 type EvalContext struct {
 	// Sched is the worker's scratch streaming scheduler (ST/FO/LO
 	// recurrences).
 	Sched *schedule.Scheduler
-	// Part is the worker's scratch Algorithm 1 partitioner; variants that
-	// partition in a measured region use it so steady-state timing excludes
-	// allocation noise. The Partition it returns is valid only until its
-	// next use.
+	// Part is the worker's scratch Algorithm 1 partitioner. The Partition
+	// it returns is valid only until its next use.
 	Part *schedule.Partitioner
 	// Sim is the worker's scratch discrete-event simulator.
 	Sim *desim.Scratch
 	// SimEngine selects the desim engine for every simulation this worker
-	// runs (Runner.SimEngine, cmd flag -sim-engine). The zero value is
-	// desim.EngineAuto, which picks leap vs reference per simulation via the
-	// cost model. All engines produce byte-identical Stats, so cells — and
-	// their cache keys — do not depend on it; fixed settings exist for A/B
-	// benchmarking.
+	// runs (Runner.SimEngine). The zero value is desim.EngineAuto, which
+	// picks leap vs reference per simulation via the cost model. All
+	// engines produce byte-identical Stats, so cells — and their cache keys
+	// — do not depend on it; the fixed settings are the engine-equivalence
+	// test seam.
 	SimEngine desim.Engine
 	// measure times a region of an evaluation; tests inject a fixed clock to
 	// make the measured columns deterministic.
@@ -44,7 +44,7 @@ func (c *EvalContext) SimConfig(caps map[[2]graph.NodeID]int64) desim.Config {
 }
 
 // NewEvalContext returns a context with fresh scratch state and a wall-clock
-// measurement, for callers evaluating variants outside the Runner.
+// measurement, for callers evaluating outside the Runner.
 func NewEvalContext() *EvalContext {
 	return &EvalContext{
 		Sched: schedule.NewScheduler(),
@@ -56,6 +56,47 @@ func NewEvalContext() *EvalContext {
 			return time.Since(t0)
 		},
 	}
+}
+
+// Evaluation is the output of one pass of the paper pipeline over a graph.
+type Evaluation struct {
+	// Res is the streaming schedule. Its ST/FO/LO/PE slices are owned by
+	// the Result; Res.Partition aliases the context's Part scratch and is
+	// valid only until the next Evaluate call on the same context.
+	Res *schedule.Result
+	// Sizes are the Equation 5 FIFO depths of every streaming edge, set
+	// only when simulating.
+	Sizes []buffers.EdgeSpace
+	// Sim is the Appendix B validation with those FIFO depths, set only
+	// when simulating. It aliases the context's Sim scratch and is valid
+	// only until the next Evaluate (or Sim.Simulate) call on the context.
+	Sim *desim.Stats
+}
+
+// Evaluate runs the paper pipeline on one graph with this context's
+// scratch: Algorithm 1 with heuristic v on pes processing elements, the
+// Section 5.1 ST/FO/LO schedule, and, when simulate is set, the Equation 5
+// buffer sizes and the Appendix B discrete-event simulation with them. It is
+// the one evaluation path behind the service, the CLI and every streaming
+// variant; see Evaluation for which results alias the scratch.
+func (c *EvalContext) Evaluate(tg *core.TaskGraph, pes int, v schedule.Variant, simulate bool) (Evaluation, error) {
+	part, err := c.Part.Partition(tg, pes, schedule.Options{Variant: v})
+	if err != nil {
+		return Evaluation{}, err
+	}
+	res, err := c.Sched.Schedule(tg, part, pes)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	ev := Evaluation{Res: res}
+	if !simulate {
+		return ev, nil
+	}
+	ev.Sizes = buffers.Sizes(tg, res)
+	if ev.Sim, err = c.Sim.Simulate(tg, res, c.SimConfig(buffers.FIFOCaps(ev.Sizes))); err != nil {
+		return Evaluation{}, err
+	}
+	return ev, nil
 }
 
 // Measure runs f and reports how long it took on this worker's clock.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/baseline"
-	"repro/internal/buffers"
 	"repro/internal/core"
 	"repro/internal/csdf"
 	"repro/internal/heft"
@@ -64,24 +63,17 @@ func (v streamSweepVariant) Metrics() []string {
 }
 
 func (v streamSweepVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
-	part, err := schedule.Algorithm1(tg, p.PEs, schedule.Options{Variant: v.heuristic})
+	ev, err := ctx.Evaluate(tg, p.PEs, v.heuristic, p.Simulate)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ctx.Sched.Schedule(tg, part, p.PEs)
-	if err != nil {
-		return nil, err
-	}
+	res := ev.Res
 	vals := map[string]float64{
 		"speedup": res.Speedup(tg),
 		"sslr":    res.Makespan / p.Depth,
 		"util":    res.Utilization(tg, p.PEs),
 	}
-	if p.Simulate {
-		st, err := ctx.Sim.Simulate(tg, res, ctx.SimConfig(buffers.SizeMap(tg, res)))
-		if err != nil {
-			return nil, err
-		}
+	if st := ev.Sim; st != nil {
 		vals["simerr"], vals["deadlock"] = 0, 0
 		if st.Deadlocked {
 			vals["deadlock"] = 1
@@ -115,21 +107,15 @@ func (fig12StrVariant) Name() string      { return VariantFig12Str }
 func (fig12StrVariant) Metrics() []string { return []string{"seconds", "makespan"} }
 
 func (fig12StrVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, _ EvalParams) (map[string]float64, error) {
-	p := tg.NumComputeNodes()
-	var res *schedule.Result
+	var ev Evaluation
 	var err error
 	dur := ctx.Measure(func() {
-		var part schedule.Partition
-		part, err = schedule.PartitionRLX(tg, p)
-		if err != nil {
-			return
-		}
-		res, err = ctx.Sched.Schedule(tg, part, p)
+		ev, err = ctx.Evaluate(tg, tg.NumComputeNodes(), schedule.SBRLX, false)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return map[string]float64{"seconds": dur.Seconds(), "makespan": res.Makespan}, nil
+	return map[string]float64{"seconds": dur.Seconds(), "makespan": ev.Res.Makespan}, nil
 }
 
 // fig12CSDFVariant times the CSDF self-timed engine on the same graph.
@@ -167,11 +153,7 @@ func (table2StrVariant) Metrics() []string {
 }
 
 func (table2StrVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
-	part, err := schedule.PartitionLTS(tg, p.PEs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ctx.Sched.Schedule(tg, part, p.PEs)
+	ev, err := ctx.Evaluate(tg, p.PEs, schedule.SBLTS, false)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +164,7 @@ func (table2StrVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams)
 		}
 	}
 	return map[string]float64{
-		"speedup": res.Speedup(tg), "makespan": res.Makespan,
+		"speedup": ev.Res.Speedup(tg), "makespan": ev.Res.Makespan,
 		"nodes": float64(tg.Len()), "buffers": float64(bufs),
 	}, nil
 }
@@ -210,18 +192,11 @@ func (ablationVariant) Name() string      { return VariantAblationUnit }
 func (ablationVariant) Metrics() []string { return []string{"sized", "unit", "deadlock"} }
 
 func (ablationVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
-	part, err := schedule.PartitionLTS(tg, p.PEs)
+	ev, err := ctx.Evaluate(tg, p.PEs, schedule.SBLTS, true)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ctx.Sched.Schedule(tg, part, p.PEs)
-	if err != nil {
-		return nil, err
-	}
-	sized, err := ctx.Sim.Simulate(tg, res, ctx.SimConfig(buffers.SizeMap(tg, res)))
-	if err != nil {
-		return nil, err
-	}
+	sized := ev.Sim
 	if sized.Deadlocked {
 		// Figure 13 guarantees the Equation 5 sizes cannot deadlock.
 		return nil, fmt.Errorf("sized simulation deadlocked")
@@ -229,7 +204,7 @@ func (ablationVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) 
 	sizedMakespan := sized.Makespan // copy before the scratch is reused
 	unitCfg := ctx.SimConfig(nil)
 	unitCfg.DefaultCap = 1
-	unit, err := ctx.Sim.Simulate(tg, res, unitCfg)
+	unit, err := ctx.Sim.Simulate(tg, ev.Res, unitCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -264,15 +239,11 @@ func (pipelineVariant) Name() string      { return VariantPipeline }
 func (pipelineVariant) Metrics() []string { return []string{"latency", "ii", "blocks"} }
 
 func (pipelineVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
-	part, err := schedule.PartitionLTS(tg, p.PEs)
+	ev, err := ctx.Evaluate(tg, p.PEs, schedule.SBLTS, false)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ctx.Sched.Schedule(tg, part, p.PEs)
-	if err != nil {
-		return nil, err
-	}
-	pl := schedule.AnalyzePipeline(tg, res)
+	pl := schedule.AnalyzePipeline(tg, ev.Res)
 	return map[string]float64{
 		"latency": pl.Latency,
 		"ii":      pl.InitiationInterval,

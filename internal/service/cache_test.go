@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io/fs"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/results"
+	"repro/internal/schedule"
 )
 
 func openTestCache(t *testing.T, dir string) *results.Cache {
@@ -142,7 +144,7 @@ func corruptBlobs(t *testing.T, dir string, data []byte) int {
 // job — the service re-evaluates (a miss), overwrites the entry, and the
 // response bytes match a clean evaluation. Both corruption shapes are
 // covered: invalid JSON, and well-formed JSON whose payload belongs to a
-// different submission (the integrity guard).
+// different submission or is truncated (the integrity guard).
 func TestCacheCorruptEntryFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	req := fftReq(11)
@@ -189,6 +191,23 @@ func TestCacheCorruptEntryFallsBack(t *testing.T) {
 			cache := openTestCache(t, dir)
 			if err := cache.PutBlob(reportBlobNS, realKey,
 				[]byte(`{"nodes":1,"pes":1,"variant":"lts","pe":[0]}`)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// The right report shape under the right key, but one per-task
+		// array cut short: the guard must check every per-task length,
+		// not just pe's.
+		{"right key short st", func(t *testing.T) {
+			rep, err := BuildReport(tg, 8, schedule.SBLTS, "lts", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.ST = rep.ST[:len(rep.ST)-1]
+			data, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := openTestCache(t, dir).PutBlob(reportBlobNS, realKey, data); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -357,37 +357,3 @@ func fetchScheduleBytes(ctx context.Context, base, id string) ([]byte, error) {
 	}
 	return compact.Bytes(), nil
 }
-
-// TestBuildReportMatchesScheduleCall anchors BuildReport to the raw
-// schedule API: the report's fields are exactly the direct
-// Algorithm1/Schedule outputs, so "byte-identical to BuildReport" means
-// "byte-identical to a direct schedule.Schedule call".
-func TestBuildReportMatchesScheduleCall(t *testing.T) {
-	tg, err := buildGraph(SubmitRequest{Workload: "synth:fft", Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := schedule.Algorithm1(tg, 8, schedule.Options{Variant: schedule.SBLTS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := schedule.Schedule(tg, part, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := BuildReport(tg, 8, schedule.SBLTS, "lts", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Makespan != res.Makespan {
-		t.Errorf("makespan %v vs %v", rep.Makespan, res.Makespan)
-	}
-	if rep.Blocks != part.NumBlocks() {
-		t.Errorf("blocks %d vs %d", rep.Blocks, part.NumBlocks())
-	}
-	for i := range rep.ST {
-		if rep.ST[i] != res.ST[i] || rep.PE[i] != res.PE[i] || rep.BlockOf[i] != res.Partition.BlockOf[i] {
-			t.Fatalf("per-task row %d differs from direct schedule.Schedule", i)
-		}
-	}
-}

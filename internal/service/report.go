@@ -1,9 +1,11 @@
 package service
 
 import (
+	"slices"
+
 	"repro/internal/buffers"
 	"repro/internal/core"
-	"repro/internal/desim"
+	"repro/internal/experiments"
 	"repro/internal/schedule"
 )
 
@@ -55,51 +57,48 @@ type SimReport struct {
 	DeadlockCycle int64   `json:"deadlock_cycle,omitempty"`
 }
 
-// BuildReport runs the batch scheduling path — schedule.Algorithm1,
-// schedule.Schedule, buffers.Sizes, and optionally desim.Simulate — on
-// one graph and packages the result. This is the single evaluation
-// function behind every service job, and the reference the byte-identity
-// tests compare service responses against.
+// BuildReport runs the paper pipeline (experiments.EvalContext.Evaluate)
+// on one graph with fresh scratch and packages the result. It is the
+// reference the byte-identity tests compare service responses against;
+// service workers run the same packaging on their pooled contexts.
 func BuildReport(tg *core.TaskGraph, pes int, v schedule.Variant, varName string, simulate bool) (*ScheduleReport, error) {
-	part, err := schedule.Algorithm1(tg, pes, schedule.Options{Variant: v})
+	return evalReport(experiments.NewEvalContext(), tg, pes, v, varName, simulate)
+}
+
+// evalReport evaluates one graph on ec and packages the result. The
+// report owns every slice it carries: BlockOf is cloned out of ec's
+// partition scratch, and ST/FO/LO/PE are owned by the schedule Result.
+func evalReport(ec *experiments.EvalContext, tg *core.TaskGraph, pes int, v schedule.Variant, varName string, simulate bool) (*ScheduleReport, error) {
+	ev, err := ec.Evaluate(tg, pes, v, simulate)
 	if err != nil {
 		return nil, err
 	}
-	res, err := schedule.Schedule(tg, part, pes)
-	if err != nil {
-		return nil, err
-	}
+	res := ev.Res
 	rep := &ScheduleReport{
 		Nodes:          tg.Len(),
 		ComputeNodes:   tg.NumComputeNodes(),
 		Edges:          tg.G.NumEdges(),
 		PEs:            pes,
 		Variant:        varName,
-		Blocks:         part.NumBlocks(),
+		Blocks:         res.Partition.NumBlocks(),
 		Makespan:       res.Makespan,
 		SequentialTime: schedule.SequentialTime(tg),
 		Speedup:        res.Speedup(tg),
 		SSLR:           res.SSLR(tg),
 		Utilization:    res.Utilization(tg, pes),
-		BlockOf:        res.Partition.BlockOf,
+		BlockOf:        slices.Clone(res.Partition.BlockOf),
 		PE:             res.PE,
 		ST:             res.ST,
 		FO:             res.FO,
 		LO:             res.LO,
 	}
-	sizes := buffers.Sizes(tg, res)
-	rep.StreamingEdges = len(sizes)
-	for _, e := range sizes {
-		if e.OnCycle {
-			rep.CycleEdges++
-			rep.BufferSlots += e.Space
-		}
+	sizes := ev.Sizes
+	if !simulate {
+		sizes = buffers.Sizes(tg, res)
 	}
-	if simulate {
-		st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
-		if err != nil {
-			return nil, err
-		}
+	rep.StreamingEdges = len(sizes)
+	rep.CycleEdges, rep.BufferSlots = buffers.CycleSpace(sizes)
+	if st := ev.Sim; st != nil {
 		rep.Sim = &SimReport{
 			Makespan:      st.Makespan,
 			RelativeError: st.RelativeError(res.Makespan),

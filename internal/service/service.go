@@ -30,11 +30,12 @@
 // submissions are served without re-evaluation, across restarts too.
 //
 // Determinism: a job's schedule report is a pure function of its (graph,
-// PEs, variant) inputs, computed by the exact batch-mode code path
-// (BuildReport), so a service response is byte-identical to a direct
-// schedule.Schedule run of the same submission no matter how requests
-// interleave, batch, coalesce, or hit the cache — the race e2e test
-// enforces this. Dispatch order is likewise a pure function of the
+// PEs, variant) inputs, computed by the batch-mode code path
+// (experiments.EvalContext.Evaluate on a pooled per-worker context, with
+// BuildReport's packaging), so a service response is byte-identical to a
+// direct schedule.Schedule run of the same submission no matter how
+// requests interleave, batch, coalesce, or hit the cache — the race e2e
+// test enforces this. Dispatch order is likewise a pure function of the
 // queued submissions, the tenant config, and the fair-queue progress
 // counters, never of arrival interleaving.
 //
@@ -211,7 +212,7 @@ type Statusz struct {
 	// Coalesced counts submissions that shared another job's evaluation.
 	Batches   int64 `json:"batches"`
 	Coalesced int64 `json:"coalesced"`
-	// Evaluations counts actual BuildReport runs; CacheHits/CacheMisses
+	// Evaluations counts actual report evaluations; CacheHits/CacheMisses
 	// count persistent-cache lookups by evaluation (a warm resubmission
 	// is a hit and no evaluation).
 	Evaluations int64 `json:"evaluations"`
@@ -286,7 +287,10 @@ type Service struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	loopDone chan struct{}
-	sem      chan struct{}
+	// evalCtxs holds one experiments.EvalContext per worker: a job
+	// takes one to evaluate and returns it, which both bounds the
+	// concurrent evaluations at Workers and reuses their scratch.
+	evalCtxs chan *experiments.EvalContext
 	wg       sync.WaitGroup
 
 	// testHookRun, when set, runs at the start of every job evaluation;
@@ -334,7 +338,10 @@ func New(opt Options) *Service {
 		tenantCfg: opt.Tenants,
 		stop:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
-		sem:       make(chan struct{}, opt.Workers),
+		evalCtxs:  make(chan *experiments.EvalContext, opt.Workers),
+	}
+	for i := 0; i < opt.Workers; i++ {
+		s.evalCtxs <- experiments.NewEvalContext()
 	}
 	s.start = opt.now()
 	return s
@@ -502,17 +509,17 @@ func (s *Service) dispatch() {
 		s.wg.Add(1)
 		go func(j *job) {
 			defer s.wg.Done()
-			s.sem <- struct{}{}
-			defer func() { <-s.sem }()
-			s.run(j)
+			ec := <-s.evalCtxs
+			defer func() { s.evalCtxs <- ec }()
+			s.run(j, ec)
 		}(j)
 	}
 }
 
 // run resolves one leader job and its coalesced followers with a shared
-// report: served from the persistent cache when warm, evaluated (and
-// cached) otherwise.
-func (s *Service) run(j *job) {
+// report: served from the persistent cache when warm, evaluated on ec
+// (and cached) otherwise.
+func (s *Service) run(j *job, ec *experiments.EvalContext) {
 	if s.testHookRun != nil {
 		s.testHookRun()
 	}
@@ -521,7 +528,7 @@ func (s *Service) run(j *job) {
 		s.mu.Lock()
 		s.evals++
 		s.mu.Unlock()
-		rep, err = BuildReport(j.tg, j.pes, j.variant, j.varName, j.simulate)
+		rep, err = evalReport(ec, j.tg, j.pes, j.variant, j.varName, j.simulate)
 		if err == nil && s.opt.Cache != nil {
 			// Best effort: a failed write only costs a future
 			// re-evaluation.
@@ -587,8 +594,9 @@ func (s *Service) lookupCached(j *job) (*ScheduleReport, error, bool) {
 	// collided, truncated to valid JSON) must not serve the wrong
 	// schedule. Reports round-trip JSON exactly, so these checks plus
 	// the content-addressed key pin the payload to the submission.
-	if rep.Nodes != j.tg.Len() || rep.PEs != j.pes || rep.Variant != j.varName ||
-		(rep.Sim != nil) != j.simulate || len(rep.PE) != j.tg.Len() {
+	n := j.tg.Len()
+	if rep.Nodes != n || rep.PEs != j.pes || rep.Variant != j.varName || (rep.Sim != nil) != j.simulate ||
+		len(rep.BlockOf) != n || len(rep.PE) != n || len(rep.ST) != n || len(rep.FO) != n || len(rep.LO) != n {
 		return nil, nil, false
 	}
 	return &rep, nil, true

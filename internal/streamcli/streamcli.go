@@ -1,8 +1,8 @@
 // Package streamcli holds the testable core of cmd/streamsched's batch
 // mode: graph loading from every input source the CLI accepts (-graph,
-// -synth, -model), the parallel PE sweep, and the
-// plain-text report tables. cmd/streamsched is a thin flag layer over
-// these functions; internal/service reuses the same graph sources for
+// -synth, -model), the parallel PE sweep, and the plain-text summary and
+// report tables, all over experiments.EvalContext.Evaluate.
+// cmd/streamsched is a thin flag layer over these functions; internal/service reuses the same graph sources for
 // streaming submissions. Every function writes to an io.Writer so tests
 // capture output byte for byte, and every graph construction is
 // deterministic in its (source, size, seed) arguments.
@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/buffers"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
@@ -180,17 +181,14 @@ func RunSweep(w io.Writer, tg *core.TaskGraph, v schedule.Variant, list string, 
 
 	rows, errs := experiments.RunIndexed(workers, len(pes), func(i int) (sweepRow, error) {
 		p := pes[i]
-		part, err := schedule.Algorithm1(tg, p, schedule.Options{Variant: v})
+		ev, err := experiments.NewEvalContext().Evaluate(tg, p, v, false)
 		if err != nil {
 			return sweepRow{}, err
 		}
-		res, err := schedule.Schedule(tg, part, p)
-		if err != nil {
-			return sweepRow{}, err
-		}
+		res := ev.Res
 		return sweepRow{
 			pes:      p,
-			blocks:   part.NumBlocks(),
+			blocks:   res.Partition.NumBlocks(),
 			makespan: res.Makespan,
 			speedup:  res.Speedup(tg),
 			util:     res.Utilization(tg, p),
@@ -212,6 +210,42 @@ func RunSweep(w io.Writer, tg *core.TaskGraph, v schedule.Variant, list string, 
 		return fmt.Errorf("%d of %d sweep entries failed", failed, len(pes))
 	}
 	return nil
+}
+
+// PrintSummary writes the batch-mode summary of one evaluation of tg on
+// pes processing elements with heuristic v: the graph's shape, the
+// schedule's blocks and makespan, T1/speedup/SSLR/utilization, and the
+// Equation 5 buffer budget (sized here when ev did not simulate).
+func PrintSummary(w io.Writer, tg *core.TaskGraph, pes int, v schedule.Variant, ev experiments.Evaluation) {
+	res := ev.Res
+	sizes := ev.Sizes
+	if ev.Sim == nil {
+		sizes = buffers.Sizes(tg, res)
+	}
+	fmt.Fprintf(w, "graph: %d nodes (%d compute), %d edges\n",
+		tg.Len(), tg.NumComputeNodes(), tg.G.NumEdges())
+	fmt.Fprintf(w, "schedule (%s, %d PEs): %d spatial blocks, makespan %.0f\n",
+		v, pes, res.Partition.NumBlocks(), res.Makespan)
+	fmt.Fprintf(w, "T1 %.0f   speedup %.2f   SSLR %.3f   utilization %.1f%%\n",
+		schedule.SequentialTime(tg), res.Speedup(tg), res.SSLR(tg), 100*res.Utilization(tg, pes))
+	cycleEdges, slots := buffers.CycleSpace(sizes)
+	fmt.Fprintf(w, "buffers: %d streaming edges, %d on undirected cycles, %d total FIFO slots on cycle edges\n",
+		len(sizes), cycleEdges, slots)
+}
+
+// PrintSim writes the discrete-event validation line of an evaluation
+// that simulated, and nothing otherwise.
+func PrintSim(w io.Writer, ev experiments.Evaluation) {
+	st := ev.Sim
+	if st == nil {
+		return
+	}
+	if st.Deadlocked {
+		fmt.Fprintf(w, "simulation: DEADLOCK at cycle %d\n", st.DeadlockCycle)
+	} else {
+		fmt.Fprintf(w, "simulation: makespan %.0f (relative error %+.2f%%), no deadlock\n",
+			st.Makespan, 100*st.RelativeError(ev.Res.Makespan))
+	}
 }
 
 // ListVariants writes the registered variants and workloads of the shared

@@ -2,11 +2,14 @@ package streamcli
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/results"
 	"repro/internal/schedule"
 	"repro/internal/service"
@@ -209,6 +212,70 @@ func TestRunSweep(t *testing.T) {
 	}
 	if again.String() != out {
 		t.Fatal("sweep output depends on worker count")
+	}
+}
+
+// TestBatchSummaryMatchesServiceReport: the batch-mode summary of
+// cmd/streamsched prints the same blocks, makespan, buffer counts and
+// simulated makespan as service.BuildReport reports for the same input,
+// with and without -sim, so the CLI and the service cannot drift apart.
+func TestBatchSummaryMatchesServiceReport(t *testing.T) {
+	const pes = 16
+	tg, err := BuildSynth("cholesky", 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func(x float64) string { return strconv.FormatFloat(x, 'f', 0, 64) }
+	for _, simulate := range []bool{false, true} {
+		ev, err := experiments.NewEvalContext().Evaluate(tg, pes, schedule.SBLTS, simulate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		PrintSummary(&buf, tg, pes, schedule.SBLTS, ev)
+		PrintSim(&buf, ev)
+		rep, err := service.BuildReport(tg, pes, schedule.SBLTS, "lts", simulate)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		wantLines := 4
+		if simulate {
+			wantLines = 5
+		}
+		if len(lines) != wantLines {
+			t.Fatalf("simulate=%v: %d lines, want %d:\n%s", simulate, len(lines), wantLines, buf.String())
+		}
+		var blocks, streaming, cycle int
+		var slots int64
+		var makespan string
+		if _, err := fmt.Sscanf(lines[1], "schedule (SB-LTS, 16 PEs): %d spatial blocks, makespan %s",
+			&blocks, &makespan); err != nil {
+			t.Fatalf("schedule line %q: %v", lines[1], err)
+		}
+		if blocks != rep.Blocks || makespan != round(rep.Makespan) {
+			t.Errorf("simulate=%v: printed %d blocks, makespan %s; report %d, %s",
+				simulate, blocks, makespan, rep.Blocks, round(rep.Makespan))
+		}
+		if _, err := fmt.Sscanf(lines[3], "buffers: %d streaming edges, %d on undirected cycles, %d total FIFO slots on cycle edges",
+			&streaming, &cycle, &slots); err != nil {
+			t.Fatalf("buffers line %q: %v", lines[3], err)
+		}
+		if streaming != rep.StreamingEdges || cycle != rep.CycleEdges || slots != rep.BufferSlots {
+			t.Errorf("simulate=%v: printed buffers %d/%d/%d; report %d/%d/%d", simulate,
+				streaming, cycle, slots, rep.StreamingEdges, rep.CycleEdges, rep.BufferSlots)
+		}
+		if !simulate {
+			continue
+		}
+		var simMakespan string
+		if _, err := fmt.Sscanf(lines[4], "simulation: makespan %s", &simMakespan); err != nil {
+			t.Fatalf("simulation line %q: %v", lines[4], err)
+		}
+		if rep.Sim == nil || rep.Sim.Deadlocked || simMakespan != round(rep.Sim.Makespan) {
+			t.Errorf("printed simulated makespan %s; report %+v", simMakespan, rep.Sim)
+		}
 	}
 }
 
