@@ -40,7 +40,7 @@ fuzz-smoke:
 	$(GO) test ./internal/desim -run '^$$' -fuzz FuzzDesimLeapVsReference -fuzztime 20s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzAlgorithm1FastVsReference -fuzztime 20s
 
-# scale-smoke drives the 10^5-task pipeline (partition, schedule, auto-engine
+# scale-smoke drives the 10^5-task pipeline (partition, schedule, leap-engine
 # desim) and the ~10^6-task deep-MLP partition+schedule under generous
 # wall-clock budgets; plain `go test ./...` skips it (SCALE_SMOKE gate).
 scale-smoke:

@@ -121,15 +121,14 @@ func BenchmarkFig12(b *testing.B) {
 }
 
 // BenchmarkFig13Simulation measures the Appendix B discrete-event
-// validation of one scheduled graph on all three desim engines: Leap is
-// the event-leaping fast path, Reference is the unit-stepping oracle loop
-// kept as the executable specification, and Auto is the cost-model pick
-// the sweeps now default to. Each sub-benchmark reuses one Scratch,
-// exactly like the sweep workers do (after warm-up the simulation
-// allocates nothing). All engines' Stats are byte-identical; only their
-// speed differs, and the committed BENCH_*.json baseline records the gap
-// as part of the repository's performance trajectory — Auto must stay
-// within ~5% of whichever fixed engine is faster per topology.
+// validation of one scheduled graph on both desim engines: Leap is the
+// event-leaping fast path the sweeps default to, Reference is the
+// unit-stepping oracle loop kept as the executable specification. Each
+// sub-benchmark reuses one Scratch, exactly like the sweep workers do
+// (after warm-up the simulation allocates nothing). Both engines' Stats are
+// byte-identical; only their speed differs, and the committed BENCH_*.json
+// baseline records the gap as part of the repository's performance
+// trajectory.
 func BenchmarkFig13Simulation(b *testing.B) {
 	for name, tg := range topologies(synth.SmallConfig()) {
 		p := 32
@@ -148,7 +147,7 @@ func BenchmarkFig13Simulation(b *testing.B) {
 		for _, eng := range []struct {
 			name   string
 			engine desim.Engine
-		}{{"Leap", desim.EngineLeap}, {"Reference", desim.EngineReference}, {"Auto", desim.EngineAuto}} {
+		}{{"Leap", desim.EngineLeap}, {"Reference", desim.EngineReference}} {
 			b.Run(name+"/"+eng.name, func(b *testing.B) {
 				s := desim.NewScratch()
 				cfg := desim.Config{FIFOCap: caps, Engine: eng.engine}

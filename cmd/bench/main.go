@@ -109,24 +109,26 @@ var (
 	// pkgLine matches the `pkg: repro/internal/desim` header go test prints
 	// before each package's benchmarks.
 	pkgLine = regexp.MustCompile(`^pkg:\s+(\S+)`)
-	// procsSuffix matches the -GOMAXPROCS suffix go test appends to every
-	// benchmark name when GOMAXPROCS > 1 (absent on single-core runs).
-	procsSuffix = regexp.MustCompile(`-(\d+)$`)
 	// benchFile matches committed baseline snapshots in the repo root.
 	benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 )
 
-// parseBench parses `go test -bench` output into results keyed by
-// "importpath/BenchmarkName" with the -GOMAXPROCS suffix stripped, and
-// returns the GOMAXPROCS the suffixes implied (1 when absent). Package
+// parseBench parses `go test -bench` output of a run at the given
+// GOMAXPROCS into results keyed by "importpath/BenchmarkName". go test
+// appends "-<GOMAXPROCS>" to every name when GOMAXPROCS > 1; only that exact
+// suffix is stripped, so a sub-benchmark whose own name ends in digits
+// (BenchmarkScaleLadder/gaussian-1000) keeps them on every machine. Package
 // qualification makes equally named benchmarks in different packages
 // distinct keys instead of silently overwriting each other; repeats of the
 // SAME key (go test -count > 1) are folded by taking the per-column minimum
 // — scheduling noise only ever adds time, so the minimum is the most
 // repeatable estimate of a benchmark's cost.
-func parseBench(output string) (map[string]result, int, error) {
+func parseBench(output string, procs int) map[string]result {
 	benchmarks := map[string]result{}
-	procs := 1
+	suffix := ""
+	if procs > 1 {
+		suffix = "-" + strconv.Itoa(procs)
+	}
 	pkg := ""
 	for _, line := range strings.Split(output, "\n") {
 		line = strings.TrimSpace(line)
@@ -139,11 +141,8 @@ func parseBench(output string) (map[string]result, int, error) {
 			continue
 		}
 		name := m[1]
-		if s := procsSuffix.FindStringSubmatch(name); s != nil {
-			name = strings.TrimSuffix(name, s[0])
-			if n, _ := strconv.Atoi(s[1]); n > procs {
-				procs = n
-			}
+		if suffix != "" {
+			name = strings.TrimSuffix(name, suffix)
 		}
 		key := name
 		if pkg != "" {
@@ -163,7 +162,7 @@ func parseBench(output string) (map[string]result, int, error) {
 		}
 		benchmarks[key] = r
 	}
-	return benchmarks, procs, nil
+	return benchmarks
 }
 
 // latestBaseline scans dir for BENCH_<N>.json files and returns the highest
@@ -297,7 +296,10 @@ func runBenchmarks(bench, benchtime string, count int, pkgs, timeout string) (sn
 	if count < 1 {
 		count = 1
 	}
-	args := []string{"test", "-run", "^$", "-bench", bench,
+	// -cpu pins the GOMAXPROCS go test runs at, and so the name suffix
+	// parseBench strips, to this process's.
+	procs := runtime.GOMAXPROCS(0)
+	args := []string{"test", "-run", "^$", "-bench", bench, "-cpu", strconv.Itoa(procs),
 		"-benchtime", benchtime, "-benchmem", "-count", strconv.Itoa(count), "-timeout", timeout}
 	args = append(args, strings.Split(pkgs, ",")...)
 
@@ -308,10 +310,7 @@ func runBenchmarks(bench, benchtime string, count int, pkgs, timeout string) (sn
 	if err := cmd.Run(); err != nil {
 		return snapshot{}, fmt.Errorf("go %s: %w", strings.Join(args, " "), err)
 	}
-	benchmarks, procs, err := parseBench(buf.String())
-	if err != nil {
-		return snapshot{}, err
-	}
+	benchmarks := parseBench(buf.String(), procs)
 	if len(benchmarks) == 0 {
 		return snapshot{}, fmt.Errorf("no benchmark results parsed; check -bench/-pkg")
 	}

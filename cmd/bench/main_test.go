@@ -8,7 +8,8 @@ import (
 
 // sampleOutput mimics go test -bench output across two packages on a
 // 8-core machine, including a benchmark name that repeats in both packages
-// (the v1 schema silently overwrote one with the other).
+// (the v1 schema silently overwrote one with the other) and sub-benchmarks
+// whose own names end in digits.
 const sampleOutput = `goos: linux
 goarch: amd64
 pkg: repro
@@ -22,21 +23,24 @@ BenchmarkDesimEngines/chain/Leap-8          	      50	     15314 ns/op	      61 
 BenchmarkSweep-8                            	      50	     12000 ns/op	       8 B/op	       1 allocs/op
 PASS
 ok  	repro/internal/desim	0.8s
+pkg: repro/internal/schedule
+BenchmarkScaleLadder/gaussian-1000-8        	      50	   1100000 ns/op
+BenchmarkScaleLadder/gaussian-10000-8       	      50	  12000000 ns/op
+BenchmarkScaleLadder/gaussian-100000-8      	      50	 130000000 ns/op
+PASS
+ok  	repro/internal/schedule	9.1s
 `
 
 func TestParseBenchQualifiesAndStrips(t *testing.T) {
-	benchmarks, procs, err := parseBench(sampleOutput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if procs != 8 {
-		t.Errorf("procs = %d, want 8 (from the -8 suffix)", procs)
-	}
+	benchmarks := parseBench(sampleOutput, 8)
 	want := map[string]result{
-		"repro/BenchmarkFig13Simulation/FFT/Leap": {Iters: 50, NsPerOp: 198374, BytesPerOp: 42},
-		"repro/BenchmarkSweep":                    {Iters: 50, NsPerOp: 91000},
-		"repro/internal/desim/BenchmarkDesimEngines/chain/Leap": {Iters: 50, NsPerOp: 15314, BytesPerOp: 61},
-		"repro/internal/desim/BenchmarkSweep":                   {Iters: 50, NsPerOp: 12000, BytesPerOp: 8, AllocsPerOp: 1},
+		"repro/BenchmarkFig13Simulation/FFT/Leap":                      {Iters: 50, NsPerOp: 198374, BytesPerOp: 42},
+		"repro/BenchmarkSweep":                                         {Iters: 50, NsPerOp: 91000},
+		"repro/internal/desim/BenchmarkDesimEngines/chain/Leap":        {Iters: 50, NsPerOp: 15314, BytesPerOp: 61},
+		"repro/internal/desim/BenchmarkSweep":                          {Iters: 50, NsPerOp: 12000, BytesPerOp: 8, AllocsPerOp: 1},
+		"repro/internal/schedule/BenchmarkScaleLadder/gaussian-1000":   {Iters: 50, NsPerOp: 1100000},
+		"repro/internal/schedule/BenchmarkScaleLadder/gaussian-10000":  {Iters: 50, NsPerOp: 12000000},
+		"repro/internal/schedule/BenchmarkScaleLadder/gaussian-100000": {Iters: 50, NsPerOp: 130000000},
 	}
 	if len(benchmarks) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(benchmarks), len(want), benchmarks)
@@ -49,15 +53,27 @@ func TestParseBenchQualifiesAndStrips(t *testing.T) {
 }
 
 func TestParseBenchNoSuffixSingleCore(t *testing.T) {
-	benchmarks, procs, err := parseBench("pkg: repro\nBenchmarkX   \t 50\t  100 ns/op\n")
-	if err != nil {
-		t.Fatal(err)
+	// A single-core run prints no suffix: trailing digits belong to the
+	// benchmark name and must not be stripped or fold distinct sizes.
+	out := "pkg: repro\nBenchmarkX   \t 50\t  100 ns/op\n" +
+		"pkg: repro/internal/schedule\n" +
+		"BenchmarkScaleLadder/gaussian-1000   \t 50\t  1100000 ns/op\n" +
+		"BenchmarkScaleLadder/gaussian-10000  \t 50\t 12000000 ns/op\n" +
+		"BenchmarkScaleLadder/gaussian-100000 \t 50\t 130000000 ns/op\n"
+	benchmarks := parseBench(out, 1)
+	want := map[string]result{
+		"repro/BenchmarkX": {Iters: 50, NsPerOp: 100},
+		"repro/internal/schedule/BenchmarkScaleLadder/gaussian-1000":   {Iters: 50, NsPerOp: 1100000},
+		"repro/internal/schedule/BenchmarkScaleLadder/gaussian-10000":  {Iters: 50, NsPerOp: 12000000},
+		"repro/internal/schedule/BenchmarkScaleLadder/gaussian-100000": {Iters: 50, NsPerOp: 130000000},
 	}
-	if procs != 1 {
-		t.Errorf("procs = %d, want 1 when no suffix is printed", procs)
+	if len(benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d: %v", len(benchmarks), len(want), benchmarks)
 	}
-	if _, ok := benchmarks["repro/BenchmarkX"]; !ok {
-		t.Errorf("missing repro/BenchmarkX in %v", benchmarks)
+	for k, w := range want {
+		if benchmarks[k] != w {
+			t.Errorf("%s = %+v, want %+v", k, benchmarks[k], w)
+		}
 	}
 }
 
@@ -68,10 +84,7 @@ func TestParseBenchFoldsRepetitionsByMin(t *testing.T) {
 		"BenchmarkX-8 \t 50\t 120 ns/op\t 16 B/op\t 2 allocs/op\n" +
 		"BenchmarkX-8 \t 50\t 100 ns/op\t 16 B/op\t 2 allocs/op\n" +
 		"BenchmarkX-8 \t 50\t 111 ns/op\t 24 B/op\t 3 allocs/op\n"
-	benchmarks, _, err := parseBench(reps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	benchmarks := parseBench(reps, 8)
 	got := benchmarks["repro/BenchmarkX"]
 	want := result{Iters: 50, NsPerOp: 100, BytesPerOp: 16, AllocsPerOp: 2}
 	if got != want {

@@ -37,9 +37,9 @@
 // stderr. A run whose jobs partly failed still writes its output but exits
 // nonzero.
 //
-// Simulating experiments run on desim's auto engine, which picks the
-// event-leaping fast path or the unit-stepping reference loop per simulation
-// via a cost model (cells are byte-identical under every engine).
+// Simulating experiments run on desim's event-leaping engine (cells are
+// byte-identical to the unit-stepping reference loop the tests check it
+// against).
 // -cpuprofile and -memprofile write pprof profiles of the run — also with
 // -agent — so sweep hot spots can be inspected without a test harness.
 //
@@ -71,6 +71,7 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/experiments"
 	"repro/internal/results"
+	"repro/internal/streamcli"
 )
 
 func main() {
@@ -149,7 +150,7 @@ func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int
 	}
 
 	if listVariants {
-		return runListVariants(os.Stdout)
+		return streamcli.ListVariants(os.Stdout)
 	}
 	if status != "" {
 		for name := range explicit {
@@ -335,41 +336,6 @@ func buildSpecs(exp string, opt experiments.Options, quick, fullModels bool) ([]
 		return nil, fmt.Errorf("unknown experiment %q", exp)
 	}
 	return specs, nil
-}
-
-// runListVariants prints the three registries: experiments in render order
-// with their variants, then every variant with its declared metric keys,
-// then every workload with its PE sweep.
-func runListVariants(w *os.File) error {
-	fmt.Fprintln(w, "experiments (render order):")
-	for _, name := range experiments.ExperimentNames() {
-		e, err := experiments.LookupExperiment(name)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  %-10s variants: %s\n", name, strings.Join(e.Variants, ", "))
-	}
-	fmt.Fprintln(w, "\nvariants (cell metrics):")
-	for _, name := range experiments.VariantNames() {
-		v, err := experiments.LookupVariant(name)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  %-14s %s\n", name, strings.Join(v.Metrics(), ", "))
-	}
-	fmt.Fprintln(w, "\nworkloads:")
-	for _, name := range experiments.WorkloadNames() {
-		wl, err := experiments.LookupWorkload(name)
-		if err != nil {
-			return err
-		}
-		pes := make([]string, 0, len(wl.PEs()))
-		for _, p := range wl.PEs() {
-			pes = append(pes, fmt.Sprint(p))
-		}
-		fmt.Fprintf(w, "  %-18s %-26s PEs %s\n", name, wl.Family(), strings.Join(pes, ","))
-	}
-	return nil
 }
 
 // runCacheMaintenance handles -cache-stats and -cache-gc: prune first if

@@ -84,7 +84,7 @@ func run() error {
 		sweepPEs  = flag.String("sweep", "", "schedule at every PE count of this comma-separated list, in parallel")
 		workers   = flag.Int("workers", 0, "worker goroutines for -sweep and -serve (default GOMAXPROCS / NumCPU)")
 		shard     = flag.String("shard", "", "run only shard i of n sweep entries, format i/n")
-		listVar   = flag.Bool("list-variants", false, "list the experiment pipeline's registered variants and workloads, then exit")
+		listVar   = flag.Bool("list-variants", false, "list the registered experiments, variants, and workloads, then exit")
 
 		// Service mode.
 		serveAddr  = flag.String("serve", "", "run as an always-on scheduling service on this address (e.g. :8080)")

@@ -26,31 +26,25 @@
 //
 // Two engines produce byte-identical semantic Stats:
 //
-//   - The reference engine (Config.Engine = EngineReference) advances one
-//     unit cycle at a time and steps every unfinished task every cycle. It
-//     is the executable specification: simple, obviously faithful to the
-//     semantics above, and O(makespan x tasks).
+//   - The event-leaping engine (EngineLeap, the zero value and the default)
+//     runs the unit-cycle loop but fingerprints the simulation's control
+//     state after every cycle. Between event boundaries (a FIFO filling or
+//     draining, a memory edge becoming readable, a task finishing, a
+//     rate-pattern boundary) the pipeline repeats a short periodic pattern
+//     of micro-actions, so once a period is detected and verified the
+//     engine advances counters and the clock by whole batches of periods in
+//     O(1) arithmetic (leap.go), falling back to exact unit stepping at and
+//     around every boundary. Stats.Leap records its detector counters.
 //
-//   - The event-leaping engine (Config.Engine = EngineLeap) runs the same
-//     unit-cycle loop but fingerprints the simulation's control state after
-//     every cycle. Between event boundaries (a FIFO filling or draining, a
-//     memory edge becoming readable, a task finishing, a rate-pattern
-//     boundary) the pipeline repeats a short periodic pattern of
-//     micro-actions, so once a period is detected and verified the engine
-//     advances counters and the clock by whole batches of periods in O(1)
-//     arithmetic (leap.go), falling back to exact unit stepping at and
-//     around every boundary.
-//
-// The default, Config.Engine = EngineAuto, picks between them per
-// simulation from a cost model over cheap graph/schedule features
-// (costmodel.go): long-makespan steady-state workloads go to the leap
-// engine, event-dense short-run graphs — where the period detector is pure
-// overhead — go to the reference loop. Stats.Leap records the resolved
-// engine and the leap engine's detector counters.
+//   - The reference engine (EngineReference) advances one unit cycle at a
+//     time and steps every unfinished task every cycle. It is the
+//     executable specification: simple, obviously faithful to the
+//     semantics above, and O(makespan x tasks). Only the tests run it.
 //
 // The leap engine is cycle-exact: golden tables, a differential test, and
-// the FuzzDesimLeapVsReference fuzz target cross-check all three engine
-// modes over random graphs, schedules, and FIFO capacities (leap_test.go).
+// the FuzzDesimLeapVsReference fuzz target cross-check it against the
+// reference loop over random graphs, schedules, and FIFO capacities
+// (leap_test.go).
 //
 // Sweeps that validate many schedules should allocate one Scratch per worker
 // and call its Simulate method: all edge, FIFO, task, and leap-detection
@@ -77,29 +71,23 @@ import (
 	"repro/internal/scratch"
 )
 
-// Engine selects which simulation loop executes a run. Every engine
-// produces byte-identical semantic Stats (makespan, Finish, deadlock flag
+// Engine selects which simulation loop executes a run. Both engines
+// produce byte-identical semantic Stats (makespan, Finish, deadlock flag
 // and cycle, total cycles); they differ only in speed.
 type Engine uint8
 
 const (
-	// EngineAuto, the zero value and the default, picks EngineLeap or
-	// EngineReference per simulation from a cost model over cheap graph and
-	// schedule features (costmodel.go), so the default configuration is
-	// never slower than the better of the two on a given workload class.
-	EngineAuto Engine = iota
-	// EngineLeap forces the event-leaping fast path (leap.go).
-	EngineLeap
-	// EngineReference forces the unit-stepping reference loop, the
-	// executable specification and the oracle for the differential tests.
+	// EngineLeap, the zero value and the default, is the event-leaping fast
+	// path (leap.go).
+	EngineLeap Engine = iota
+	// EngineReference is the unit-stepping reference loop: the executable
+	// specification and the oracle for the differential tests.
 	EngineReference
 )
 
-// String returns the engine name: auto, leap, or reference.
+// String returns the engine name: leap or reference.
 func (e Engine) String() string {
 	switch e {
-	case EngineAuto:
-		return "auto"
 	case EngineLeap:
 		return "leap"
 	case EngineReference:
@@ -118,11 +106,10 @@ type Config struct {
 	DefaultCap int64
 	// MaxCycles aborts runaway simulations. Zero means 100 million.
 	MaxCycles int64
-	// Engine selects the simulation loop. The zero value, EngineAuto, asks
-	// the cost model to pick per simulation; EngineLeap and EngineReference
-	// force one loop (the reference loop is kept as the executable
-	// specification and as the oracle for the differential tests and
-	// benchmarks). All choices produce byte-identical semantic Stats.
+	// Engine selects the simulation loop. The zero value is EngineLeap;
+	// EngineReference is the executable specification the tests and
+	// benchmarks compare it against. Both produce byte-identical semantic
+	// Stats.
 	Engine Engine
 }
 
@@ -138,23 +125,20 @@ type Stats struct {
 	DeadlockCycle int64
 	// Cycles is the total number of simulated cycles.
 	Cycles int64
-	// Leap holds engine diagnostics: which engine actually ran and, for the
-	// leap engine, its period-detector counters. It is excluded from the
-	// engines' byte-identity contract — the semantic fields above are
-	// identical across engines, Leap describes how the run was executed.
+	// Leap holds the leap engine's period-detector counters (all zero for a
+	// reference run). It is excluded from the engines' byte-identity
+	// contract — the semantic fields above are identical across engines,
+	// Leap describes how the run was executed.
 	Leap LeapStats
 }
 
 // LeapStats instruments one run of the event-leaping engine: how often the
 // period detector proposed, verified, and refuted candidate periods, how
 // many cycles were replayed arithmetically vs stepped exactly, and how often
-// the working set was compacted. For the reference engine only Engine is
-// set. Tests use these counters to assert the fast path actually engages,
-// and they make "why was this run slow" answerable without a profiler.
+// the working set was compacted. A reference run leaves it zero. Tests use
+// these counters to assert the fast path actually engages, and they make
+// "why was this run slow" answerable without a profiler.
 type LeapStats struct {
-	// Engine is the loop that executed the run, with EngineAuto resolved to
-	// the cost model's pick.
-	Engine Engine
 	// Proposed counts candidate periods anchored from an action-hash repeat;
 	// Verified those whose full control-state compare succeeded one period
 	// later; Refuted those that failed it (the state drifted under a
@@ -262,15 +246,11 @@ func (s *Scratch) Simulate(t *core.TaskGraph, r *schedule.Result, cfg Config) (*
 	if cfg.MaxCycles <= 0 {
 		cfg.MaxCycles = 100_000_000
 	}
-	engine := cfg.Engine
-	if engine == EngineAuto {
-		engine = PickEngine(t, r, cfg)
-	}
 
 	n := t.G.Len()
 	ne := t.G.NumEdges()
 	s.finish = scratch.GrowFloats(s.finish, n)
-	s.stats = Stats{Finish: s.finish, Leap: LeapStats{Engine: engine}}
+	s.stats = Stats{Finish: s.finish}
 	stats := &s.stats
 
 	// Build edge states in deterministic (producer, successor-order) order.
@@ -335,7 +315,7 @@ func (s *Scratch) Simulate(t *core.TaskGraph, r *schedule.Result, cfg Config) (*
 	}
 
 	s.inBlk = scratch.GrowBools(s.inBlk, n)
-	if engine != EngineReference {
+	if cfg.Engine != EngineReference {
 		s.wantStep = scratch.GrowBools(s.wantStep, n)
 		s.wakeAt = scratch.GrowInts(s.wakeAt, n)
 		s.nInLiveFifo = scratch.GrowInt32s(s.nInLiveFifo, n)
@@ -349,7 +329,7 @@ func (s *Scratch) Simulate(t *core.TaskGraph, r *schedule.Result, cfg Config) (*
 	for bi, blk := range r.Partition.Blocks {
 		var start int64
 		var err error
-		if engine == EngineReference {
+		if cfg.Engine == EngineReference {
 			start, err = s.simulateBlock(blk, topo, cycle, cfg.MaxCycles)
 		} else {
 			start, err = s.simulateBlockLeap(blk, topo, cycle, cfg.MaxCycles)

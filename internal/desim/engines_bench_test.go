@@ -24,14 +24,12 @@ func benchCase(b *testing.B, name string, variant schedule.Variant, p int) (*cor
 	return tg, res
 }
 
-// BenchmarkDesimEngines contrasts the unit-stepping reference loop, the
-// event-leaping fast path, and the Auto cost-model pick on the golden graphs
+// BenchmarkDesimEngines contrasts the unit-stepping reference loop with the
+// event-leaping fast path, the default engine, on the golden graphs
 // (DefaultConfig volumes, the same shapes the golden simulation table pins).
 // The leap engine's advantage grows with the makespan: these graphs stream
 // for hundreds to thousands of cycles, most of them inside replayable
-// steady-state periods — except cholesky, which is event-dense enough that
-// the reference loop wins and Auto must route accordingly. The acceptance
-// bound for Auto is ~5% over min(Reference, Leap) per family.
+// steady-state periods; event-dense cholesky sits at parity.
 func BenchmarkDesimEngines(b *testing.B) {
 	cases := []struct {
 		graph   string
@@ -49,7 +47,7 @@ func BenchmarkDesimEngines(b *testing.B) {
 		for _, eng := range []struct {
 			name   string
 			engine desim.Engine
-		}{{"Reference", desim.EngineReference}, {"Leap", desim.EngineLeap}, {"Auto", desim.EngineAuto}} {
+		}{{"Reference", desim.EngineReference}, {"Leap", desim.EngineLeap}} {
 			b.Run(tc.graph+"/"+eng.name, func(b *testing.B) {
 				s := desim.NewScratch()
 				cfg := desim.Config{FIFOCap: caps, Engine: eng.engine}
@@ -97,7 +95,7 @@ func BenchmarkDesimLongMakespan(b *testing.B) {
 	for _, eng := range []struct {
 		name   string
 		engine desim.Engine
-	}{{"Reference", desim.EngineReference}, {"Leap", desim.EngineLeap}, {"Auto", desim.EngineAuto}} {
+	}{{"Reference", desim.EngineReference}, {"Leap", desim.EngineLeap}} {
 		b.Run(eng.name, func(b *testing.B) {
 			s := desim.NewScratch()
 			cfg := desim.Config{FIFOCap: caps, Engine: eng.engine}

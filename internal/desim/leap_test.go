@@ -67,40 +67,36 @@ func diffCaps(tg *core.TaskGraph, res *schedule.Result, mode int) (map[[2]graph.
 }
 
 // runBoth simulates one scheduled graph with the reference loop as the
-// oracle and requires the leap engine AND the Auto picker to produce
-// identical semantic Stats — the Finish vector and the deadlock cycle
-// included. Auto resolves to one of the two engines, so checking it both
-// exercises the cost-model path and proves the default configuration stays
-// inside the byte-identity contract.
+// oracle and requires the default configuration — the leap engine — to
+// produce identical semantic Stats, the Finish vector and the deadlock
+// cycle included.
 func runBoth(t testing.TB, tg *core.TaskGraph, res *schedule.Result,
 	caps map[[2]graph.NodeID]int64, defaultCap, maxCycles int64) {
 	t.Helper()
 	ref, refErr := NewScratch().Simulate(tg, res, Config{
 		FIFOCap: caps, DefaultCap: defaultCap, MaxCycles: maxCycles, Engine: EngineReference,
 	})
-	for _, engine := range []Engine{EngineLeap, EngineAuto} {
-		lp, lpErr := NewScratch().Simulate(tg, res, Config{
-			FIFOCap: caps, DefaultCap: defaultCap, MaxCycles: maxCycles, Engine: engine,
-		})
-		if (refErr != nil) != (lpErr != nil) {
-			t.Fatalf("engines disagree on error: reference=%v %v=%v", refErr, engine, lpErr)
+	lp, lpErr := NewScratch().Simulate(tg, res, Config{
+		FIFOCap: caps, DefaultCap: defaultCap, MaxCycles: maxCycles,
+	})
+	if (refErr != nil) != (lpErr != nil) {
+		t.Fatalf("engines disagree on error: reference=%v default=%v", refErr, lpErr)
+	}
+	if refErr != nil {
+		if refErr.Error() != lpErr.Error() {
+			t.Fatalf("engines disagree on error text: reference=%v default=%v", refErr, lpErr)
 		}
-		if refErr != nil {
-			if refErr.Error() != lpErr.Error() {
-				t.Fatalf("engines disagree on error text: reference=%v %v=%v", refErr, engine, lpErr)
-			}
-			continue
-		}
-		if ref.Makespan != lp.Makespan || ref.Deadlocked != lp.Deadlocked ||
-			ref.DeadlockCycle != lp.DeadlockCycle || ref.Cycles != lp.Cycles {
-			t.Fatalf("stats diverge: reference makespan=%g deadlock=%v@%d cycles=%d, %v makespan=%g deadlock=%v@%d cycles=%d",
-				ref.Makespan, ref.Deadlocked, ref.DeadlockCycle, ref.Cycles,
-				engine, lp.Makespan, lp.Deadlocked, lp.DeadlockCycle, lp.Cycles)
-		}
-		for v := range ref.Finish {
-			if ref.Finish[v] != lp.Finish[v] {
-				t.Fatalf("Finish[%d] diverges: reference %g, %v %g", v, ref.Finish[v], engine, lp.Finish[v])
-			}
+		return
+	}
+	if ref.Makespan != lp.Makespan || ref.Deadlocked != lp.Deadlocked ||
+		ref.DeadlockCycle != lp.DeadlockCycle || ref.Cycles != lp.Cycles {
+		t.Fatalf("stats diverge: reference makespan=%g deadlock=%v@%d cycles=%d, default makespan=%g deadlock=%v@%d cycles=%d",
+			ref.Makespan, ref.Deadlocked, ref.DeadlockCycle, ref.Cycles,
+			lp.Makespan, lp.Deadlocked, lp.DeadlockCycle, lp.Cycles)
+	}
+	for v := range ref.Finish {
+		if ref.Finish[v] != lp.Finish[v] {
+			t.Fatalf("Finish[%d] diverges: reference %g, default %g", v, ref.Finish[v], lp.Finish[v])
 		}
 	}
 }
@@ -258,20 +254,16 @@ func TestLeapActuallyLeaps(t *testing.T) {
 	if st.Leap.Verified < 1 || st.Leap.Proposed < st.Leap.Verified {
 		t.Fatalf("inconsistent detector counters: %+v", st.Leap)
 	}
-	// Such a long steady state is exactly what the cost model must route to
-	// the leap engine.
-	if auto, _ := NewScratch().Simulate(tg, res, Config{FIFOCap: buffers.SizeMap(tg, res)}); auto.Leap.Engine != EngineLeap {
-		t.Fatalf("Auto picked %v for a steady-state-dominated pipeline, want leap", auto.Leap.Engine)
-	}
 }
 
 // TestSimulateAllocFree verifies the allocation pass: after a warm-up run,
-// repeated Scratch.Simulate calls allocate nothing on either engine.
+// repeated Scratch.Simulate calls allocate nothing, on the default engine
+// or on the reference loop.
 func TestSimulateAllocFree(t *testing.T) {
 	tg := fig9Graph1()
 	res := schedAll(t, tg)
 	caps := buffers.SizeMap(tg, res)
-	for _, engine := range []Engine{EngineReference, EngineLeap, EngineAuto} {
+	for _, engine := range []Engine{EngineLeap, EngineReference} {
 		t.Run(engine.String(), func(t *testing.T) {
 			s := NewScratch()
 			cfg := Config{FIFOCap: caps, Engine: engine}

@@ -98,9 +98,9 @@ type Runner struct {
 	// with table rendering.
 	Cache *GraphCache
 	// SimEngine selects the desim engine every worker uses. The zero value
-	// desim.EngineAuto lets the cost model pick per simulation; the fixed
-	// settings are the engine-equivalence test seam. All engines produce
-	// byte-identical Stats, so cells and cache keys are engine-independent.
+	// is desim.EngineLeap; desim.EngineReference is the engine-equivalence
+	// test seam. Both engines produce byte-identical Stats, so cells and
+	// cache keys are engine-independent.
 	SimEngine desim.Engine
 	// Results, when set, is the persistent cell cache: a job whose
 	// (graph fingerprint, PEs, variant, simulate) content key is already

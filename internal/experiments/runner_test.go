@@ -249,27 +249,24 @@ func TestGraphCacheKeyedByConfig(t *testing.T) {
 
 // TestSimEnginesRenderIdentically: the fig13 and ablation tables — the
 // quick two-graph plans of the experiments that simulate — render byte
-// for byte the same under every desim engine, so the engine never reaches
-// cells, caches or artifacts.
+// for byte the same on the default engine and on the reference loop, so
+// the engine never reaches cells, caches or artifacts.
 func TestSimEnginesRenderIdentically(t *testing.T) {
 	opt := sweepOpt(2)
-	render := func(e desim.Engine) string {
+	render := func(r Runner) string {
 		p, err := Compile([]Spec{{Name: "fig13", Opt: opt}, {Name: "ablation", Opt: opt}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, rep := Runner{SimEngine: e}.RunPlan(p)
+		set, rep := r.RunPlan(p)
 		if len(rep.Failures) != 0 {
-			t.Fatalf("%s: %d failed jobs: %v", e, len(rep.Failures), rep.Failures[0])
+			t.Fatalf("%s: %d failed jobs: %v", r.SimEngine, len(rep.Failures), rep.Failures[0])
 		}
 		var buf bytes.Buffer
 		Render(&buf, p, set)
 		return buf.String()
 	}
-	want := render(desim.EngineAuto)
-	for _, e := range []desim.Engine{desim.EngineLeap, desim.EngineReference} {
-		if got := render(e); got != want {
-			t.Errorf("%s engine tables differ from auto:\n%s\nvs\n%s", e, got, want)
-		}
+	if got, want := render(Runner{SimEngine: desim.EngineReference}), render(Runner{}); got != want {
+		t.Errorf("reference engine tables differ from the default:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -26,11 +26,10 @@ type EvalContext struct {
 	// Sim is the worker's scratch discrete-event simulator.
 	Sim *desim.Scratch
 	// SimEngine selects the desim engine for every simulation this worker
-	// runs (Runner.SimEngine). The zero value is desim.EngineAuto, which
-	// picks leap vs reference per simulation via the cost model. All
+	// runs (Runner.SimEngine). The zero value is desim.EngineLeap; setting
+	// desim.EngineReference is the engine-equivalence test seam. Both
 	// engines produce byte-identical Stats, so cells — and their cache keys
-	// — do not depend on it; the fixed settings are the engine-equivalence
-	// test seam.
+	// — do not depend on it.
 	SimEngine desim.Engine
 	// measure times a region of an evaluation; tests inject a fixed clock to
 	// make the measured columns deterministic.

@@ -248,11 +248,20 @@ func PrintSim(w io.Writer, ev experiments.Evaluation) {
 	}
 }
 
-// ListVariants writes the registered variants and workloads of the shared
-// experiment pipeline (cmd/experiments -list-variants adds the experiment
-// registry on top).
+// ListVariants writes the three registries of the shared experiment
+// pipeline — the -list-variants output of both commands: experiments in
+// render order with their variants, then every variant with its declared
+// metric keys, then every workload with its family and PE sweep.
 func ListVariants(w io.Writer) error {
-	fmt.Fprintln(w, "variants (cell metrics):")
+	fmt.Fprintln(w, "experiments (render order):")
+	for _, name := range experiments.ExperimentNames() {
+		e, err := experiments.LookupExperiment(name)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %-10s variants: %s\n", name, strings.Join(e.Variants, ", "))
+	}
+	fmt.Fprintln(w, "\nvariants (cell metrics):")
 	for _, name := range experiments.VariantNames() {
 		v, err := experiments.LookupVariant(name)
 		if err != nil {
@@ -266,7 +275,11 @@ func ListVariants(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "  %-18s %s\n", name, wl.Family())
+		pes := make([]string, 0, len(wl.PEs()))
+		for _, p := range wl.PEs() {
+			pes = append(pes, fmt.Sprint(p))
+		}
+		fmt.Fprintf(w, "  %-18s %-26s PEs %s\n", name, wl.Family(), strings.Join(pes, ","))
 	}
 	return nil
 }

@@ -315,9 +315,17 @@ func TestListVariants(t *testing.T) {
 	if err := ListVariants(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"variants (cell metrics):", "workloads:", "synth:fft", "onnx:mlp"} {
+	for _, want := range []string{"experiments (render order):", "fig13      variants: ",
+		"variants (cell metrics):", "workloads:", "synth:fft", "onnx:mlp"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("missing %q in listing", want)
+		}
+	}
+	// Every workload row carries its PE sweep.
+	_, rows, _ := strings.Cut(buf.String(), "workloads:\n")
+	for _, row := range strings.Split(strings.TrimRight(rows, "\n"), "\n") {
+		if _, pes, ok := strings.Cut(row, " PEs "); !ok || pes == "" {
+			t.Errorf("workload row without a PE column: %q", row)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func stage(t *testing.T, name string, budget time.Duration, f func()) {
 }
 
 // TestScaleSmokePipeline drives a 10^5-task synthetic graph end to end —
-// partition (fast path), validation, scheduling, and an auto-engine
+// partition (fast path), validation, scheduling, and a leap-engine
 // discrete-event simulation — then builds the ~10^6-task deep MLP and runs
 // partition plus scheduling on it.
 func TestScaleSmokePipeline(t *testing.T) {
@@ -71,7 +71,7 @@ func TestScaleSmokePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st *desim.Stats
-	stage(t, "desim 100k (auto)", 120*time.Second, func() {
+	stage(t, "desim 100k (leap)", 120*time.Second, func() {
 		st, err = desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
 	})
 	if err != nil {
@@ -80,10 +80,12 @@ func TestScaleSmokePipeline(t *testing.T) {
 	if st.Deadlocked {
 		t.Fatal("simulation deadlocked with Equation 5 buffer sizes")
 	}
-	// The giant-graph guard must route a 10^5-task simulation to the leap
-	// engine; the reference loop would blow the budget.
-	if st.Leap.Engine != desim.EngineLeap {
-		t.Errorf("auto picked %v on a 10^5-task graph, want leap", st.Leap.Engine)
+	// The default engine must be the leap engine, every cycle accounted
+	// for by its stepped and leaped counters; the reference loop would blow
+	// the budget.
+	if st.Leap.SteppedCycles+st.Leap.LeapedCycles != st.Cycles {
+		t.Errorf("stepped %d + leaped %d != %d cycles on a 10^5-task graph: the leap engine did not run",
+			st.Leap.SteppedCycles, st.Leap.LeapedCycles, st.Cycles)
 	}
 
 	// Stage 2: the ~10^6-task deep MLP, build + partition + schedule (no
