@@ -34,11 +34,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 # fuzz-smoke briefly cross-checks the differential fast-vs-reference pairs:
-# the desim leap engine against the unit-stepping reference loop, and the
-# incremental Algorithm 1 partitioner against its executable specification.
+# the desim leap engine against the unit-stepping reference loop, the
+# incremental Algorithm 1 partitioner against its executable specification,
+# and the hand-written graph decoder against encoding/json.
 fuzz-smoke:
 	$(GO) test ./internal/desim -run '^$$' -fuzz FuzzDesimLeapVsReference -fuzztime 20s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzAlgorithm1FastVsReference -fuzztime 20s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeJSONVsReference -fuzztime 20s
 
 # scale-smoke drives the 10^5-task pipeline (partition, schedule, leap-engine
 # desim) and the ~10^6-task deep-MLP partition+schedule under generous

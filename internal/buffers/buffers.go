@@ -110,22 +110,13 @@ func sizeBlock(t *core.TaskGraph, r *schedule.Result, blk schedule.Block) []Edge
 
 	var out []EdgeSpace
 	for _, v := range blk.Nodes {
-		// Gather the streaming predecessors of v inside the block.
-		var preds []graph.NodeID
-		for _, u := range t.G.Preds(v) {
-			if streaming(u, v) {
-				preds = append(preds, u)
-			}
-		}
-		if len(preds) == 0 {
-			continue
-		}
+		preds, vols := t.G.Preds(v), t.G.PredVolumes(v)
 		// The highest delay any element experiences reaching v is the
 		// largest first-out time among its in-block predecessors, whether
 		// they stream directly or emit from a buffer.
 		maxFO := math.Inf(-1)
 		nPreds := 0
-		for _, u := range t.G.Preds(v) {
+		for _, u := range preds {
 			if inBlockEdge(u, v) {
 				nPreds++
 				if r.FO[u] > maxFO {
@@ -133,7 +124,11 @@ func sizeBlock(t *core.TaskGraph, r *schedule.Result, blk schedule.Block) []Edge
 				}
 			}
 		}
-		for _, u := range preds {
+		// Size every streaming edge into v.
+		for i, u := range preds {
+			if !streaming(u, v) {
+				continue
+			}
 			space := int64(MinDepth)
 			cyc := onCycle[v] && nPreds > 1
 			if cyc {
@@ -145,7 +140,7 @@ func sizeBlock(t *core.TaskGraph, r *schedule.Result, blk schedule.Block) []Edge
 				if need > space {
 					space = need
 				}
-				if vol := t.G.Volume(u, v); space > vol {
+				if vol := vols[i]; space > vol {
 					space = vol // never need more than the total data sent
 				}
 			}

@@ -18,6 +18,10 @@
 // instance per graph ID. EncodeJSON/DecodeJSON give the canonical codec:
 // the encoding is byte-stable for a frozen graph, so its hash
 // (results.Fingerprint) content-addresses cells in the persistent cache.
+// DecodeJSON is a hand-written single-pass decoder that accepts exactly
+// the language encoding/json accepts for the same document struct, quirks
+// included (see its comment); the encoding/json decoder it replaced lives
+// on in the package tests as the differential oracle.
 // StreamingIntervals, Levels, Work, and StreamingDepth expose the Section 4
 // steady-state analysis.
 package core
@@ -195,6 +199,11 @@ func (t *TaskGraph) Validate() error {
 	if _, err := t.G.TopoOrder(); err != nil {
 		return err
 	}
+	return t.validateNodes()
+}
+
+// validateNodes is Validate without the acyclicity check.
+func (t *TaskGraph) validateNodes() error {
 	for v := 0; v < t.G.Len(); v++ {
 		n := t.Nodes[v]
 		id := graph.NodeID(v)
@@ -218,8 +227,9 @@ func (t *TaskGraph) Validate() error {
 				return fmt.Errorf("core: node %d (%s) needs positive I and O, got I=%d O=%d", v, n.Name, n.In, n.Out)
 			}
 		}
-		for _, u := range t.G.Preds(id) {
-			vol := t.G.Volume(u, id)
+		vols := t.G.PredVolumes(id)
+		for i, u := range t.G.Preds(id) {
+			vol := vols[i]
 			if n.Kind != Source && vol != n.In {
 				return fmt.Errorf("core: edge (%d,%d) volume %d != I(%d)=%d", u, v, vol, v, n.In)
 			}
@@ -231,9 +241,12 @@ func (t *TaskGraph) Validate() error {
 	return nil
 }
 
-// Freeze validates the task graph and freezes the underlying DAG.
+// Freeze validates the task graph and freezes the underlying DAG. It runs
+// the topological sort once, inside the DAG's Freeze, after the canonicity
+// checks; so a graph that is both cyclic and non-canonical reports the
+// canonicity error.
 func (t *TaskGraph) Freeze() error {
-	if err := t.Validate(); err != nil {
+	if err := t.validateNodes(); err != nil {
 		return err
 	}
 	return t.G.Freeze()
@@ -511,8 +524,8 @@ func (t *TaskGraph) StreamingDepth() float64 {
 		}
 		tail := comp[v]
 		head := comp[split.Head[v]]
-		if tail != head && !h.HasEdge(graph.NodeID(tail), graph.NodeID(head)) {
-			h.MustEdge(graph.NodeID(tail), graph.NodeID(head), 1)
+		if tail != head {
+			h.MustEdge(graph.NodeID(tail), graph.NodeID(head), 1) // a repeat merges into the first
 		}
 	}
 	return h.LongestPath(depth)

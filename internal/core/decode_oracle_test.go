@@ -1,0 +1,202 @@
+package core_test
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/results"
+)
+
+// decodeSeeds exercise every encoding/json quirk the hand-written decoder
+// must reproduce.
+var decodeSeeds = []string{
+	// Plain documents.
+	`{"nodes":[{"kind":"source","out":8},{"kind":"compute","in":8,"out":4},{"kind":"sink","in":4}],"edges":[[0,1],[1,2]]}`,
+	`{"nodes":[{"name":"a","kind":"buffer","in":2,"out":4},{"name":"b","kind":"compute","in":4,"out":1}],"edges":[[0,1]]}`,
+	`{"nodes":[],"edges":[]}`,
+	`{}`,
+	// Case-folded keys, including non-ASCII runes that fold to ASCII
+	// (U+017F long s folds to S, U+212A Kelvin sign to K).
+	`{"NODES":[{"KIND":"compute","In":4,"oUT":4}],"Edges":[]}`,
+	`{"nodeſ":[{"\u212aind":"compute","in":4,"out":4}]}`,
+	`{"nod\u0065s":[{"kind":"compute","in":4,"out":4}]}`,
+	`{"nodes":[{"kind":"compute","in":4,"out":4,"İn":9}]}`,
+	// Unknown keys are skipped but must be valid.
+	`{"x":{"a":[1,2.5e3,true,false,null,"s\n"]},"nodes":[{"kind":"compute","in":4,"out":4,"meta":{}}],"edges":[]}`,
+	`{"x":[1,}],"nodes":[]}`,
+	`{"x":tru,"nodes":[]}`,
+	`{"x":01}`,
+	// Duplicate keys decode into the same field; repeated arrays reuse
+	// the elements an earlier array wrote.
+	`{"nodes":[{"kind":"compute","in":4,"out":4}],"nodes":[{"kind":"sink"}]}`,
+	`{"nodes":[{"kind":"compute","in":4,"out":4},{"kind":"compute","in":4,"out":4}],"nodes":[{"kind":"source"}],"nodes":[{"kind":"source","in":0},null]}`,
+	`{"nodes":[{"kind":"compute","in":4,"out":4}],"nodes":[],"nodes":[null]}`,
+	`{"nodes":[{"kind":"compute","in":4,"out":4},{"kind":"compute","in":4,"out":4}],"edges":[[0,1]],"edges":[[1]],"edges":[null]}`,
+	`{"nodes":[{"kind":"compute","kind":"source","out":4,"out":null},{"kind":"sink","in":4}],"edges":[[0,1]]}`,
+	// null leaves fields alone; a top-level null is the empty graph.
+	`{"nodes":null,"edges":null}`,
+	`{"nodes":[{"kind":"compute","in":4,"out":4}],"nodes":null}`,
+	`{"nodes":[{"kind":"compute","in":4,"out":4},{"kind":"compute","in":4,"out":4}],"edges":[[0,1]],"edges":null}`,
+	`{"nodes":[null]}`,
+	`{"nodes":[{"kind":null,"in":null}]}`,
+	`null`,
+	`null garbage`,
+	// Edges: [a] is [a,0]; extra elements are syntax-checked then dropped.
+	`{"nodes":[{"kind":"source","out":4},{"kind":"sink","in":4}],"edges":[[1],[0,1]]}`,
+	`{"nodes":[{"kind":"source","out":4},{"kind":"sink","in":4}],"edges":[[0,1,"x",{"y":[null]}]]}`,
+	`{"nodes":[{"kind":"source","out":4},{"kind":"sink","in":4}],"edges":[[0,1,x]]}`,
+	`{"nodes":[{"kind":"source","out":4},{"kind":"sink","in":4}],"edges":[[]]}`,
+	// Integers reject fractions, exponents and overflow.
+	`{"nodes":[{"kind":"compute","in":4.0,"out":4}]}`,
+	`{"nodes":[{"kind":"compute","in":4e0,"out":4}]}`,
+	`{"nodes":[{"kind":"compute","in":-0,"out":4}]}`,
+	`{"nodes":[{"kind":"compute","in":9223372036854775807,"out":9223372036854775807}]}`,
+	`{"nodes":[{"kind":"compute","in":9223372036854775808,"out":4}]}`,
+	`{"nodes":[{"kind":"compute","in":-9223372036854775808,"out":4}]}`,
+	`{"nodes":[{"kind":"compute","in":"4","out":4}]}`,
+	`{"nodes":[{"kind":"source","out":4},{"kind":"sink","in":4}],"edges":[[0,1.5]]}`,
+	// Bytes after the first value are ignored.
+	`{"nodes":[]} {"nodes":[{"kind":"wizard"}]}`,
+	`{"nodes":[]}]]]`,
+	// Strings: escapes, surrogates and invalid UTF-8 become what
+	// encoding/json makes of them.
+	`{"nodes":[{"name":"a\"b\\c\/d\u00e9\ud83d\ude00\ud800","kind":"compute","in":4,"out":4}]}`,
+	"{\"nodes\":[{\"name\":\"bad\xff\xfeutf8\",\"kind\":\"compute\",\"in\":4,\"out\":4}]}",
+	"{\"nodes\":[{\"name\":\"ctl\x01\",\"kind\":\"compute\",\"in\":4,\"out\":4}]}",
+	`{"nodes":[{"name":"\x","kind":"compute","in":4,"out":4}]}`,
+	`{"nodes":[{"kind":"comp\u0075te","in":4,"out":4}]}`,
+	// Type mismatches and broken syntax.
+	`[1,2,3]`,
+	`{"nodes":{}}`,
+	`{"nodes":[{"kind":"compute","in":4,"out":4}],"edges":[[0,1]],}`,
+	`{`,
+	``,
+	`  `,
+	// Duplicate edges keep their first position and their last volume.
+	`{"nodes":[{"kind":"source","out":4},{"kind":"compute","in":4,"out":4},{"kind":"sink","in":4}],"edges":[[0,2],[0,1],[1,2],[0,2],[0,1]]}`,
+	// A fan-out star.
+	star(16, false),
+}
+
+// largeDecodeCases join the seeds in the unit test only: big inputs slow
+// every fuzz mutation down.
+var largeDecodeCases = []string{
+	star(1000, true),
+	// Nesting at and past encoding/json's depth limit in a skipped value.
+	`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
+	`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+	`{"nodes":[{"kind":"compute","in":4,"out":4,"x":` + strings.Repeat(`{"a":`, 9997) + `1` + strings.Repeat("}", 9997) + `}]}`,
+	`{"nodes":[{"kind":"compute","in":4,"out":4,"x":` + strings.Repeat(`{"a":`, 9998) + `1` + strings.Repeat("}", 9998) + `}]}`,
+}
+
+// star is a source fanned out to k element-wise nodes; with dup every
+// edge is written twice.
+func star(k int, dup bool) string {
+	var b strings.Builder
+	b.WriteString(`{"nodes":[{"kind":"source","out":4}`)
+	for i := 0; i < k; i++ {
+		b.WriteString(`,{"kind":"compute","in":4,"out":4}`)
+	}
+	b.WriteString(`],"edges":[`)
+	for i := 1; i <= k; i++ {
+		if i > 1 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "[0,%d]", i)
+		if dup {
+			fmt.Fprintf(&b, ",[0,%d]", i)
+		}
+	}
+	b.WriteString(`]}`)
+	return b.String()
+}
+
+// sameGraph fails unless a and b are the same graph: nodes (names
+// included), adjacency order, volumes, topological order and fingerprint.
+func sameGraph(t *testing.T, a, b *core.TaskGraph) {
+	t.Helper()
+	if !slices.Equal(a.Nodes, b.Nodes) {
+		t.Fatalf("nodes differ:\n%+v\n%+v", a.Nodes, b.Nodes)
+	}
+	if a.G.Len() != b.G.Len() || a.G.NumEdges() != b.G.NumEdges() {
+		t.Fatalf("sizes differ: %d/%d nodes, %d/%d edges", a.G.Len(), b.G.Len(), a.G.NumEdges(), b.G.NumEdges())
+	}
+	for v := graph.NodeID(0); int(v) < a.G.Len(); v++ {
+		if !slices.Equal(a.G.Succs(v), b.G.Succs(v)) || !slices.Equal(a.G.SuccVolumes(v), b.G.SuccVolumes(v)) {
+			t.Fatalf("node %d successors differ: %v %v / %v %v", v,
+				a.G.Succs(v), a.G.SuccVolumes(v), b.G.Succs(v), b.G.SuccVolumes(v))
+		}
+		if !slices.Equal(a.G.Preds(v), b.G.Preds(v)) || !slices.Equal(a.G.PredVolumes(v), b.G.PredVolumes(v)) {
+			t.Fatalf("node %d predecessors differ: %v %v / %v %v", v,
+				a.G.Preds(v), a.G.PredVolumes(v), b.G.Preds(v), b.G.PredVolumes(v))
+		}
+	}
+	if !slices.Equal(a.G.Topo(), b.G.Topo()) {
+		t.Fatal("topological orders differ")
+	}
+	if fa, fb := results.Fingerprint(a), results.Fingerprint(b); fa != fb {
+		t.Fatalf("fingerprints differ: %s %s", fa, fb)
+	}
+}
+
+// checkAgainstReference decodes in with both decoders and fails unless
+// they agree on acceptance and, when accepting, on the graph.
+func checkAgainstReference(t *testing.T, in string) {
+	t.Helper()
+	got, err := core.DecodeJSON(strings.NewReader(in))
+	want, refErr := core.DecodeJSONReference(strings.NewReader(in))
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("decoders disagree on %q:\n  DecodeJSON: %v\n  reference:  %v", in, err, refErr)
+	}
+	if err == nil {
+		sameGraph(t, got, want)
+	}
+}
+
+func TestDecodeJSONMatchesReference(t *testing.T) {
+	for i, in := range append(decodeSeeds[:len(decodeSeeds):len(decodeSeeds)], largeDecodeCases...) {
+		t.Run(fmt.Sprint(i), func(t *testing.T) { checkAgainstReference(t, in) })
+	}
+}
+
+// FuzzDecodeJSONVsReference checks the hand-written decoder against the
+// encoding/json reference on arbitrary input: both accept or both reject,
+// and an accepted input builds the identical graph.
+func FuzzDecodeJSONVsReference(f *testing.F) {
+	for _, in := range decodeSeeds {
+		f.Add(in)
+	}
+	f.Fuzz(checkAgainstReference)
+}
+
+// TestDecodeJSONAdversarialScale decodes a 10^5-fan-out star and 10^5
+// duplicate edges: no decode step may scan a node's adjacency once per
+// edge, so both stay far below a second.
+func TestDecodeJSONAdversarialScale(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		in    string
+		edges int
+	}{
+		{"star", star(100_000, false), 100_000},
+		{"duplicates", star(100_000, true), 100_000},
+	} {
+		start := time.Now()
+		tg, err := core.DecodeJSON(strings.NewReader(tc.in))
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tg.G.NumEdges() != tc.edges || tg.G.OutDegree(0) != tc.edges {
+			t.Fatalf("%s: %d edges, out-degree %d, want %d", tc.name, tg.G.NumEdges(), tg.G.OutDegree(0), tc.edges)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: decode took %v", tc.name, elapsed)
+		}
+	}
+}

@@ -1,0 +1,39 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+
+	"repro/internal/graph"
+)
+
+// DecodeJSONReference is the encoding/json decoder DecodeJSON replaced,
+// kept as the differential oracle: DecodeJSON must accept exactly the
+// inputs it accepts and build exactly the graph it builds.
+func DecodeJSONReference(r io.Reader) (*TaskGraph, error) {
+	var jg jsonGraph
+	if err := json.NewDecoder(r).Decode(&jg); err != nil {
+		return nil, fmt.Errorf("core: decoding task graph: %w", err)
+	}
+	t := New()
+	for i, jn := range jg.Nodes {
+		k, err := kindFromString(jn.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("core: node %d: %w", i, err)
+		}
+		t.add(Node{Kind: k, In: jn.In, Out: jn.Out, Name: jn.Name})
+	}
+	for i, e := range jg.Edges {
+		if e[0] < 0 || e[0] >= len(jg.Nodes) || e[1] < 0 || e[1] >= len(jg.Nodes) {
+			return nil, fmt.Errorf("core: edge %d references unknown node", i)
+		}
+		if err := t.Connect(graph.NodeID(e[0]), graph.NodeID(e[1])); err != nil {
+			return nil, fmt.Errorf("core: edge %d: %w", i, err)
+		}
+	}
+	if err := t.Freeze(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}

@@ -261,9 +261,10 @@ func (s *Scratch) Simulate(t *core.TaskGraph, r *schedule.Result, cfg Config) (*
 	ei := 0
 	for v := 0; v < n; v++ {
 		id := graph.NodeID(v)
-		for _, w := range t.G.Succs(id) {
+		vols := t.G.SuccVolumes(id)
+		for i, w := range t.G.Succs(id) {
 			es := &s.edges[ei]
-			*es = edgeState{from: id, to: w, vol: t.G.Volume(id, w), ready: -1}
+			*es = edgeState{from: id, to: w, vol: vols[i], ready: -1}
 			if r.Partition.Streaming(t, id, w) {
 				es.kind = fifoEdge
 				es.cap = cfg.DefaultCap

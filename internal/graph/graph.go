@@ -6,20 +6,32 @@
 // paper (Section 2). The structure is mutable while building and is usually
 // frozen (validated as acyclic, topologically ordered) before analysis.
 //
+// Storage is slices only, in compressed sparse row form: one array of
+// successor IDs for the whole graph with a per-node offset into it, a
+// parallel array of edge volumes, and the same three arrays for the
+// predecessors. SuccVolumes(v)[i] is the volume of the edge
+// v -> Succs(v)[i], and PredVolumes(v)[i] that of Preds(v)[i] -> v, so
+// adjacency loops read volumes without a lookup; Volume is a degree-bounded
+// scan for one-off queries. AddEdge only appends to a pending list. The
+// first read after an insertion (or Freeze) folds the pending edges into the
+// arrays in one O(V+E) pass, merging duplicates with a stamp array: each
+// edge keeps the position of its first copy in both lists and the volume of
+// its last. A frozen graph has nothing pending.
+//
 // The freeze is the package's key invariant: a frozen DAG is immutable and
 // carries a fixed topological order, so schedulers, simulators, and
 // concurrent experiment workers can share one instance without
 // synchronization, and the canonical iteration order (dense IDs, stable
 // edge lists) makes every downstream analysis deterministic — the property
 // the content-addressed results cache and byte-identical tables are built
-// on. Entry points: New, AddNode/AddEdge while building, Freeze to
-// validate, then Topo/Succs/Preds for traversal.
+// on. An unfrozen DAG must not be read from several goroutines at once,
+// since a read may fold pending edges in. Entry points: New, AddNode/AddEdge
+// while building, Freeze to validate, then Topo/Succs/Preds for traversal.
 package graph
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node within a single DAG. IDs are dense: the first
@@ -38,26 +50,33 @@ type Edge struct {
 // DAG is a directed graph intended to be acyclic. Acyclicity is enforced by
 // Freeze, not by AddEdge, so construction can proceed in any order.
 type DAG struct {
-	n      int
-	succs  [][]NodeID
-	preds  [][]NodeID
-	volume map[[2]NodeID]int64
-	frozen bool
-	topo   []NodeID
+	n       int
+	out, in adjacency
+	pending []Edge // added since the last fold, in insertion order
+	dirty   bool   // nodes or edges were added since the last fold
+	frozen  bool
+	topo    []NodeID
 }
+
+// adjacency is one direction of the edge lists: node v's neighbours are
+// ids[off[v]:off[v+1]], with the edge volumes at the same positions of vols.
+type adjacency struct {
+	off  []int
+	ids  []NodeID
+	vols []int64
+}
+
+func (a *adjacency) nbrs(v NodeID) []NodeID { return a.ids[a.off[v]:a.off[v+1]] }
+
+func (a *adjacency) volumes(v NodeID) []int64 { return a.vols[a.off[v]:a.off[v+1]] }
 
 // New returns an empty DAG.
-func New() *DAG {
-	return &DAG{volume: make(map[[2]NodeID]int64)}
-}
+func New() *DAG { return &DAG{} }
 
-// NewWithCapacity returns an empty DAG with space reserved for n nodes.
-func NewWithCapacity(n int) *DAG {
-	return &DAG{
-		succs:  make([][]NodeID, 0, n),
-		preds:  make([][]NodeID, 0, n),
-		volume: make(map[[2]NodeID]int64, 2*n),
-	}
+// NewWithCapacity returns an empty DAG with room for edges edges before
+// the pending list grows.
+func NewWithCapacity(edges int) *DAG {
+	return &DAG{pending: make([]Edge, 0, edges)}
 }
 
 // AddNode adds a node and returns its ID.
@@ -65,11 +84,9 @@ func (g *DAG) AddNode() NodeID {
 	if g.frozen {
 		panic("graph: AddNode on frozen DAG")
 	}
-	id := NodeID(g.n)
 	g.n++
-	g.succs = append(g.succs, nil)
-	g.preds = append(g.preds, nil)
-	return id
+	g.dirty = true
+	return NodeID(g.n - 1)
 }
 
 // AddNodes adds k nodes and returns the ID of the first one.
@@ -82,7 +99,8 @@ func (g *DAG) AddNodes(k int) NodeID {
 }
 
 // AddEdge adds the edge u -> v with the given data volume. Adding an edge
-// that already exists overwrites its volume. Self loops are rejected.
+// that already exists overwrites its volume and keeps its position in both
+// adjacency lists. Self loops are rejected.
 func (g *DAG) AddEdge(u, v NodeID, volume int64) error {
 	if g.frozen {
 		return errors.New("graph: AddEdge on frozen DAG")
@@ -96,12 +114,8 @@ func (g *DAG) AddEdge(u, v NodeID, volume int64) error {
 	if volume <= 0 {
 		return fmt.Errorf("graph: edge (%d,%d) has non-positive volume %d", u, v, volume)
 	}
-	key := [2]NodeID{u, v}
-	if _, dup := g.volume[key]; !dup {
-		g.succs[u] = append(g.succs[u], v)
-		g.preds[v] = append(g.preds[v], u)
-	}
-	g.volume[key] = volume
+	g.pending = append(g.pending, Edge{From: u, To: v, Volume: volume})
+	g.dirty = true
 	return nil
 }
 
@@ -115,47 +129,189 @@ func (g *DAG) MustEdge(u, v NodeID, volume int64) {
 
 func (g *DAG) valid(id NodeID) bool { return id >= 0 && int(id) < g.n }
 
+// fold brings the adjacency arrays up to date with the nodes and edges
+// added since the last fold.
+func (g *DAG) fold() {
+	if !g.dirty {
+		return
+	}
+	// stamp[w] == v+1 while w has been seen in v's list (v+1+n on the
+	// predecessor side), at position pos[w].
+	stamp := make([]int, 2*g.n)
+	stamp, pos := stamp[:g.n], stamp[g.n:]
+	g.out = g.out.fold(g.n, g.pending, false, stamp, pos, 1)
+	g.in = g.in.fold(g.n, g.pending, true, stamp, pos, 1+g.n)
+	g.pending = nil
+	g.dirty = false
+}
+
+// fold returns the adjacency a with the pending edges appended to each
+// node's list (keyed by the edge's head when in, else by its tail), then
+// duplicates merged: an edge keeps its first position and its last volume.
+func (a adjacency) fold(n int, pending []Edge, in bool, stamp, pos []int, mark int) adjacency {
+	ends := func(e Edge) (key, other NodeID) {
+		if in {
+			return e.To, e.From
+		}
+		return e.From, e.To
+	}
+	b := adjacency{off: make([]int, n+1)}
+	for v := 0; v+1 < len(a.off); v++ {
+		b.off[v+1] = a.off[v+1] - a.off[v]
+	}
+	for _, e := range pending {
+		key, _ := ends(e)
+		b.off[key+1]++
+	}
+	for v := 0; v < n; v++ {
+		b.off[v+1] += b.off[v]
+	}
+	b.ids = make([]NodeID, b.off[n])
+	b.vols = make([]int64, b.off[n])
+	next := pos // each node's next free slot; the merge below rewrites pos
+	for v := 0; v < n; v++ {
+		next[v] = b.off[v]
+		if v+1 < len(a.off) {
+			next[v] += copy(b.ids[b.off[v]:], a.nbrs(NodeID(v)))
+			copy(b.vols[b.off[v]:], a.volumes(NodeID(v)))
+		}
+	}
+	for _, e := range pending {
+		key, other := ends(e)
+		b.ids[next[key]], b.vols[next[key]] = other, e.Volume
+		next[key]++
+	}
+	// Merge duplicates, compacting the arrays in place.
+	w := 0
+	for v := 0; v < n; v++ {
+		lo, hi := b.off[v], b.off[v+1]
+		b.off[v] = w
+		for i := lo; i < hi; i++ {
+			x := b.ids[i]
+			if stamp[x] == mark+v {
+				b.vols[pos[x]] = b.vols[i]
+				continue
+			}
+			stamp[x], pos[x] = mark+v, w
+			b.ids[w], b.vols[w] = x, b.vols[i]
+			w++
+		}
+	}
+	b.off[n] = w
+	b.ids, b.vols = b.ids[:w:w], b.vols[:w:w]
+	return b
+}
+
 // Len returns the number of nodes.
 func (g *DAG) Len() int { return g.n }
 
 // NumEdges returns the number of edges.
-func (g *DAG) NumEdges() int { return len(g.volume) }
+func (g *DAG) NumEdges() int {
+	g.fold()
+	return len(g.out.ids)
+}
 
-// Succs returns the successors of v. The slice must not be modified.
-func (g *DAG) Succs(v NodeID) []NodeID { return g.succs[v] }
+// The adjacency accessors below are windows of the graph-wide arrays, kept
+// small enough to inline; their capacity runs past the window, so callers
+// must neither modify nor append to them.
 
-// Preds returns the predecessors of v. The slice must not be modified.
-func (g *DAG) Preds(v NodeID) []NodeID { return g.preds[v] }
+// Succs returns the successors of v.
+func (g *DAG) Succs(v NodeID) []NodeID {
+	if g.dirty {
+		g.fold()
+	}
+	return g.out.ids[g.out.off[v]:g.out.off[v+1]]
+}
+
+// Preds returns the predecessors of v.
+func (g *DAG) Preds(v NodeID) []NodeID {
+	if g.dirty {
+		g.fold()
+	}
+	return g.in.ids[g.in.off[v]:g.in.off[v+1]]
+}
+
+// SuccVolumes returns the volumes of v's outgoing edges, parallel to
+// Succs(v).
+func (g *DAG) SuccVolumes(v NodeID) []int64 {
+	if g.dirty {
+		g.fold()
+	}
+	return g.out.vols[g.out.off[v]:g.out.off[v+1]]
+}
+
+// PredVolumes returns the volumes of v's incoming edges, parallel to
+// Preds(v).
+func (g *DAG) PredVolumes(v NodeID) []int64 {
+	if g.dirty {
+		g.fold()
+	}
+	return g.in.vols[g.in.off[v]:g.in.off[v+1]]
+}
 
 // InDegree returns the number of incoming edges of v.
-func (g *DAG) InDegree(v NodeID) int { return len(g.preds[v]) }
+func (g *DAG) InDegree(v NodeID) int {
+	if g.dirty {
+		g.fold()
+	}
+	return g.in.off[v+1] - g.in.off[v]
+}
 
 // OutDegree returns the number of outgoing edges of v.
-func (g *DAG) OutDegree(v NodeID) int { return len(g.succs[v]) }
+func (g *DAG) OutDegree(v NodeID) int {
+	if g.dirty {
+		g.fold()
+	}
+	return g.out.off[v+1] - g.out.off[v]
+}
 
-// HasEdge reports whether the edge u -> v exists.
+// HasEdge reports whether the edge u -> v exists. It scans the shorter of
+// u's successor and v's predecessor lists.
 func (g *DAG) HasEdge(u, v NodeID) bool {
-	_, ok := g.volume[[2]NodeID{u, v}]
+	_, ok := g.lookup(u, v)
 	return ok
 }
 
 // Volume returns the data volume on edge u -> v, or 0 if the edge does not
-// exist.
-func (g *DAG) Volume(u, v NodeID) int64 { return g.volume[[2]NodeID{u, v}] }
+// exist. Like HasEdge it scans an adjacency list; loops over a node's edges
+// read SuccVolumes or PredVolumes instead.
+func (g *DAG) Volume(u, v NodeID) int64 {
+	vol, _ := g.lookup(u, v)
+	return vol
+}
+
+func (g *DAG) lookup(u, v NodeID) (int64, bool) {
+	succs, preds := g.Succs(u), g.Preds(v)
+	if len(succs) <= len(preds) {
+		for i, w := range succs {
+			if w == v {
+				return g.out.volumes(u)[i], true
+			}
+		}
+		return 0, false
+	}
+	for i, w := range preds {
+		if w == u {
+			return g.in.volumes(v)[i], true
+		}
+	}
+	return 0, false
+}
 
 // Edges returns all edges sorted by (From, To). The result is freshly
-// allocated on every call.
+// allocated on every call. A counting sort keeps it O(V+E): walking targets
+// in ID order and scattering each into its source's run leaves every run
+// sorted by target.
 func (g *DAG) Edges() []Edge {
-	out := make([]Edge, 0, len(g.volume))
-	for k, vol := range g.volume {
-		out = append(out, Edge{From: k[0], To: k[1], Volume: vol})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	g.fold()
+	next := append([]int(nil), g.out.off[:g.n]...)
+	out := make([]Edge, len(g.out.ids))
+	for v := 0; v < g.n; v++ {
+		for i, u := range g.in.nbrs(NodeID(v)) {
+			out[next[u]] = Edge{From: u, To: NodeID(v), Volume: g.in.volumes(NodeID(v))[i]}
+			next[u]++
 		}
-		return out[i].To < out[j].To
-	})
+	}
 	return out
 }
 
@@ -163,7 +319,7 @@ func (g *DAG) Edges() []Edge {
 func (g *DAG) Sources() []NodeID {
 	var out []NodeID
 	for v := 0; v < g.n; v++ {
-		if len(g.preds[v]) == 0 {
+		if g.InDegree(NodeID(v)) == 0 {
 			out = append(out, NodeID(v))
 		}
 	}
@@ -174,7 +330,7 @@ func (g *DAG) Sources() []NodeID {
 func (g *DAG) Sinks() []NodeID {
 	var out []NodeID
 	for v := 0; v < g.n; v++ {
-		if len(g.succs[v]) == 0 {
+		if g.OutDegree(NodeID(v)) == 0 {
 			out = append(out, NodeID(v))
 		}
 	}
@@ -189,9 +345,10 @@ var ErrCycle = errors.New("graph: cycle detected")
 // min-heap would be O(E log V); since ties only need determinism, a simple
 // FIFO over ID-sorted sources suffices and keeps it O(V+E)).
 func (g *DAG) TopoOrder() ([]NodeID, error) {
+	g.fold()
 	indeg := make([]int, g.n)
 	for v := 0; v < g.n; v++ {
-		indeg[v] = len(g.preds[v])
+		indeg[v] = g.in.off[v+1] - g.in.off[v]
 	}
 	queue := make([]NodeID, 0, g.n)
 	for v := 0; v < g.n; v++ {
@@ -204,7 +361,7 @@ func (g *DAG) TopoOrder() ([]NodeID, error) {
 		u := queue[0]
 		queue = queue[1:]
 		order = append(order, u)
-		for _, w := range g.succs[u] {
+		for _, w := range g.out.nbrs(u) {
 			indeg[w]--
 			if indeg[w] == 0 {
 				queue = append(queue, w)
@@ -246,6 +403,7 @@ func (g *DAG) Topo() []NodeID {
 // components. Component indices are dense and assigned in order of the
 // smallest node ID they contain.
 func (g *DAG) WCC() (comp []int, count int) {
+	g.fold()
 	comp = make([]int, g.n)
 	for i := range comp {
 		comp[i] = -1
@@ -260,13 +418,13 @@ func (g *DAG) WCC() (comp []int, count int) {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, w := range g.succs[u] {
+			for _, w := range g.out.nbrs(u) {
 				if comp[w] == -1 {
 					comp[w] = count
 					stack = append(stack, w)
 				}
 			}
-			for _, w := range g.preds[u] {
+			for _, w := range g.in.nbrs(u) {
 				if comp[w] == -1 {
 					comp[w] = count
 					stack = append(stack, w)
@@ -295,10 +453,15 @@ func (g *DAG) Induced(keep []bool) (sub *DAG, toSub []NodeID, toOrig []NodeID) {
 			toSub[v] = InvalidNode
 		}
 	}
-	for key, vol := range g.volume {
-		u, v := key[0], key[1]
-		if keep[u] && keep[v] {
-			sub.MustEdge(toSub[u], toSub[v], vol)
+	for u := 0; u < g.n; u++ {
+		if !keep[u] {
+			continue
+		}
+		vols := g.SuccVolumes(NodeID(u))
+		for i, v := range g.Succs(NodeID(u)) {
+			if keep[v] {
+				sub.MustEdge(toSub[u], toSub[v], vols[i])
+			}
 		}
 	}
 	return sub, toSub, toOrig
@@ -306,16 +469,13 @@ func (g *DAG) Induced(keep []bool) (sub *DAG, toSub []NodeID, toOrig []NodeID) {
 
 // Clone returns a deep copy of the graph in an unfrozen state.
 func (g *DAG) Clone() *DAG {
-	c := NewWithCapacity(g.n)
-	c.n = g.n
-	c.succs = make([][]NodeID, g.n)
-	c.preds = make([][]NodeID, g.n)
-	for v := 0; v < g.n; v++ {
-		c.succs[v] = append([]NodeID(nil), g.succs[v]...)
-		c.preds[v] = append([]NodeID(nil), g.preds[v]...)
+	g.fold()
+	clone := func(a adjacency) adjacency {
+		return adjacency{
+			off:  append([]int(nil), a.off...),
+			ids:  append([]NodeID(nil), a.ids...),
+			vols: append([]int64(nil), a.vols...),
+		}
 	}
-	for k, vol := range g.volume {
-		c.volume[k] = vol
-	}
-	return c
+	return &DAG{n: g.n, out: clone(g.out), in: clone(g.in)}
 }

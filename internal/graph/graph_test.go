@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -247,5 +248,49 @@ func TestSourcesSinks(t *testing.T) {
 	}
 	if s := g.Sinks(); len(s) != 2 {
 		t.Errorf("sinks = %v", s)
+	}
+}
+
+// TestDuplicateEdgesFold: a repeated edge keeps the position of its first
+// copy in both adjacency lists and the volume of its last, also when the
+// repeat arrives after a read folded the earlier edges in and after more
+// nodes were added.
+func TestDuplicateEdgesFold(t *testing.T) {
+	g := New()
+	a, b, c := g.AddNode(), g.AddNode(), g.AddNode()
+	g.MustEdge(a, c, 1)
+	g.MustEdge(a, b, 2)
+	g.MustEdge(b, c, 3)
+	g.MustEdge(a, c, 4)
+	if got := g.Succs(a); len(got) != 2 || got[0] != c || got[1] != b {
+		t.Fatalf("succs(a) = %v, want [c b]", got)
+	}
+	d := g.AddNode()
+	g.MustEdge(a, b, 5)
+	g.MustEdge(d, c, 6)
+	g.MustEdge(b, c, 7)
+	checks := []struct {
+		name string
+		ids  []NodeID
+		vols []int64
+		want []NodeID
+		wvol []int64
+	}{
+		{"succs(a)", g.Succs(a), g.SuccVolumes(a), []NodeID{c, b}, []int64{4, 5}},
+		{"succs(b)", g.Succs(b), g.SuccVolumes(b), []NodeID{c}, []int64{7}},
+		{"preds(c)", g.Preds(c), g.PredVolumes(c), []NodeID{a, b, d}, []int64{4, 7, 6}},
+		{"preds(b)", g.Preds(b), g.PredVolumes(b), []NodeID{a}, []int64{5}},
+	}
+	for _, ck := range checks {
+		if !slices.Equal(ck.ids, ck.want) || !slices.Equal(ck.vols, ck.wvol) {
+			t.Errorf("%s = %v %v, want %v %v", ck.name, ck.ids, ck.vols, ck.want, ck.wvol)
+		}
+	}
+	want := []Edge{{a, b, 5}, {a, c, 4}, {b, c, 7}, {d, c, 6}}
+	if got := g.Edges(); !slices.Equal(got, want) || g.NumEdges() != 4 {
+		t.Errorf("edges = %v (%d), want %v", got, g.NumEdges(), want)
+	}
+	if g.Volume(a, c) != 4 || !g.HasEdge(d, c) || g.HasEdge(c, d) {
+		t.Errorf("lookups: volume(a,c)=%d hasEdge(d,c)=%v hasEdge(c,d)=%v", g.Volume(a, c), g.HasEdge(d, c), g.HasEdge(c, d))
 	}
 }

@@ -17,7 +17,7 @@ func (g *DAG) Levels() []int {
 	lv := make([]int, g.n)
 	for _, v := range topo {
 		best := 0
-		for _, u := range g.preds[v] {
+		for _, u := range g.in.nbrs(v) {
 			if lv[u] > best {
 				best = lv[u]
 			}
@@ -57,7 +57,7 @@ func (g *DAG) LongestPath(weight []float64) float64 {
 	best := 0.0
 	for _, v := range topo {
 		d := 0.0
-		for _, u := range g.preds[v] {
+		for _, u := range g.in.nbrs(v) {
 			if dist[u] > d {
 				d = dist[u]
 			}
@@ -85,7 +85,7 @@ func (g *DAG) BottomLevels(weight []float64) []float64 {
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
 		best := 0.0
-		for _, w := range g.succs[v] {
+		for _, w := range g.out.nbrs(v) {
 			if bl[w] > best {
 				best = bl[w]
 			}
@@ -98,12 +98,13 @@ func (g *DAG) BottomLevels(weight []float64) []float64 {
 // Reachable returns the set of nodes reachable from v (excluding v itself)
 // as a boolean slice.
 func (g *DAG) Reachable(v NodeID) []bool {
+	g.fold()
 	seen := make([]bool, g.n)
 	stack := []NodeID{v}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.succs[u] {
+		for _, w := range g.out.nbrs(u) {
 			if !seen[w] {
 				seen[w] = true
 				stack = append(stack, w)

@@ -150,10 +150,11 @@ func blockEdges(t *core.TaskGraph, r *schedule.Result, blk schedule.Block) []gra
 	}
 	var out []graph.Edge
 	for _, v := range blk.Nodes {
-		for _, w := range t.G.Succs(v) {
+		vols := t.G.SuccVolumes(v)
+		for i, w := range t.G.Succs(v) {
 			if inBlk[w] && r.Partition.Streaming(t, v, w) &&
 				t.Nodes[v].Kind == core.Compute && t.Nodes[w].Kind == core.Compute {
-				out = append(out, graph.Edge{From: v, To: w, Volume: t.G.Volume(v, w)})
+				out = append(out, graph.Edge{From: v, To: w, Volume: vols[i]})
 			}
 		}
 	}
@@ -222,11 +223,11 @@ func PlaceGreedy(t *core.TaskGraph, r *schedule.Result, mesh Mesh, block int) (P
 	}
 	traffic := func(v graph.NodeID) int64 {
 		var s int64
-		for _, w := range t.G.Succs(v) {
-			s += t.G.Volume(v, w)
+		for _, vol := range t.G.SuccVolumes(v) {
+			s += vol
 		}
-		for _, u := range t.G.Preds(v) {
-			s += t.G.Volume(u, v)
+		for _, vol := range t.G.PredVolumes(v) {
+			s += vol
 		}
 		return s
 	}
@@ -247,15 +248,15 @@ func PlaceGreedy(t *core.TaskGraph, r *schedule.Result, mesh Mesh, block int) (P
 			}
 			cost := 0.0
 			connected := false
-			for _, u := range t.G.Preds(v) {
+			for i, u := range t.G.Preds(v) {
 				if p.PEOf[u] >= 0 {
-					cost += float64(t.G.Volume(u, v)) * float64(mesh.Hops(pe, p.PEOf[u]))
+					cost += float64(t.G.PredVolumes(v)[i]) * float64(mesh.Hops(pe, p.PEOf[u]))
 					connected = true
 				}
 			}
-			for _, w := range t.G.Succs(v) {
+			for i, w := range t.G.Succs(v) {
 				if p.PEOf[w] >= 0 {
-					cost += float64(t.G.Volume(v, w)) * float64(mesh.Hops(pe, p.PEOf[w]))
+					cost += float64(t.G.SuccVolumes(v)[i]) * float64(mesh.Hops(pe, p.PEOf[w]))
 					connected = true
 				}
 			}

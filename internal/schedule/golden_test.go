@@ -2,9 +2,11 @@ package schedule_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/schedule"
 	"repro/internal/synth"
 )
@@ -132,6 +134,59 @@ func TestSchedulerScratchReuseMatchesFresh(t *testing.T) {
 	for i, r := range kept {
 		if r.Makespan != want[i] {
 			t.Errorf("result %d mutated by later Schedule calls: makespan %g, want %g", i, r.Makespan, want[i])
+		}
+	}
+}
+
+// TestScheduleBlockListOrder: the scheduler walks each block in the graph's
+// topological order whatever order the block lists its nodes in. A
+// partition whose block lists are shuffled out of topological order must
+// yield the in-order partition's times, intervals and makespan (PE and
+// component indices are labels that follow list order, so they may be
+// permuted).
+func TestScheduleBlockListOrder(t *testing.T) {
+	sched := schedule.NewScheduler()
+	for _, name := range []string{"chain", "fft", "gaussian", "cholesky", "diamond"} {
+		tg := goldenGraph(t, name)
+		for _, p := range []int{2, 8} {
+			part, err := schedule.PartitionLTS(tg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := schedule.Schedule(tg, part, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shuffled := schedule.Partition{BlockOf: part.BlockOf}
+			rng := rand.New(rand.NewSource(int64(p)))
+			outOfOrder := false
+			for _, blk := range part.Blocks {
+				nodes := append([]graph.NodeID(nil), blk.Nodes...)
+				rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+				outOfOrder = outOfOrder || !slices.Equal(nodes, blk.Nodes)
+				shuffled.Blocks = append(shuffled.Blocks, schedule.Block{Nodes: nodes, ComputeCount: blk.ComputeCount})
+			}
+			if !outOfOrder {
+				t.Fatalf("%s P=%d: shuffle left every block in order", name, p)
+			}
+			got, err := sched.Schedule(tg, shuffled, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []struct {
+				name      string
+				got, want []float64
+			}{
+				{"ST", got.ST, want.ST}, {"FO", got.FO, want.FO}, {"LO", got.LO, want.LO},
+				{"So", got.So, want.So}, {"Si", got.Si, want.Si}, {"BlockStart", got.BlockStart, want.BlockStart},
+			} {
+				if !slices.Equal(f.got, f.want) {
+					t.Errorf("%s P=%d: %s differs for shuffled block lists", name, p, f.name)
+				}
+			}
+			if got.Makespan != want.Makespan {
+				t.Errorf("%s P=%d: makespan %g, in-order %g", name, p, got.Makespan, want.Makespan)
+			}
 		}
 	}
 }

@@ -499,10 +499,18 @@ func (p Partition) Validate(t *core.TaskGraph, pes int) error {
 			return fmt.Errorf("schedule: node %d not assigned to any block", v)
 		}
 	}
-	for _, e := range t.G.Edges() {
-		if p.BlockOf[e.From] > p.BlockOf[e.To] {
+	// Report the back edge with the smallest (from, to), as a scan of the
+	// sorted edge list would, without materializing that list.
+	for u := range p.BlockOf {
+		back := graph.InvalidNode
+		for _, w := range t.G.Succs(graph.NodeID(u)) {
+			if p.BlockOf[u] > p.BlockOf[w] && (back == graph.InvalidNode || w < back) {
+				back = w
+			}
+		}
+		if back != graph.InvalidNode {
 			return fmt.Errorf("schedule: edge (%d,%d) goes from block %d back to block %d",
-				e.From, e.To, p.BlockOf[e.From], p.BlockOf[e.To])
+				u, back, p.BlockOf[u], p.BlockOf[back])
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package schedule_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -83,23 +84,51 @@ func BenchmarkPartitionReferenceManyBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleLadder tracks partition+schedule wall time across graph
-// sizes, the per-size view behind the scale experiment.
+// BenchmarkScaleLadder times the batch path stage by stage across graph
+// sizes: decode (core.DecodeJSON of the graph's canonical JSON), partition
+// (a reused Partitioner) and schedule (a reused Scheduler), each its own
+// row, so a regression is pinned on the stage that caused it.
 func BenchmarkScaleLadder(b *testing.B) {
 	for _, target := range []int{1_000, 10_000, 100_000} {
 		m := synth.GaussianFor(target)
 		tg := synth.Gaussian(m, rand.New(rand.NewSource(1)), synth.DefaultConfig())
-		b.Run(fmt.Sprintf("gaussian-%d", target), func(b *testing.B) {
-			pt := schedule.NewPartitioner()
-			sched := schedule.NewScheduler()
-			opt := schedule.Options{Variant: schedule.SBLTS}
-			b.ResetTimer()
+		var doc bytes.Buffer
+		if err := tg.EncodeJSON(&doc); err != nil {
+			b.Fatal(err)
+		}
+		const p = 256
+		opt := schedule.Options{Variant: schedule.SBLTS}
+		part, err := schedule.Algorithm1(tg, p, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("gaussian-%d/decode", target), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				part, err := pt.Partition(tg, 256, opt)
-				if err != nil {
+				if _, err := core.DecodeJSON(bytes.NewReader(doc.Bytes())); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sched.Schedule(tg, part, 256); err != nil {
+			}
+		})
+		b.Run(fmt.Sprintf("gaussian-%d/partition", target), func(b *testing.B) {
+			pt := schedule.NewPartitioner()
+			if _, err := pt.Partition(tg, p, opt); err != nil { // grow the scratch
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pt.Partition(tg, p, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("gaussian-%d/schedule", target), func(b *testing.B) {
+			sched := schedule.NewScheduler()
+			if _, err := sched.Schedule(tg, part, p); err != nil { // grow the scratch
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.Schedule(tg, part, p); err != nil {
 					b.Fatal(err)
 				}
 			}

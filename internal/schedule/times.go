@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -50,6 +51,8 @@ type Scheduler struct {
 	inBlk      []bool  // blockTimes: node in current block
 	localIdx   []int32 // blockIntervals: node -> local index, -1 outside
 	owner      []graph.NodeID
+	rank       []int32        // node -> position in the graph's topological order
+	order      []graph.NodeID // blockTimes: a block's nodes sorted by rank
 }
 
 // NewScheduler returns a Scheduler with empty scratch buffers.
@@ -96,6 +99,13 @@ func (s *Scheduler) Schedule(t *core.TaskGraph, part Partition, p int) (*Result,
 	for i := range s.localIdx {
 		s.localIdx[i] = -1
 	}
+	if cap(s.rank) < n {
+		s.rank = make([]int32, n)
+	}
+	s.rank = s.rank[:n]
+	for i, v := range t.G.Topo() {
+		s.rank[v] = int32(i)
+	}
 
 	compBase := 0
 	blockStart := 0.0
@@ -131,7 +141,7 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 
 	// Build the buffer-split subgraph: local node i for each block node;
 	// buffers get an extra head node appended.
-	sub := graph.NewWithCapacity(len(blk.Nodes))
+	sub := graph.NewWithCapacity(2 * len(blk.Nodes)) // about two edges a node
 	owner := s.owner[:0]
 	head := make(map[graph.NodeID]graph.NodeID, 4)
 	for _, v := range blk.Nodes {
@@ -147,7 +157,8 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 	}
 	s.owner = owner
 	for _, v := range blk.Nodes {
-		for _, w := range t.G.Succs(v) {
+		vols := t.G.SuccVolumes(v)
+		for i, w := range t.G.Succs(v) {
 			wi := localIdx[w]
 			if wi < 0 {
 				continue // cross-block edge: buffered, not part of the stream
@@ -156,7 +167,7 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 			if h, isBuf := head[v]; isBuf {
 				from = h
 			}
-			sub.MustEdge(from, graph.NodeID(wi), t.G.Volume(v, w))
+			sub.MustEdge(from, graph.NodeID(wi), vols[i])
 		}
 	}
 
@@ -232,13 +243,8 @@ func (s *Scheduler) blockTimes(r *Result, t *core.TaskGraph, blk Block, blockSta
 		}
 	}()
 
-	// Topological order restricted to the block (global topo order works).
-	topo := t.G.Topo()
 	end := blockStart
-	for _, v := range topo {
-		if !inBlk[v] {
-			continue
-		}
+	for _, v := range s.topoOrder(blk) {
 		node := t.Nodes[v]
 		graphSource := t.G.InDegree(v) == 0
 
@@ -351,6 +357,21 @@ func (s *Scheduler) blockTimes(r *Result, t *core.TaskGraph, blk Block, blockSta
 		}
 	}
 	return end
+}
+
+// topoOrder returns the block's nodes in the graph's topological order: the
+// block list itself when it is already in that order, otherwise a sorted
+// copy. Either way it costs the block, not the graph.
+func (s *Scheduler) topoOrder(blk Block) []graph.NodeID {
+	rank := s.rank
+	for i := 1; i < len(blk.Nodes); i++ {
+		if rank[blk.Nodes[i-1]] > rank[blk.Nodes[i]] {
+			s.order = append(s.order[:0], blk.Nodes...)
+			slices.SortFunc(s.order, func(a, b graph.NodeID) int { return int(rank[a]) - int(rank[b]) })
+			return s.order
+		}
+	}
+	return blk.Nodes
 }
 
 // SequentialTime returns T1: the sum of node works, i.e. the single-PE
