@@ -18,15 +18,26 @@
 // is a pure function of the frozen graph and its schedule — no
 // randomness, no state — so sized simulations are reproducible and
 // cacheable.
+//
+// Hot loops size through a reusable Sizer (Sizes is new(Sizer).Sizes), the
+// same scratch contract as schedule.Scheduler: one Sizer per worker, whose
+// steady-state calls allocate only the returned slice. All blocks are sized
+// in two passes over the graph with per-node slices indexed by node ID: "in
+// block" is BlockOf[u] == BlockOf[v], the first pass counts each node's
+// in-block predecessors (two of them put a node on an undirected cycle, see
+// Sizer.Sizes) and their largest first-out time, the second emits the
+// streaming edges in (From, To) order.
 package buffers
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/schedule"
+	"repro/internal/scratch"
 )
 
 // EdgeSpace is the computed FIFO depth for one streaming edge.
@@ -35,8 +46,9 @@ type EdgeSpace struct {
 	// Space is the FIFO depth in elements. At least MinDepth even for edges
 	// that need no slack.
 	Space int64
-	// OnCycle reports whether the edge's head lies on an undirected cycle
-	// of its spatial block (the only case where Equation 5 applies).
+	// OnCycle reports whether Equation 5 applies: the edge's head has more
+	// than one in-block predecessor, and so lies on an undirected cycle of
+	// its spatial block.
 	OnCycle bool
 }
 
@@ -46,20 +58,11 @@ type EdgeSpace struct {
 const MinDepth = 1
 
 // Sizes computes the buffer space of every streaming edge of the scheduled
-// graph, block by block. The result is keyed by edge and sorted by
-// (From, To).
+// graph. The result is keyed by edge and sorted by
+// (From, To). It allocates fresh scratch state; hot loops should prefer
+// Sizer.Sizes.
 func Sizes(t *core.TaskGraph, r *schedule.Result) []EdgeSpace {
-	var out []EdgeSpace
-	for _, blk := range r.Partition.Blocks {
-		out = append(out, sizeBlock(t, r, blk)...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
+	return new(Sizer).Sizes(t, r)
 }
 
 // SizeMap returns Sizes as a map keyed by [from, to].
@@ -90,134 +93,99 @@ func CycleSpace(sizes []EdgeSpace) (edges int, slots int64) {
 	return edges, slots
 }
 
-// sizeBlock applies Equation 5 within one spatial block.
-func sizeBlock(t *core.TaskGraph, r *schedule.Result, blk schedule.Block) []EdgeSpace {
-	inBlk := make(map[graph.NodeID]bool, len(blk.Nodes))
-	for _, v := range blk.Nodes {
-		inBlk[v] = true
-	}
-	streaming := func(u, v graph.NodeID) bool {
-		return inBlk[u] && inBlk[v] && r.Partition.Streaming(t, u, v)
-	}
+// Sizer computes Sizes while reusing its per-node scratch across calls. The
+// zero value is ready to use; a Sizer must not be used from multiple
+// goroutines at once. The slices it returns are fresh, so they stay valid
+// after further calls.
+type Sizer struct {
+	// preds counts each node's in-block predecessors and maxFO holds the
+	// largest first-out time among them.
+	preds []int32
+	maxFO []float64
+}
+
+// Sizes is the scratch-reusing equivalent of the package-level Sizes. The
+// schedule's partition must be valid, as schedule.Schedule checks.
+//
+// Equation 5 applies to the edges whose head lies on an undirected cycle of
+// its block and has more than one in-block predecessor. Section 6 finds the
+// cycles by peeling the block down to its 2-core, with a virtual
+// super-source tied to every stream entry (a node with in-block successors
+// but no in-block predecessor): independent streams are coupled through the
+// environment they all draw from, so a join of two source-fed chains can
+// stall exactly like a reconvergent diamond, as in Figure 9, graph 2. With
+// that super-source the second condition implies the first, so no peeling
+// is needed: tracing each of two in-block predecessors back through
+// in-block edges ends at a stream entry, and any two entries meet at the
+// super-source, so the predecessors are connected without the head, which
+// therefore lies on a cycle through both. The differential tests pin this
+// against the peeling reference.
+func (s *Sizer) Sizes(t *core.TaskGraph, r *schedule.Result) []EdgeSpace {
+	n, blockOf := t.G.Len(), r.Partition.BlockOf
+	s.preds = scratch.GrowInt32s(s.preds, n)
+	s.maxFO = scratch.GrowFloats(s.maxFO, n)
+
 	// Delay paths can also run through in-block buffer nodes (Figure 4,
 	// graph 2: the norm value reaches the divider only after the whole
-	// input was consumed), so cycle detection and the per-node delay bound
+	// input was consumed), so the cycle test and the per-node delay bound
 	// consider every in-block edge, while only streaming edges receive
 	// FIFO space.
-	inBlockEdge := func(u, v graph.NodeID) bool { return inBlk[u] && inBlk[v] }
-
-	onCycle := cycleNodes(t, blk, inBlockEdge)
-
-	var out []EdgeSpace
-	for _, v := range blk.Nodes {
-		preds, vols := t.G.Preds(v), t.G.PredVolumes(v)
-		// The highest delay any element experiences reaching v is the
-		// largest first-out time among its in-block predecessors, whether
-		// they stream directly or emit from a buffer.
-		maxFO := math.Inf(-1)
-		nPreds := 0
-		for _, u := range preds {
-			if inBlockEdge(u, v) {
-				nPreds++
-				if r.FO[u] > maxFO {
-					maxFO = r.FO[u]
-				}
-			}
-		}
-		// Size every streaming edge into v.
-		for i, u := range preds {
-			if !streaming(u, v) {
+	edges := 0
+	for u := 0; u < n; u++ {
+		b, uBuf := blockOf[u], t.Nodes[u].Kind == core.Buffer
+		for _, w := range t.G.Succs(graph.NodeID(u)) {
+			if blockOf[w] != b {
 				continue
 			}
-			space := int64(MinDepth)
-			cyc := onCycle[v] && nPreds > 1
-			if cyc {
-				so := r.So[u]
-				if so < 1 {
-					so = 1
-				}
-				need := int64(math.Ceil((maxFO - r.FO[u]) / so))
-				if need > space {
-					space = need
-				}
-				if vol := vols[i]; space > vol {
-					space = vol // never need more than the total data sent
-				}
+			if s.preds[w] == 0 || r.FO[u] > s.maxFO[w] {
+				s.maxFO[w] = r.FO[u]
 			}
-			out = append(out, EdgeSpace{From: u, To: v, Space: space, OnCycle: cyc})
+			s.preds[w]++
+			if !uBuf && t.Nodes[w].Kind != core.Buffer {
+				edges++
+			}
+		}
+	}
+	if edges == 0 {
+		return nil
+	}
+
+	out := make([]EdgeSpace, 0, edges)
+	for u := 0; u < n; u++ {
+		if t.Nodes[u].Kind == core.Buffer {
+			continue
+		}
+		from, b, start := graph.NodeID(u), blockOf[u], len(out)
+		vols := t.G.SuccVolumes(from)
+		for i, v := range t.G.Succs(from) {
+			if blockOf[v] != b || t.Nodes[v].Kind == core.Buffer {
+				continue
+			}
+			e := EdgeSpace{From: from, To: v, Space: MinDepth, OnCycle: s.preds[v] > 1}
+			if e.OnCycle {
+				e.Space = equation5(s.maxFO[v]-r.FO[u], r.So[u], vols[i])
+			}
+			out = append(out, e)
+		}
+		if byTo := func(a, b EdgeSpace) int { return cmp.Compare(a.To, b.To) }; !slices.IsSortedFunc(out[start:], byTo) {
+			slices.SortFunc(out[start:], byTo)
 		}
 	}
 	return out
 }
 
-// cycleNodes returns the set of block nodes lying on an undirected cycle of
-// the block's streaming subgraph. A node is on an undirected cycle exactly
-// when it survives in the 2-core of the undirected graph (iteratively
-// pruning nodes of degree < 2), which is equivalent to the marked-ancestor
-// DFS the paper describes and runs in O(V + E).
-//
-// A virtual super-source is connected to every stream entry of the block
-// (nodes with no in-block streaming predecessor): independent streams are
-// coupled through the environment they all draw from, so a join of two
-// source-fed chains can stall exactly like a reconvergent diamond — this is
-// the situation of Figure 9, graph 2.
-func cycleNodes(t *core.TaskGraph, blk schedule.Block, inBlockEdge func(u, v graph.NodeID) bool) map[graph.NodeID]bool {
-	const virtual = graph.NodeID(-2) // super-source sentinel
-	deg := make(map[graph.NodeID]int, len(blk.Nodes))
-	adj := make(map[graph.NodeID][]graph.NodeID, len(blk.Nodes))
-	for _, v := range blk.Nodes {
-		for _, w := range t.G.Succs(v) {
-			if inBlockEdge(v, w) {
-				deg[v]++
-				deg[w]++
-				adj[v] = append(adj[v], w)
-				adj[w] = append(adj[w], v)
-			}
-		}
+// equation5 is the FIFO depth of a streaming edge whose head lies on an
+// undirected cycle: the slack behind the slowest in-block predecessor of
+// the head, in elements of the tail's production interval so, capped by the
+// edge's volume. The cap is applied in float64 before converting, so a
+// slack beyond 2^63 cannot wrap to a negative depth.
+func equation5(slack, so float64, vol int64) int64 {
+	if so < 1 {
+		so = 1
 	}
-	for _, v := range blk.Nodes {
-		entry := deg[v] > 0 // participates in a stream...
-		for _, u := range t.G.Preds(v) {
-			if inBlockEdge(u, v) {
-				entry = false // ...but is fed within the block
-				break
-			}
-		}
-		if entry {
-			deg[v]++
-			deg[virtual]++
-			adj[v] = append(adj[v], virtual)
-			adj[virtual] = append(adj[virtual], v)
-		}
+	need := math.Ceil(slack / so)
+	if need >= float64(vol) {
+		return vol // never need more than the total data sent
 	}
-	// Peel degree-<2 nodes.
-	var queue []graph.NodeID
-	removed := make(map[graph.NodeID]bool)
-	for _, v := range blk.Nodes {
-		if deg[v] < 2 {
-			queue = append(queue, v)
-			removed[v] = true
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if removed[w] {
-				continue
-			}
-			deg[w]--
-			if deg[w] < 2 {
-				removed[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	onCycle := make(map[graph.NodeID]bool)
-	for _, v := range blk.Nodes {
-		if deg[v] >= 2 && !removed[v] {
-			onCycle[v] = true
-		}
-	}
-	return onCycle
+	return max(int64(need), MinDepth)
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // EvalContext is the per-worker evaluation state handed to every variant: a
-// reusable partitioner, scheduler and simulator so the hot paths allocate no
-// per-run state, plus the engine's timing seam for the measured experiments.
-// One context serves one goroutine at a time.
+// reusable partitioner, scheduler, buffer sizer and simulator so the hot
+// paths allocate no per-run state, plus the engine's timing seam for the
+// measured experiments. One context serves one goroutine at a time.
 type EvalContext struct {
 	// Sched is the worker's scratch streaming scheduler (ST/FO/LO
 	// recurrences).
@@ -23,6 +23,8 @@ type EvalContext struct {
 	// Part is the worker's scratch Algorithm 1 partitioner. The Partition
 	// it returns is valid only until its next use.
 	Part *schedule.Partitioner
+	// Sizer is the worker's scratch Equation 5 buffer sizer.
+	Sizer *buffers.Sizer
 	// Sim is the worker's scratch discrete-event simulator.
 	Sim *desim.Scratch
 	// SimEngine selects the desim engine for every simulation this worker
@@ -48,6 +50,7 @@ func NewEvalContext() *EvalContext {
 	return &EvalContext{
 		Sched: schedule.NewScheduler(),
 		Part:  schedule.NewPartitioner(),
+		Sizer: new(buffers.Sizer),
 		Sim:   desim.NewScratch(),
 		measure: func(f func()) time.Duration {
 			t0 := time.Now()
@@ -91,7 +94,7 @@ func (c *EvalContext) Evaluate(tg *core.TaskGraph, pes int, v schedule.Variant, 
 	if !simulate {
 		return ev, nil
 	}
-	ev.Sizes = buffers.Sizes(tg, res)
+	ev.Sizes = c.Sizer.Sizes(tg, res)
 	if ev.Sim, err = c.Sim.Simulate(tg, res, c.SimConfig(buffers.FIFOCaps(ev.Sizes))); err != nil {
 		return Evaluation{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/buffers"
 	"repro/internal/core"
 	"repro/internal/schedule"
 	"repro/internal/synth"
@@ -86,8 +87,9 @@ func BenchmarkPartitionReferenceManyBlocks(b *testing.B) {
 
 // BenchmarkScaleLadder times the batch path stage by stage across graph
 // sizes: decode (core.DecodeJSON of the graph's canonical JSON), partition
-// (a reused Partitioner) and schedule (a reused Scheduler), each its own
-// row, so a regression is pinned on the stage that caused it.
+// (a reused Partitioner), schedule (a reused Scheduler) and sizes (Equation
+// 5 on a reused buffers.Sizer), each its own row, so a regression is pinned
+// on the stage that caused it.
 func BenchmarkScaleLadder(b *testing.B) {
 	for _, target := range []int{1_000, 10_000, 100_000} {
 		m := synth.GaussianFor(target)
@@ -131,6 +133,18 @@ func BenchmarkScaleLadder(b *testing.B) {
 				if _, err := sched.Schedule(tg, part, p); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run(fmt.Sprintf("gaussian-%d/sizes", target), func(b *testing.B) {
+			res, err := schedule.Schedule(tg, part, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sz buffers.Sizer
+			sz.Sizes(tg, res) // grow the scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sz.Sizes(tg, res)
 			}
 		})
 	}

@@ -243,3 +243,30 @@ func TestPartitionAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduleAllocsFlatInBlocks pins the Scheduler's scratch contract: a
+// reused Scheduler allocates as often for a partition of thousands of
+// blocks as for one of a few dozen, so only the Result (the struct and its
+// eight slices) and Validate's membership marks allocate, never per-block
+// state.
+func TestScheduleAllocsFlatInBlocks(t *testing.T) {
+	tg := synth.Gaussian(synth.GaussianFor(10_000), rand.New(rand.NewSource(1)), synth.DefaultConfig())
+	sched := schedule.NewScheduler()
+	for _, p := range []int{4, 256} {
+		part, err := schedule.Algorithm1(tg, p, schedule.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sched.Schedule(tg, part, p); err != nil { // grow the scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := sched.Schedule(tg, part, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 10 {
+			t.Errorf("P=%d (%d blocks): Scheduler.Schedule allocates %v times per call, want 10", p, part.NumBlocks(), allocs)
+		}
+	}
+}

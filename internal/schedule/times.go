@@ -41,18 +41,24 @@ type Result struct {
 }
 
 // Scheduler evaluates schedules while reusing its internal scratch buffers
-// (block membership marks, buffer-fill times, sub-graph index maps) across
-// calls. Sweeps that schedule many graphs allocate one Scheduler per worker;
-// a Scheduler must not be used from multiple goroutines at once. The zero
-// value is ready to use. The returned Results own all their slices, so they
-// stay valid after further Schedule calls.
+// (block membership marks, buffer-fill times, the union-find of the
+// per-block components) across calls. Sweeps that schedule many graphs
+// allocate one Scheduler per worker; a Scheduler must not be used from
+// multiple goroutines at once. The zero value is ready to use. The returned
+// Results own all their slices, so they stay valid after further Schedule
+// calls, and those slices are all a call allocates beyond Validate's.
 type Scheduler struct {
 	bufferFill []float64
 	inBlk      []bool  // blockTimes: node in current block
 	localIdx   []int32 // blockIntervals: node -> local index, -1 outside
-	owner      []graph.NodeID
-	rank       []int32        // node -> position in the graph's topological order
-	order      []graph.NodeID // blockTimes: a block's nodes sorted by rank
+	// blockIntervals, by local index: the block node (or buffer) it stands
+	// for, the union-find parent and component, and, for block node i,
+	// the index it emits from.
+	owner              []graph.NodeID
+	parent, comp, side []int32
+	maxOut             []int64        // blockIntervals: per component
+	rank               []int32        // node -> position in the graph's topological order
+	order              []graph.NodeID // blockTimes: a block's nodes sorted by rank
 }
 
 // NewScheduler returns a Scheduler with empty scratch buffers.
@@ -139,45 +145,50 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 		}
 	}()
 
-	// Build the buffer-split subgraph: local node i for each block node;
-	// buffers get an extra head node appended.
-	sub := graph.NewWithCapacity(2 * len(blk.Nodes)) // about two edges a node
-	owner := s.owner[:0]
-	head := make(map[graph.NodeID]graph.NodeID, 4)
-	for _, v := range blk.Nodes {
-		sub.AddNode()
-		owner = append(owner, v)
-	}
-	for _, v := range blk.Nodes {
+	// Split the buffers: local index i is block node i (a buffer's tail
+	// side), and each buffer's head side gets an index after all block
+	// nodes. side[i] is the index node i emits from.
+	nb := len(blk.Nodes)
+	owner, side := append(s.owner[:0], blk.Nodes...), s.side[:0]
+	for i, v := range blk.Nodes {
 		if t.Nodes[v].Kind == core.Buffer {
-			h := sub.AddNode()
+			side = append(side, int32(len(owner)))
 			owner = append(owner, v)
-			head[v] = h
+		} else {
+			side = append(side, int32(i))
 		}
 	}
-	s.owner = owner
-	for _, v := range blk.Nodes {
-		vols := t.G.SuccVolumes(v)
-		for i, w := range t.G.Succs(v) {
-			wi := localIdx[w]
-			if wi < 0 {
-				continue // cross-block edge: buffered, not part of the stream
+	s.owner, s.side = owner, side
+	s.parent = scratch.GrowInt32s(s.parent, len(owner))
+	for i := range s.parent {
+		s.parent[i] = int32(i)
+	}
+	for i, v := range blk.Nodes {
+		for _, w := range t.G.Succs(v) {
+			if wi := localIdx[w]; wi >= 0 { // cross-block edges are buffered, not part of the stream
+				s.union(side[i], wi)
 			}
-			from := graph.NodeID(localIdx[v])
-			if h, isBuf := head[v]; isBuf {
-				from = h
-			}
-			sub.MustEdge(from, graph.NodeID(wi), vols[i])
 		}
 	}
+	// Number the weakly connected components densely in the order of
+	// their smallest local index, which union keeps as the root.
+	comp, count := scratch.GrowInt32s(s.comp, len(owner)), int32(0)
+	for sv := range comp {
+		if root := s.find(int32(sv)); root == int32(sv) {
+			comp[sv] = count
+			count++
+		} else {
+			comp[sv] = comp[root]
+		}
+	}
+	s.comp = comp
 
-	comp, count := sub.WCC()
-	maxOut := make([]int64, count)
-	for sv := 0; sv < sub.Len(); sv++ {
-		v := owner[sv]
+	maxOut := scratch.GrowInts(s.maxOut, int(count))
+	s.maxOut = maxOut
+	for sv, v := range owner {
 		node := t.Nodes[v]
 		out := node.Out
-		if node.Kind == core.Buffer && head[v] != graph.NodeID(sv) {
+		if node.Kind == core.Buffer && sv < nb {
 			out = 0 // tail side produces nothing downstream
 		}
 		// A node that ingests data produced outside this stream (a block
@@ -186,10 +197,8 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 		// its input volume bounds the component period too. For nodes fed
 		// within the component this is a no-op: their In equals the
 		// producer's Out, which is already counted.
-		if node.Kind != core.Source && t.G.InDegree(v) > 0 && node.In > out {
-			if !(node.Kind == core.Buffer && head[v] == graph.NodeID(sv)) {
-				out = node.In
-			}
+		if node.Kind != core.Source && t.G.InDegree(v) > 0 && node.In > out && sv < nb {
+			out = node.In
 		}
 		if out > maxOut[comp[sv]] {
 			maxOut[comp[sv]] = out
@@ -198,13 +207,10 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 
 	for i, v := range blk.Nodes {
 		node := t.Nodes[v]
-		headSide := i
-		if h, isBuf := head[v]; isBuf {
-			headSide = int(h)
-		}
-		r.Comp[v] = compBase + comp[headSide]
+		headComp := comp[side[i]]
+		r.Comp[v] = compBase + int(headComp)
 		if node.Kind != core.Sink && node.Out > 0 {
-			r.So[v] = float64(maxOut[comp[headSide]]) / float64(node.Out)
+			r.So[v] = float64(maxOut[headComp]) / float64(node.Out)
 			if r.So[v] < 1 {
 				r.So[v] = 1
 			}
@@ -216,7 +222,27 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 			}
 		}
 	}
-	return compBase + count
+	return compBase + int(count)
+}
+
+// find returns the root of x's union-find tree, halving the path.
+func (s *Scheduler) find(x int32) int32 {
+	p := s.parent
+	for p[x] != x {
+		p[x] = p[p[x]]
+		x = p[x]
+	}
+	return x
+}
+
+// union merges the trees of a and b under the smaller root, so every root
+// is the smallest local index of its component.
+func (s *Scheduler) union(a, b int32) {
+	ra, rb := s.find(a), s.find(b)
+	if ra > rb {
+		ra, rb = rb, ra
+	}
+	s.parent[rb] = ra
 }
 
 // assignPEs gives each computational node of the block a PE index.

@@ -94,7 +94,7 @@ func evalReport(ec *experiments.EvalContext, tg *core.TaskGraph, pes int, v sche
 	}
 	sizes := ev.Sizes
 	if !simulate {
-		sizes = buffers.Sizes(tg, res)
+		sizes = ec.Sizer.Sizes(tg, res)
 	}
 	rep.StreamingEdges = len(sizes)
 	rep.CycleEdges, rep.BufferSlots = buffers.CycleSpace(sizes)
