@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-diff bench-smoke fuzz-smoke scale-smoke loadtest-smoke streambench-check verify
+.PHONY: build test race bench bench-diff bench-smoke fuzz-smoke scale-smoke loadtest-smoke streambench-check loc verify
 
 build:
 	$(GO) build ./...
@@ -63,5 +63,12 @@ loadtest-smoke:
 # fail here.
 streambench-check:
 	cd cmd/streambench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the non-test and test Go line counts of internal/ and cmd/,
+# leaving out cmd/streambench (a module of its own): the code size ROADMAP
+# tracks.
+loc:
+	@echo "non-test $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'cmd/streambench/*' -exec cat {} + | wc -l)"
+	@echo "test     $$(find internal cmd -name '*_test.go' ! -path 'cmd/streambench/*' -exec cat {} + | wc -l)"
 
 verify: build test bench-smoke streambench-check

@@ -262,9 +262,17 @@ func BenchmarkPartitionVariants(b *testing.B) {
 func TestExperimentHarness(t *testing.T) {
 	opt := experiments.Quick()
 	opt.Graphs = 3
-	experiments.Fig10(io.Discard, opt)
-	experiments.Fig11(io.Discard, opt)
-	experiments.Fig12(io.Discard, opt)
-	experiments.Fig13(io.Discard, opt)
-	experiments.Table2(io.Discard, false)
+	var specs []experiments.Spec
+	for _, name := range []string{"fig10", "fig11", "fig12", "fig13"} {
+		specs = append(specs, experiments.Spec{Name: name, Opt: opt})
+	}
+	p, err := experiments.Compile(append(specs, experiments.Spec{Name: "table2"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, rep := experiments.Runner{}.RunPlan(p)
+	if len(rep.Failures) != 0 {
+		t.Fatalf("%d failed jobs: %v", len(rep.Failures), rep.Failures[0])
+	}
+	experiments.Render(io.Discard, p, set)
 }

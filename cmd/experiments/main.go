@@ -24,8 +24,8 @@
 // nodes).
 //
 // Every experiment compiles to cell jobs on the concurrent engine of
-// internal/experiments, dispatching through its Variant and Workload
-// registries (-list-variants prints them): -workers sizes the goroutine
+// internal/experiments, dispatching through its variant and workload
+// tables (-list-variants prints them): -workers sizes the goroutine
 // pool (default GOMAXPROCS) and -shard i/n runs only the i-th of n job
 // shards so one run can be split across processes or machines. -out writes
 // the shard's cells to a versioned JSON artifact instead of rendering
@@ -65,6 +65,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -74,57 +76,104 @@ import (
 	"repro/internal/streamcli"
 )
 
+// config is the parsed command line: every flag's value, the names of the
+// flags set explicitly, and the positional arguments.
+type config struct {
+	exp                    string
+	graphs                 int
+	seed                   int64
+	quick, fullModels      bool
+	workers                int
+	shard, out, cacheDir   string
+	cacheStats             bool
+	cacheGC                time.Duration
+	merge, report, list    bool
+	serve, agent, workerID string
+	leaseTimeout           time.Duration
+	batch                  int
+	stateDir               string
+	snapshotEvery          int
+	token, status          string
+	cpuProfile, memProfile string
+	explicit               map[string]bool
+	args                   []string
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiments to run: all, or a comma-separated subset of "+strings.Join(experiments.ExperimentNames(), ","))
-	graphs := flag.Int("graphs", 0, "random graphs per topology (default 100, or 15 with -quick)")
-	seed := flag.Int64("seed", 1, "base random seed")
-	quick := flag.Bool("quick", false, "reduced graph counts and volumes")
-	fullModels := flag.Bool("full-models", false, "run Table 2 on full-size model graphs")
-	workers := flag.Int("workers", 0, "engine worker goroutines (default GOMAXPROCS)")
-	shard := flag.String("shard", "", "run only shard i of n cell jobs, format i/n")
-	out := flag.String("out", "", "write this run's cells to a JSON shard artifact instead of rendering tables")
-	cacheDir := flag.String("cache", "", "persistent results cache directory; computed cells are reused across runs")
-	cacheStats := flag.Bool("cache-stats", false, "print cache entry count, bytes, and last-run hit/miss, then exit (requires -cache)")
-	cacheGC := flag.Duration("cache-gc", 0, "delete cache entries older than this age (e.g. 168h), then exit (requires -cache)")
-	merge := flag.Bool("merge", false, "merge the shard artifacts given as arguments and render their tables")
-	report := flag.Bool("report", false, "print a job/timing/cache summary to stderr")
-	listVariants := flag.Bool("list-variants", false, "list the registered experiments, variants, and workloads, then exit")
-	serve := flag.String("serve", "", "serve the run as a distributed-sweep coordinator on this address (e.g. :8077), then write -out or render tables")
-	agent := flag.String("agent", "", "join the coordinator at this URL as a pull-based worker")
-	workerID := flag.String("worker-id", "", "worker name reported to the coordinator (default host-pid)")
-	leaseTimeout := flag.Duration("lease-timeout", distrib.DefaultLeaseTimeout, "with -serve: requeue a leased batch not completed within this duration")
-	batch := flag.Int("batch", distrib.DefaultBatchSize, "with -serve: jobs granted per lease")
-	stateDir := flag.String("state", "", "with -serve: journal coordinator state to this directory so a killed coordinator can be restarted with the same flags and resume the run")
-	snapshotEvery := flag.Int("snapshot-every", 0, "with -serve -state: journal records between snapshots (default 256; negative disables snapshots)")
-	token := flag.String("token", "", "shared bearer token: required of every client with -serve, sent with -agent and -status")
-	status := flag.String("status", "", "print the status JSON of the coordinator at this URL, then exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
+	var c config
+	flag.StringVar(&c.exp, "exp", "all", "experiments to run: all, or a comma-separated subset of "+strings.Join(experiments.ExperimentNames(), ","))
+	flag.IntVar(&c.graphs, "graphs", 0, "random graphs per topology (default 100, or 15 with -quick)")
+	flag.Int64Var(&c.seed, "seed", 1, "base random seed")
+	flag.BoolVar(&c.quick, "quick", false, "reduced graph counts and volumes")
+	flag.BoolVar(&c.fullModels, "full-models", false, "run Table 2 on full-size model graphs")
+	flag.IntVar(&c.workers, "workers", 0, "engine worker goroutines (default GOMAXPROCS)")
+	flag.StringVar(&c.shard, "shard", "", "run only shard i of n cell jobs, format i/n")
+	flag.StringVar(&c.out, "out", "", "write this run's cells to a JSON shard artifact instead of rendering tables")
+	flag.StringVar(&c.cacheDir, "cache", "", "persistent results cache directory; computed cells are reused across runs")
+	flag.BoolVar(&c.cacheStats, "cache-stats", false, "print cache entry count, bytes, and last-run hit/miss, then exit (requires -cache)")
+	flag.DurationVar(&c.cacheGC, "cache-gc", 0, "delete cache entries older than this age (e.g. 168h), then exit (requires -cache)")
+	flag.BoolVar(&c.merge, "merge", false, "merge the shard artifacts given as arguments and render their tables")
+	flag.BoolVar(&c.report, "report", false, "print a job/timing/cache summary to stderr")
+	flag.BoolVar(&c.list, "list-variants", false, "list the experiments, variants, and workloads, then exit")
+	flag.StringVar(&c.serve, "serve", "", "serve the run as a distributed-sweep coordinator on this address (e.g. :8077), then write -out or render tables")
+	flag.StringVar(&c.agent, "agent", "", "join the coordinator at this URL as a pull-based worker")
+	flag.StringVar(&c.workerID, "worker-id", "", "worker name reported to the coordinator (default host-pid)")
+	flag.DurationVar(&c.leaseTimeout, "lease-timeout", distrib.DefaultLeaseTimeout, "with -serve: requeue a leased batch not completed within this duration")
+	flag.IntVar(&c.batch, "batch", distrib.DefaultBatchSize, "with -serve: jobs granted per lease")
+	flag.StringVar(&c.stateDir, "state", "", "with -serve: journal coordinator state to this directory so a killed coordinator can be restarted with the same flags and resume the run")
+	flag.IntVar(&c.snapshotEvery, "snapshot-every", 0, "with -serve -state: journal records between snapshots (default 256; negative disables snapshots)")
+	flag.StringVar(&c.token, "token", "", "shared bearer token: required of every client with -serve, sent with -agent and -status")
+	flag.StringVar(&c.status, "status", "", "print the status JSON of the coordinator at this URL, then exit")
+	flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	flag.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	flag.Parse()
 
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	c.explicit = map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { c.explicit[f.Name] = true })
+	c.args = flag.Args()
 
-	if err := run(*exp, *graphs, *seed, *quick, *fullModels, *workers, *shard,
-		*out, *cacheDir, *cacheStats, *cacheGC, *merge, *report, *listVariants,
-		*serve, *agent, *workerID, *leaseTimeout, *batch, *stateDir, *snapshotEvery, *token, *status,
-		*cpuProfile, *memProfile,
-		explicit, flag.Args()); err != nil {
+	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
 }
 
-func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int,
-	shard, out, cacheDir string, cacheStats bool, cacheGC time.Duration,
-	merge, report, listVariants bool,
-	serve, agent, workerID string, leaseTimeout time.Duration, batch int,
-	stateDir string, snapshotEvery int, token, status string,
-	cpuProfile, memProfile string,
-	explicit map[string]bool, args []string) error {
+// modeFlags maps each exclusive mode to the flags it reads. Any other flag
+// set beside the mode would be silently ignored, so run rejects it.
+var modeFlags = map[string]struct {
+	allowed []string
+	why     string // appended to the rejection message
+}{
+	"-status": {[]string{"status", "token"}, ""},
+	"-agent": {[]string{"agent", "workers", "cache", "worker-id", "token", "cpuprofile", "memprofile"},
+		" (the coordinator defines the run)"},
+	"-serve": {[]string{"serve", "exp", "graphs", "seed", "quick", "full-models",
+		"lease-timeout", "batch", "out", "state", "snapshot-every", "token"},
+		" (workers run in -agent processes)"},
+	"-merge":                 {[]string{"merge"}, " (the artifacts' metadata defines the run)"},
+	"-cache-stats/-cache-gc": {[]string{"cache", "cache-stats", "cache-gc"}, ""},
+}
 
-	if cpuProfile != "" {
-		f, err := os.Create(cpuProfile)
+// checkModeFlags rejects the first explicitly set flag, in name order,
+// that mode does not read.
+func checkModeFlags(mode string, explicit map[string]bool) error {
+	names := make([]string, 0, len(explicit))
+	for name := range explicit {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	m := modeFlags[mode]
+	for _, name := range names {
+		if !slices.Contains(m.allowed, name) {
+			return fmt.Errorf("-%s has no effect with %s%s", name, mode, m.why)
+		}
+	}
+	return nil
+}
+
+func run(c config) error {
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
 		if err != nil {
 			return err
 		}
@@ -134,9 +183,9 @@ func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if memProfile != "" {
+	if c.memProfile != "" {
 		defer func() {
-			f, err := os.Create(memProfile)
+			f, err := os.Create(c.memProfile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 				return
@@ -149,69 +198,50 @@ func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int
 		}()
 	}
 
-	if listVariants {
+	if c.list {
 		return streamcli.ListVariants(os.Stdout)
 	}
-	if status != "" {
-		for name := range explicit {
-			switch name {
-			case "status", "token":
-			default:
-				return fmt.Errorf("-%s has no effect with -status", name)
-			}
+	if c.status != "" {
+		if err := checkModeFlags("-status", c.explicit); err != nil {
+			return err
 		}
-		return runStatus(status, token)
+		return runStatus(c.status, c.token)
 	}
-	if agent != "" {
-		for name := range explicit {
-			switch name {
-			case "agent", "workers", "cache", "worker-id", "token", "cpuprofile", "memprofile":
-			default:
-				return fmt.Errorf("-%s has no effect with -agent (the coordinator defines the run)", name)
-			}
+	if c.agent != "" {
+		if err := checkModeFlags("-agent", c.explicit); err != nil {
+			return err
 		}
-		return runAgent(agent, workerID, workers, cacheDir, token)
+		return runAgent(c.agent, c.workerID, c.workers, c.cacheDir, c.token)
 	}
-	if serve != "" {
-		for name := range explicit {
-			switch name {
-			case "serve", "exp", "graphs", "seed", "quick", "full-models",
-				"lease-timeout", "batch", "out", "state", "snapshot-every", "token":
-			default:
-				return fmt.Errorf("-%s has no effect with -serve (workers run in -agent processes)", name)
-			}
+	if c.serve != "" {
+		if err := checkModeFlags("-serve", c.explicit); err != nil {
+			return err
 		}
-		return runServe(serve, exp, graphs, seed, quick, fullModels, leaseTimeout, batch, stateDir, snapshotEvery, token, out)
+		return runServe(c)
 	}
-	if snapshotEvery != 0 || stateDir != "" {
+	if c.snapshotEvery != 0 || c.stateDir != "" {
 		return fmt.Errorf("-state/-snapshot-every only apply to -serve")
 	}
-	if merge {
+	if c.merge {
 		// Merge mode takes its entire configuration from the artifacts'
-		// metadata; any other flag would be silently ignored, so reject it.
-		for name := range explicit {
-			if name != "merge" {
-				return fmt.Errorf("-%s has no effect with -merge (the artifacts' metadata defines the run)", name)
-			}
+		// metadata.
+		if err := checkModeFlags("-merge", c.explicit); err != nil {
+			return err
 		}
-		return runMerge(args)
+		return runMerge(c.args)
 	}
-	if cacheStats || cacheGC != 0 {
+	if c.cacheStats || c.cacheGC != 0 {
 		// Cache maintenance modes: no experiments run.
-		for name := range explicit {
-			switch name {
-			case "cache", "cache-stats", "cache-gc":
-			default:
-				return fmt.Errorf("-%s has no effect with -cache-stats/-cache-gc", name)
-			}
+		if err := checkModeFlags("-cache-stats/-cache-gc", c.explicit); err != nil {
+			return err
 		}
-		return runCacheMaintenance(cacheDir, cacheStats, cacheGC)
+		return runCacheMaintenance(c.cacheDir, c.cacheStats, c.cacheGC)
 	}
-	if len(args) > 0 {
-		return fmt.Errorf("unexpected arguments %q (artifact files go with -merge)", args)
+	if len(c.args) > 0 {
+		return fmt.Errorf("unexpected arguments %q (artifact files go with -merge)", c.args)
 	}
 
-	specs, err := specsFromFlags(exp, graphs, seed, quick, fullModels)
+	specs, err := specsFromFlags(c)
 	if err != nil {
 		return err
 	}
@@ -220,14 +250,14 @@ func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int
 		return err
 	}
 
-	idx, count, err := experiments.ParseShard(shard)
+	idx, count, err := experiments.ParseShard(c.shard)
 	if err != nil {
 		return err
 	}
-	runner := experiments.Runner{Workers: workers, ShardIndex: idx, ShardCount: count}
+	runner := experiments.Runner{Workers: c.workers, ShardIndex: idx, ShardCount: count}
 	var cache *results.Cache
-	if cacheDir != "" {
-		cache, err = results.OpenCache(cacheDir)
+	if c.cacheDir != "" {
+		cache, err = results.OpenCache(c.cacheDir)
 		if err != nil {
 			return err
 		}
@@ -236,7 +266,7 @@ func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int
 
 	set, rep := runner.RunPlan(plan)
 	experiments.ReportFailures(os.Stderr, rep)
-	if report {
+	if c.report {
 		fmt.Fprintf(os.Stderr, "report: %d jobs (%d skipped by shard), %d completed, %d cached, %d failed, elapsed %v, work %v\n",
 			rep.Jobs, rep.Skipped, rep.Completed, rep.CacheHits, len(rep.Failures), rep.Elapsed, rep.Work)
 	}
@@ -248,7 +278,7 @@ func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int
 		}
 	}
 
-	if out != "" {
+	if c.out != "" {
 		art := &results.Artifact{
 			Meta:  experiments.MetaFromSpecs(specs, idx, count),
 			Cells: set.Cells(),
@@ -256,11 +286,11 @@ func run(exp string, graphs int, seed int64, quick, fullModels bool, workers int
 		for _, f := range rep.Failures {
 			art.Failures = append(art.Failures, results.Failure{Label: f.Job.String(), Err: f.Err.Error()})
 		}
-		if err := art.WriteFile(out); err != nil {
+		if err := art.WriteFile(c.out); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d cells to %s (shard %d/%d); combine with -merge\n",
-			set.Len(), out, art.Meta.ShardIndex, art.Meta.ShardCount)
+			set.Len(), c.out, art.Meta.ShardIndex, art.Meta.ShardCount)
 		return failedJobsError(len(rep.Failures), rep.Jobs)
 	}
 
@@ -283,16 +313,16 @@ func failedJobsError(failed, jobs int) error {
 
 // specsFromFlags turns the spec-selecting flags into the experiment specs a
 // local run, a -serve coordinator, and the e2e tests all agree on.
-func specsFromFlags(exp string, graphs int, seed int64, quick, fullModels bool) ([]experiments.Spec, error) {
+func specsFromFlags(c config) ([]experiments.Spec, error) {
 	opt := experiments.Defaults()
-	if quick {
+	if c.quick {
 		opt = experiments.Quick()
 	}
-	if graphs > 0 {
-		opt.Graphs = graphs
+	if c.graphs > 0 {
+		opt.Graphs = c.graphs
 	}
-	opt.Seed = seed
-	return buildSpecs(exp, opt, quick, fullModels)
+	opt.Seed = c.seed
+	return buildSpecs(c.exp, opt, c.quick, c.fullModels)
 }
 
 // buildSpecs selects the experiments to run, in canonical order; exp is
@@ -425,20 +455,18 @@ func runMerge(files []string) error {
 // bound (and served 503 + Retry-After) before any journal replay, so a
 // restarted coordinator picks up a half-finished run where it left off
 // while its surviving agents retry into the recovery gate.
-func runServe(addr, exp string, graphs int, seed int64, quick, fullModels bool,
-	leaseTimeout time.Duration, batch int, stateDir string, snapshotEvery int, token, out string) error {
-
-	specs, err := specsFromFlags(exp, graphs, seed, quick, fullModels)
+func runServe(c config) error {
+	specs, err := specsFromFlags(c)
 	if err != nil {
 		return err
 	}
-	coord, err := distrib.ServeRecovering(addr, os.Stderr, func() (*distrib.Coordinator, error) {
+	coord, err := distrib.ServeRecovering(c.serve, os.Stderr, func() (*distrib.Coordinator, error) {
 		return distrib.NewCoordinator(specs, distrib.CoordinatorOptions{
-			LeaseTimeout:  leaseTimeout,
-			BatchSize:     batch,
-			StateDir:      stateDir,
-			SnapshotEvery: snapshotEvery,
-			Token:         token,
+			LeaseTimeout:  c.leaseTimeout,
+			BatchSize:     c.batch,
+			StateDir:      c.stateDir,
+			SnapshotEvery: c.snapshotEvery,
+			Token:         c.token,
 		})
 	})
 	if err != nil {
@@ -448,11 +476,11 @@ func runServe(addr, exp string, graphs int, seed int64, quick, fullModels bool,
 
 	art := coord.Artifact()
 	experiments.ReportArtifactFailures(os.Stderr, art.Failures)
-	if out != "" {
-		if err := art.WriteFile(out); err != nil {
+	if c.out != "" {
+		if err := art.WriteFile(c.out); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d cells to %s (merged distributed run)\n", len(art.Cells), out)
+		fmt.Fprintf(os.Stderr, "wrote %d cells to %s (merged distributed run)\n", len(art.Cells), c.out)
 		return failedJobsError(len(art.Failures), len(coord.Plan().Jobs))
 	}
 	set := results.NewSet()

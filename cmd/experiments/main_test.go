@@ -1,0 +1,82 @@
+package main
+
+import (
+	"testing"
+	"time"
+)
+
+// TestModeFlags: every exclusive mode rejects a flag it would silently
+// ignore, with the mode's message, and accepts every flag it reads.
+func TestModeFlags(t *testing.T) {
+	cacheDir := t.TempDir()
+	for _, tc := range []struct {
+		mode     string
+		c        config // selects the mode
+		rejected []string
+		want     string // message for the first rejected flag
+	}{
+		{"-status", config{status: "http://127.0.0.1:1"}, []string{"exp", "workers", "merge"},
+			"-exp has no effect with -status"},
+		{"-agent", config{agent: "http://127.0.0.1:1"}, []string{"graphs", "serve", "out"},
+			"-graphs has no effect with -agent (the coordinator defines the run)"},
+		{"-serve", config{serve: "127.0.0.1:0"}, []string{"workers", "cache", "shard"},
+			"-cache has no effect with -serve (workers run in -agent processes)"},
+		{"-merge", config{merge: true}, []string{"seed", "out", "quick"},
+			"-out has no effect with -merge (the artifacts' metadata defines the run)"},
+		{"-cache-stats/-cache-gc", config{cacheStats: true, cacheDir: cacheDir}, []string{"report", "exp"},
+			"-exp has no effect with -cache-stats/-cache-gc"},
+		{"-cache-stats/-cache-gc", config{cacheGC: time.Hour, cacheDir: cacheDir}, []string{"workers"},
+			"-workers has no effect with -cache-stats/-cache-gc"},
+	} {
+		m, ok := modeFlags[tc.mode]
+		if !ok {
+			t.Fatalf("no flag table for mode %s", tc.mode)
+		}
+		explicit := map[string]bool{}
+		for _, name := range m.allowed {
+			explicit[name] = true
+		}
+		if err := checkModeFlags(tc.mode, explicit); err != nil {
+			t.Errorf("%s rejects its own flags: %v", tc.mode, err)
+		}
+		for _, name := range tc.rejected {
+			explicit[name] = true
+		}
+		tc.c.explicit = explicit
+		err := run(tc.c)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s with %v: err %v, want %q", tc.mode, tc.rejected, err, tc.want)
+		}
+	}
+}
+
+// TestStateNeedsServe: the coordinator's journal flags outside -serve are
+// an error, not a silent no-op.
+func TestStateNeedsServe(t *testing.T) {
+	for _, c := range []config{{stateDir: t.TempDir()}, {snapshotEvery: 8}} {
+		c.explicit = map[string]bool{"state": c.stateDir != "", "snapshot-every": c.snapshotEvery != 0}
+		if err := run(c); err == nil || err.Error() != "-state/-snapshot-every only apply to -serve" {
+			t.Errorf("%+v: err %v", c, err)
+		}
+	}
+}
+
+// TestModesAcceptTheirFlags drives the modes that finish without a peer
+// through run with every flag they read set: the flag check passes and
+// the mode does its work.
+func TestModesAcceptTheirFlags(t *testing.T) {
+	cacheDir := t.TempDir()
+	c := config{cacheDir: cacheDir, cacheStats: true, cacheGC: time.Hour,
+		explicit: map[string]bool{"cache": true, "cache-stats": true, "cache-gc": true}}
+	if err := run(c); err != nil {
+		t.Errorf("-cache-stats -cache-gc: %v", err)
+	}
+	c = config{merge: true, explicit: map[string]bool{"merge": true}}
+	if err := run(c); err == nil || err.Error() != "-merge needs at least one artifact file" {
+		t.Errorf("-merge without artifacts: err %v", err)
+	}
+	c = config{args: []string{"a.json"}, explicit: map[string]bool{}}
+	if err := run(c); err == nil || err.Error() != `unexpected arguments ["a.json"] (artifact files go with -merge)` {
+		t.Errorf("stray arguments: err %v", err)
+	}
+}

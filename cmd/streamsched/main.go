@@ -84,7 +84,7 @@ func run() error {
 		sweepPEs  = flag.String("sweep", "", "schedule at every PE count of this comma-separated list, in parallel")
 		workers   = flag.Int("workers", 0, "worker goroutines for -sweep and -serve (default GOMAXPROCS / NumCPU)")
 		shard     = flag.String("shard", "", "run only shard i of n sweep entries, format i/n")
-		listVar   = flag.Bool("list-variants", false, "list the registered experiments, variants, and workloads, then exit")
+		listVar   = flag.Bool("list-variants", false, "list the experiments, variants, and workloads, then exit")
 
 		// Service mode.
 		serveAddr  = flag.String("serve", "", "run as an always-on scheduling service on this address (e.g. :8080)")
@@ -101,12 +101,15 @@ func run() error {
 		rate      = flag.Float64("rate", 20, "load-test arrival rate, requests per second")
 		requests  = flag.Int("requests", 600, "load-test request count")
 		dist      = flag.String("dist", service.DistPoisson, "load-test arrival process: poisson or uniform")
-		workload  = flag.String("workload", "synth:fft", "registered workload submitted by the load test (see -list-variants)")
+		workload  = flag.String("workload", "synth:fft", "workload submitted by the load test (see -list-variants)")
 		tenantMix = flag.String("tenant-mix", "", "load-test tenant mix: name=share[@slo_ms][/workload],... (see docs/SERVICE.md)")
 		loadOut   = flag.String("load-out", "", "write the load-test JSON artifact ("+service.LoadSchema+") to this file")
 	)
 	flag.Parse()
 
+	if *shard != "" && *sweepPEs == "" {
+		return fmt.Errorf("-shard only applies to -sweep")
+	}
 	if *listVar {
 		return streamcli.ListVariants(os.Stdout)
 	}

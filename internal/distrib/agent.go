@@ -116,7 +116,7 @@ func (a *Agent) Run(ctx context.Context) (AgentReport, error) {
 		return rep, fmt.Errorf("distrib: agent: recompiling plan: %w", err)
 	}
 	if h := experiments.PlanHash(plan); h != info.PlanHash {
-		return rep, fmt.Errorf("distrib: agent: local plan hash %s does not match the coordinator's %s; coordinator and agent must run the same build with compatible registries", h, info.PlanHash)
+		return rep, fmt.Errorf("distrib: agent: local plan hash %s does not match the coordinator's %s; coordinator and agent must run the same build with compatible tables", h, info.PlanHash)
 	}
 	fmt.Fprintf(a.log(), "distrib: agent %s joined run %s: %d jobs total, batches of %d\n",
 		worker, info.Run, info.Jobs, info.BatchSize)

@@ -362,7 +362,7 @@ func (c *Coordinator) workerLocked(name string, now time.Time) *WorkerStatus {
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if req.PlanHash != c.planHash {
 		return LeaseResponse{}, httpapi.Errorf(http.StatusConflict,
-			"plan hash %q does not match this run's %q: the worker compiled a different plan (different code version, registry contents, or options)",
+			"plan hash %q does not match this run's %q: the worker compiled a different plan (different code version, table contents, or options)",
 			req.PlanHash, c.planHash)
 	}
 	now := c.now()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"math/rand"
 
 	"repro/internal/core"
@@ -41,16 +40,4 @@ func diamondTopology() Topology {
 			return tg
 		},
 	}
-}
-
-// AblationBuffers quantifies what the Section 6 analysis buys: every
-// synthetic graph is simulated once with the Equation 5 FIFO sizes and once
-// with unit FIFOs everywhere. Unit FIFOs either deadlock the block (the
-// Figure 9 failure) or stall producers into a longer makespan; the table
-// reports the deadlock rate and the slowdown distribution of the runs that
-// survive. The graphs run as ablation cell jobs on the concurrent engine
-// (see ablationJobs); a graph whose sized simulation deadlocks is reported
-// as a job failure instead of panicking.
-func AblationBuffers(w io.Writer, opt Options) {
-	runSpecs(w, []Spec{{Name: "ablation", Opt: opt}})
 }

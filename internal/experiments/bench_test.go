@@ -7,18 +7,18 @@ import (
 
 // benchTopo is a multi-graph sweep heavy enough for the pool to matter: the
 // Gaussian-elimination family (135 tasks) across its four PE counts.
-func benchTopo() (Topology, Options) {
+func benchTopo() (*synthWorkload, Options) {
 	opt := Quick()
 	opt.Graphs = 8
-	return Topologies()[2], opt
+	return sweepFamilies[2], opt
 }
 
 // BenchmarkSweepSequential is the single-goroutine reference sweep.
 func BenchmarkSweepSequential(b *testing.B) {
-	topo, opt := benchTopo()
+	f, opt := benchTopo()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		RunSweepSequential(topo, opt, false)
+		RunSweepSequential(f.topo, opt, false)
 	}
 }
 
@@ -26,12 +26,12 @@ func BenchmarkSweepSequential(b *testing.B) {
 // worker counts; at >= 4 workers it must beat BenchmarkSweepSequential while
 // producing identical aggregates (TestParallelSweepMatchesSequential).
 func BenchmarkSweepParallel(b *testing.B) {
-	topo, opt := benchTopo()
+	f, opt := benchTopo()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Runner{Workers: workers}.Sweep(topo, opt, false)
+				runSweep(Runner{Workers: workers}, f, opt, false, nil)
 			}
 		})
 	}
@@ -42,12 +42,12 @@ func BenchmarkSweepParallel(b *testing.B) {
 func BenchmarkSweepParallelSimulated(b *testing.B) {
 	opt := Quick()
 	opt.Graphs = 8
-	topo := Topologies()[0]
+	f := sweepFamilies[0]
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Runner{Workers: workers}.Sweep(topo, opt, true)
+				runSweep(Runner{Workers: workers}, f, opt, true, nil)
 			}
 		})
 	}

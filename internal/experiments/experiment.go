@@ -7,19 +7,20 @@ import (
 	"repro/internal/results"
 )
 
-// Experiment is one registered table or figure of the evaluation: a compile
-// hook that expands a Spec into cell jobs and a render hook that turns the
-// produced cells back into the experiment's tables. Registering an
-// experiment is all it takes to ride the whole pipeline — worker-pool
-// execution, process sharding, artifact merging, and the persistent results
-// cache come from the engine, not from the experiment.
+// Experiment is one table or figure of the evaluation, a row of the
+// experiment table: the grid its cells come from and the renderer that
+// turns the produced cells back into the experiment's tables. A row is all
+// it takes to ride the whole pipeline — worker-pool execution, process
+// sharding, artifact merging, and the persistent results cache come from
+// the engine, not from the experiment.
 type Experiment struct {
-	// Name is the registry key, the -exp selector, and the artifact
-	// metadata name.
+	// Name is the table key, the -exp selector, and the artifact metadata
+	// name.
 	Name string
-	// Variants lists the evaluation procedures this experiment's jobs
-	// dispatch to; they must be registered. Artifact metadata records their
-	// declared metric keys so merges can validate cells (docs/ARTIFACTS.md).
+	// Variants is the per-(instance, PE count) fan-out of the experiment's
+	// grid, in job order; every name is a row of the variant table.
+	// Artifact metadata records their declared metric keys so merges can
+	// validate cells (docs/ARTIFACTS.md).
 	Variants []string
 	// Simulates marks experiments that run element-level simulation; a
 	// full-size run scales their volumes down to the quick config
@@ -28,54 +29,102 @@ type Experiment struct {
 	// ModelFlag marks experiments configured by -full-models instead of the
 	// synthetic-family options (table2).
 	ModelFlag bool
-	// Jobs expands one spec into its cell jobs, in the deterministic order
-	// every process of a sharded run agrees on.
-	Jobs func(s Spec) []CellJob
-	// Render prints the experiment's tables from a cell set.
-	Render func(w io.Writer, p *Plan, set *results.Set, s Spec)
+
+	// workloads are the graph sources of the grid.
+	workloads func(s Spec) []Workload
+	// pes picks each workload's PE counts; nil means its own sweep.
+	pes func(Workload) []int
+	// simulate asks the sweep variants for the Appendix B validation.
+	simulate bool
+	// render prints the experiment's tables from a cell set.
+	render func(w io.Writer, p *Plan, set *results.Set, s Spec)
 }
 
-// experimentRegistry holds the registered experiments; registration happens
-// in this package's init, so lookups are read-only afterwards.
-var (
-	experimentRegistry = map[string]Experiment{}
-	experimentOrder    []string
-)
+// jobs expands one spec into the experiment's cell jobs, in the
+// deterministic order every process of a sharded run agrees on.
+func (e *Experiment) jobs(s Spec) []CellJob {
+	pes := e.pes
+	if pes == nil {
+		pes = Workload.PEs
+	}
+	return grid(e.workloads(s), s.Opt, pes, e.Variants, e.simulate)
+}
 
-// RegisterExperiment adds an experiment to the registry, panicking on an
-// empty or duplicate name, a missing hook, or an unregistered variant —
-// these are wiring bugs, not runtime conditions.
-func RegisterExperiment(e Experiment) {
-	if e.Name == "" {
-		panic("experiments: RegisterExperiment: empty experiment name")
+// sweepVariants is the LTS/RLX/NSTR fan-out of the Figure 10/11/13 sweeps.
+var sweepVariants = []string{VariantLTS, VariantRLX, VariantNSTR}
+
+// sweepWorkloads is the grid input of every experiment over the sweep
+// families.
+func sweepWorkloads(Spec) []Workload { return asWorkloads(sweepFamilies) }
+
+// experimentTable lists the experiments in their canonical rendering order,
+// the order `-exp all` runs them in. Names are unique and every variant
+// resolves (TestTableNamesUnique, TestRegisterExperimentRejectsBadWiring).
+var experimentTable = []Experiment{
+	{Name: "fig10", Variants: sweepVariants, workloads: sweepWorkloads, render: renderFig10},
+	{Name: "fig11", Variants: sweepVariants, workloads: sweepWorkloads, render: renderFig11},
+	{
+		// As many PEs as compute nodes: the count is a function of the
+		// graph, so cells carry the 0 sentinel.
+		Name: "fig12", Variants: []string{VariantFig12Str, VariantFig12CSDF},
+		workloads: sweepWorkloads, pes: func(Workload) []int { return []int{0} },
+		render: renderFig12,
+	},
+	{
+		Name: "fig13", Variants: sweepVariants, Simulates: true,
+		workloads: sweepWorkloads, simulate: true, render: renderFig13,
+	},
+	{
+		Name: "table2", Variants: []string{VariantTable2Str, VariantTable2NSTR}, ModelFlag: true,
+		workloads: table2Workloads, render: renderTable2,
+	},
+	{
+		Name: "ablation", Variants: []string{VariantAblationUnit}, Simulates: true,
+		workloads: func(Spec) []Workload { return asWorkloads(ablationFamilies) },
+		pes:       func(w Workload) []int { return []int{ablationPE(w)} },
+		render:    renderAblation,
+	},
+	{Name: "placement", Variants: []string{VariantPlacement}, workloads: sweepWorkloads, render: renderPlacement},
+	// The SB-LTS cells carry the exact keys of the Figure 10 sweep cells,
+	// so compiling heft together with fig10/fig11 deduplicates them.
+	{Name: "heft", Variants: []string{VariantLTS, VariantHEFT}, workloads: sweepWorkloads, render: renderHEFT},
+	{Name: "pipeline", Variants: []string{VariantPipeline}, workloads: sweepWorkloads, render: renderPipeline},
+	{
+		Name: "scale", Variants: []string{VariantScale},
+		workloads: func(Spec) []Workload { return asWorkloads(scaleFamilies) },
+		render:    renderScale,
+	},
+}
+
+// table2Workloads are the Table 2 models with the paper's PE sweeps, or
+// proportionally scaled ones that keep a non-full run under a second.
+func table2Workloads(s Spec) []Workload {
+	if s.Full {
+		return table2Full
 	}
-	if _, dup := experimentRegistry[e.Name]; dup {
-		panic(fmt.Sprintf("experiments: RegisterExperiment(%q): already registered", e.Name))
-	}
-	if e.Jobs == nil || e.Render == nil {
-		panic(fmt.Sprintf("experiments: RegisterExperiment(%q): nil Jobs or Render hook", e.Name))
-	}
-	for _, v := range e.Variants {
-		if _, err := LookupVariant(v); err != nil {
-			panic(fmt.Sprintf("experiments: RegisterExperiment(%q): %v", e.Name, err))
+	return table2Tiny
+}
+
+// ablationPE picks the PE count the ablation schedules each family at: the
+// middle of its sweep.
+func ablationPE(w Workload) int { pes := w.PEs(); return pes[len(pes)/2] }
+
+// LookupExperiment returns the experiment with the given name.
+func LookupExperiment(name string) (Experiment, error) {
+	for _, e := range experimentTable {
+		if e.Name == name {
+			return e, nil
 		}
 	}
-	experimentRegistry[e.Name] = e
-	experimentOrder = append(experimentOrder, e.Name)
+	return Experiment{}, fmt.Errorf("unknown experiment %q (want one of %v)",
+		name, ExperimentNames())
 }
 
-// LookupExperiment returns the registered experiment with the given name.
-func LookupExperiment(name string) (Experiment, error) {
-	e, ok := experimentRegistry[name]
-	if !ok {
-		return Experiment{}, fmt.Errorf("unknown experiment %q (want one of %v)",
-			name, ExperimentNames())
-	}
-	return e, nil
-}
-
-// ExperimentNames lists the experiments in their canonical rendering order,
-// the order `-exp all` runs them in (registration order).
+// ExperimentNames lists the experiments in their canonical rendering order.
 func ExperimentNames() []string {
-	return append([]string(nil), experimentOrder...)
+	names := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		names[i] = e.Name
+	}
+	return names
 }

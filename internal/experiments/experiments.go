@@ -14,13 +14,16 @@
 //	HEFT       the classical buffered list scheduler vs SB-LTS
 //	Pipeline   steady-state macro-pipelining of repeated iterations
 //
-// The package is organized around three registries (register.go wires
-// them): Variants are the evaluation procedures cells are named after,
-// Workloads are the graph sources (synthetic families, ONNX models), and
-// Experiments pair a Spec-to-jobs compiler with a table renderer. Every
-// experiment compiles (Compile) to cell jobs on the concurrent Runner: one
-// job evaluates one (graph, PE count, variant) combination and emits a
-// results.Cell. Jobs shard across worker goroutines and across processes
+// The package is organized around three static tables, read through name
+// lookups: the variant table (the evaluation procedures cells are named
+// after), the workload table (the graph sources: synthetic families, ONNX
+// models), and the experiment table, whose rows pair a job grid with a
+// table renderer. There is one run path, Compile → Runner.RunPlan →
+// Render. Compile expands every experiment through one enumerator, grid
+// (workload × instance × PE count × variant), into cell jobs: one job
+// evaluates one (graph, PE count, variant) combination and emits a
+// results.Cell, addressed by the one key function the renderers also look
+// cells up with. Jobs shard across worker goroutines and across processes
 // (Runner.ShardIndex/ShardCount), shards serialize to versioned JSON
 // artifacts that results.Merge recombines deterministically, and a
 // persistent results.Cache keyed by graph content lets repeated runs skip
@@ -36,7 +39,6 @@
 package experiments
 
 import (
-	"io"
 	"math/rand"
 
 	"repro/internal/core"
@@ -52,12 +54,6 @@ type Options struct {
 	Seed int64
 	// Config bounds the random volumes of the synthetic generators.
 	Config synth.Config
-	// Workers is the worker-pool size used by the engine; <= 0 means
-	// GOMAXPROCS. The aggregated results are identical at every setting.
-	Workers int
-	// ShardIndex/ShardCount restrict a run to one shard of its jobs so
-	// runs can be split across processes; ShardCount <= 1 disables sharding.
-	ShardIndex, ShardCount int
 }
 
 // Defaults mirrors the paper's setup: 100 random graphs per topology.
@@ -112,28 +108,6 @@ type SweepPoint struct {
 	ErrLTS, ErrRLX             []float64 // desim relative error (Figure 13)
 	Deadlocks                  int
 }
-
-// Fig10 prints the speedup distributions of streaming (STR-SCH-1/2) and
-// non-streaming (NSTR-SCH) scheduling with PE utilization, one table per
-// topology.
-func Fig10(w io.Writer, opt Options) { runSpecs(w, []Spec{{Name: "fig10", Opt: opt}}) }
-
-// Fig11 prints the streaming SLR distributions of the two heuristics.
-func Fig11(w io.Writer, opt Options) { runSpecs(w, []Spec{{Name: "fig11", Opt: opt}}) }
-
-// Fig12 compares the canonical-graph scheduler against the CSDF self-timed
-// engine: analysis time per graph and makespan ratio (ours / CSDF optimum),
-// with as many PEs as tasks and the SB-RLX heuristic, as in Section 7.2.
-func Fig12(w io.Writer, opt Options) { runSpecs(w, []Spec{{Name: "fig12", Opt: opt}}) }
-
-// Fig13 prints the Appendix B validation: relative error (%) between the
-// scheduled and the simulated makespan, and confirms no simulation
-// deadlocked with the computed buffer sizes.
-func Fig13(w io.Writer, opt Options) { runSpecs(w, []Spec{{Name: "fig13", Opt: opt}}) }
-
-// Table2 prints the ResNet-50 and transformer-encoder comparison. When full
-// is false, proportionally scaled models keep the run under a second.
-func Table2(w io.Writer, full bool) { runSpecs(w, []Spec{{Name: "table2", Full: full}}) }
 
 // newRng returns a seeded random source; kept here so tests and callers
 // share one construction point.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -30,13 +29,13 @@ func TestTopologiesMatchPaperSizes(t *testing.T) {
 func TestRunSweepShapes(t *testing.T) {
 	opt := Quick()
 	opt.Graphs = 4
-	topo := Topologies()[0] // Chain
-	points, rep := Runner{}.Sweep(topo, opt, true)
+	f := sweepFamilies[0] // Chain
+	points, rep := runSweep(Runner{}, f, opt, true, nil)
 	if len(rep.Failures) != 0 {
 		t.Fatalf("sweep failures: %v", rep.Failures)
 	}
-	if len(points) != len(topo.PEs) {
-		t.Fatalf("%d points, want %d", len(points), len(topo.PEs))
+	if len(points) != len(f.topo.PEs) {
+		t.Fatalf("%d points, want %d", len(points), len(f.topo.PEs))
 	}
 	for _, pt := range points {
 		if len(pt.SpeedupLTS) != opt.Graphs || len(pt.SpeedupRLX) != opt.Graphs ||
@@ -60,18 +59,14 @@ func TestRunSweepShapes(t *testing.T) {
 func TestFigureWritersProduceSections(t *testing.T) {
 	opt := Quick()
 	opt.Graphs = 2
-	var buf bytes.Buffer
-	Fig10(&buf, opt)
-	out := buf.String()
+	out, _ := renderSpecs(t, []Spec{{Name: "fig10", Opt: opt}}, Runner{})
 	for _, want := range []string{"Figure 10", "Chain", "FFT", "Gaussian", "Cholesky", "NSTR-SCH"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig10 output missing %q", want)
 		}
 	}
 
-	buf.Reset()
-	Table2(&buf, false)
-	out = buf.String()
+	out, _ = renderSpecs(t, []Spec{{Name: "table2"}}, Runner{})
 	for _, want := range []string{"Table 2", "Resnet-50", "Transformer", "#PEs"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table2 output missing %q", want)

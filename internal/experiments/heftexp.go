@@ -15,53 +15,23 @@ import (
 // graphs; the SB-LTS cells are the same cells Figures 10/11 render, so a
 // combined run computes them once.
 
-// heftKey addresses one graph's HEFT cell at one PE count.
-func heftKey(topo Topology, opt Options, g, pes int) results.CellKey {
-	return results.CellKey{Graph: graphID(topo.Name, opt, g), PEs: pes, Variant: VariantHEFT}
-}
-
-// heftJobs compiles, per (sweep workload, graph, PE count), one HEFT job and
-// one SB-LTS job. The SB-LTS jobs carry the exact keys of the Figure 10
-// sweep cells, so compiling heft together with fig10/fig11 deduplicates
-// them.
-func heftJobs(s Spec) []CellJob {
-	opt := s.Opt
-	var jobs []CellJob
-	for _, w := range SweepWorkloads() {
-		for g := 0; g < w.Instances(opt); g++ {
-			gid := w.GraphID(opt, g)
-			build := mustBuildWorkload(w, opt, g)
-			for _, p := range w.PEs() {
-				for _, variant := range []string{VariantLTS, VariantHEFT} {
-					jobs = append(jobs, CellJob{
-						Job:      Job{Family: w.Family(), Graph: g, PEs: p, Variant: variant},
-						Key:      results.CellKey{Graph: gid, PEs: p, Variant: variant},
-						graphKey: gid,
-						build:    build,
-						variant:  mustVariant(variant),
-					})
-				}
-			}
-		}
-	}
-	return jobs
-}
-
 // renderHEFT prints one table per topology: per PE count, the median
 // speedups of both schedulers and the per-graph streaming gain
 // (SB-LTS speedup / HEFT speedup, which equals the makespan ratio
 // HEFT / SB-LTS since both speedups share the same sequential time).
-func renderHEFT(w io.Writer, set *results.Set, opt Options) {
+func renderHEFT(w io.Writer, _ *Plan, set *results.Set, spec Spec) {
+	opt := spec.Opt
 	fmt.Fprintf(w, "== HEFT baseline vs SB-LTS streaming (%d graphs/topology) ==\n\n", opt.Graphs)
-	for _, topo := range Topologies() {
-		fmt.Fprintf(w, "%s (#Tasks = %d)\n", topo.Name, topo.Tasks)
+	for _, f := range sweepFamilies {
+		fmt.Fprintf(w, "%s (#Tasks = %d)\n", f.topo.Name, f.topo.Tasks)
 		fmt.Fprintf(w, "%6s  %16s %18s %18s\n",
 			"PEs", "HEFT speedup", "SB-LTS speedup", "gain (med/max)")
-		for _, p := range topo.PEs {
+		for _, p := range f.topo.PEs {
 			var heftSp, ltsSp, gains []float64
 			for g := 0; g < opt.Graphs; g++ {
-				hc, hok := set.Get(heftKey(topo, opt, g, p))
-				lc, lok := set.Get(sweepKey(topo, opt, g, p, VariantLTS, false))
+				gid := f.GraphID(opt, g)
+				hc, hok := set.Get(cellKey(gid, p, VariantHEFT, false))
+				lc, lok := set.Get(cellKey(gid, p, VariantLTS, false))
 				if hok {
 					heftSp = append(heftSp, hc.Values["speedup"])
 				}

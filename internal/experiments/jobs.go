@@ -22,7 +22,7 @@ type Spec struct {
 }
 
 // CellJob is one schedulable unit of an experiment: build (or fetch) one
-// task graph, run one registered Variant on it, and emit the named values
+// task graph, run one Variant on it, and emit the named values
 // of a results.Cell.
 type CellJob struct {
 	// Job is the human-readable identity used in reports and failures.
@@ -32,10 +32,10 @@ type CellJob struct {
 	// graphKey memoizes graph construction in a GraphCache.
 	graphKey string
 	build    func() *core.TaskGraph
-	// variant is the registered evaluation procedure; the engine calls it
-	// with EvalParams derived from Job (PEs, Simulate) plus the memoized
-	// streaming depth.
-	variant Variant
+	// variant is the row of the variant table the job evaluates; the
+	// engine calls it with EvalParams derived from Job (PEs, Simulate) plus
+	// the memoized streaming depth.
+	variant *Variant
 }
 
 // Plan is the deduplicated, canonically ordered job list compiled from a
@@ -50,7 +50,7 @@ type Plan struct {
 }
 
 // Compile expands the specs into their cell jobs through the experiment
-// registry, deduplicating by cell key, in a deterministic order every
+// table, deduplicating by cell key, in a deterministic order every
 // process of a sharded run agrees on.
 func Compile(specs []Spec) (*Plan, error) {
 	p := &Plan{Specs: specs, graphs: NewGraphCache()}
@@ -60,7 +60,7 @@ func Compile(specs []Spec) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, j := range e.Jobs(s) {
+		for _, j := range e.jobs(s) {
 			if seen[j.Key] {
 				continue
 			}
@@ -118,8 +118,7 @@ func VerifySet(p *Plan, set *results.Set, excused map[string]bool) error {
 // MetaFromSpecs records a run's specs and shard position as artifact
 // metadata, enough for SpecsFromMeta to recompile the identical plan in a
 // reader process, plus the metric keys each variant of the run declares so
-// a merge can validate foreign cells. Worker counts and shard settings
-// inside Opt are deliberately dropped: they do not affect the compiled jobs.
+// a merge can validate foreign cells.
 func MetaFromSpecs(specs []Spec, shardIndex, shardCount int) results.Meta {
 	if shardCount < 1 {
 		shardIndex, shardCount = 0, 1
@@ -131,7 +130,9 @@ func MetaFromSpecs(specs []Spec, shardIndex, shardCount int) results.Meta {
 		e, err := LookupExperiment(s.Name)
 		if err == nil {
 			for _, vn := range e.Variants {
-				variants[vn] = mustVariant(vn).Metrics()
+				if v, err := LookupVariant(vn); err == nil {
+					variants[vn] = v.Metrics
+				}
 			}
 		}
 		if err == nil && e.ModelFlag {
@@ -188,192 +189,47 @@ func configTag(cfg any) string {
 	return hex.EncodeToString(sum[:4])
 }
 
-// sweepKey addresses one sweep cell of Figures 10/11/13. The NSTR
-// baseline never simulates, so its cells always carry Simulate=false and
-// a fig13 run shares them with fig10/fig11 instead of recomputing the
-// baseline.
-func sweepKey(topo Topology, opt Options, g, pes int, variant string, simulate bool) results.CellKey {
-	if variant == VariantNSTR {
-		simulate = false
-	}
-	return results.CellKey{Graph: graphID(topo.Name, opt, g), PEs: pes, Variant: variant, Simulate: simulate}
+// cellKey addresses the cell of one variant on graph gid at pes PEs. It
+// is the one key function: grid builds job keys with it and every renderer
+// looks cells up through it. The NSTR baseline never simulates, so its
+// cells always carry Simulate=false and a fig13 run shares them with
+// fig10/fig11 instead of recomputing the baseline.
+func cellKey(gid string, pes int, variant string, simulate bool) results.CellKey {
+	return results.CellKey{Graph: gid, PEs: pes, Variant: variant, Simulate: simulate && variant != VariantNSTR}
 }
 
-// sweepVariantNames is the per-(graph, PE) fan-out of the Figure 10/11/13
-// sweeps, in the sequential loop's order.
-var sweepVariantNames = []string{VariantLTS, VariantRLX, VariantNSTR}
-
-// numSweepVariants is the LTS/RLX/NSTR fan-out per (graph, PE) sweep cell.
-var numSweepVariants = len(sweepVariantNames)
-
-// sweepWorkloadJobs enumerates one workload's sweep in the sequential
-// loop's order — graphs outermost, then PE counts, then LTS/RLX/NSTR — so
-// that aggregating completed cells in job order reproduces the sequential
-// append order bit for bit.
-func sweepWorkloadJobs(w Workload, opt Options, simulate bool) []CellJob {
-	pes := w.PEs()
-	jobs := make([]CellJob, 0, w.Instances(opt)*len(pes)*numSweepVariants)
-	for g := 0; g < w.Instances(opt); g++ {
-		gid := w.GraphID(opt, g)
-		build := mustBuildWorkload(w, opt, g)
-		for _, p := range pes {
-			for _, variant := range sweepVariantNames {
-				sim := simulate && variant != VariantNSTR // the baseline never simulates
-				jobs = append(jobs, CellJob{
-					Job:      Job{Family: w.Family(), Graph: g, PEs: p, Variant: variant, Simulate: sim},
-					Key:      results.CellKey{Graph: gid, PEs: p, Variant: variant, Simulate: sim},
-					graphKey: gid,
-					build:    build,
-					variant:  mustVariant(variant),
-				})
-			}
+// grid enumerates an experiment's cell jobs in the one order every
+// experiment shares — workload, then instance, then PE count, then
+// variant — so that aggregating completed cells in job order reproduces
+// the sequential references' append order bit for bit. pes picks each
+// workload's PE counts and simulate asks the variants for the Appendix B
+// validation.
+func grid(workloads []Workload, opt Options, pes func(Workload) []int, variants []string, simulate bool) []CellJob {
+	vs := make([]*Variant, len(variants))
+	for i, name := range variants {
+		v, err := LookupVariant(name)
+		if err != nil {
+			panic(err) // the experiment table names only table variants
 		}
+		vs[i] = v
 	}
-	return jobs
-}
-
-// sweepTopoJobs is sweepWorkloadJobs over an ad-hoc synthetic family; it
-// backs Runner.Sweep, which accepts arbitrary topologies.
-func sweepTopoJobs(topo Topology, opt Options, simulate bool) []CellJob {
-	return sweepWorkloadJobs(&synthWorkload{key: "synth:" + topo.Name, topo: topo}, opt, simulate)
-}
-
-// sweepSpecJobs compiles one Figure 10/11/13 spec: every registered sweep
-// workload across its PE counts.
-func sweepSpecJobs(simulate bool) func(Spec) []CellJob {
-	return func(s Spec) []CellJob {
-		var jobs []CellJob
-		for _, w := range SweepWorkloads() {
-			jobs = append(jobs, sweepWorkloadJobs(w, s.Opt, simulate)...)
-		}
-		return jobs
-	}
-}
-
-// fig12Key addresses one side of the Figure 12 comparison; PEs is the
-// "as many PEs as compute nodes" 0 sentinel, since the count is a function
-// of the graph.
-func fig12Key(topo Topology, opt Options, g int, variant string) results.CellKey {
-	return results.CellKey{Graph: graphID(topo.Name, opt, g), PEs: 0, Variant: variant}
-}
-
-// fig12Jobs compiles the Section 7.2 comparison: per graph, one job
-// timing the canonical-graph scheduler (SB-RLX, as many PEs as tasks) and
-// one timing the CSDF self-timed engine. The makespan ratio is computed at
-// render time from the two cells.
-func fig12Jobs(s Spec) []CellJob {
-	opt := s.Opt
 	var jobs []CellJob
-	for _, w := range SweepWorkloads() {
+	for _, w := range workloads {
 		for g := 0; g < w.Instances(opt); g++ {
 			gid := w.GraphID(opt, g)
-			build := mustBuildWorkload(w, opt, g)
-			for _, variant := range []string{VariantFig12Str, VariantFig12CSDF} {
-				jobs = append(jobs, CellJob{
-					Job:      Job{Family: w.Family(), Graph: g, Variant: variant},
-					Key:      results.CellKey{Graph: gid, PEs: 0, Variant: variant},
-					graphKey: gid,
-					build:    build,
-					variant:  mustVariant(variant),
-				})
+			build := buildFunc(w, opt, g)
+			for _, p := range pes(w) {
+				for _, v := range vs {
+					key := cellKey(gid, p, v.Name, simulate)
+					jobs = append(jobs, CellJob{
+						Job:      Job{Family: w.Family(), Graph: g, PEs: p, Variant: v.Name, Simulate: key.Simulate},
+						Key:      key,
+						graphKey: gid,
+						build:    build,
+						variant:  v,
+					})
+				}
 			}
-		}
-	}
-	return jobs
-}
-
-// table2Model is one ML workload of Table 2, a view over the registered
-// onnx workloads.
-type table2Model struct {
-	name  string
-	gid   string // cell-key graph id and graph-cache key
-	build func() *core.TaskGraph
-	pes   []int
-}
-
-// table2Models returns the Table 2 workloads with the paper's PE sweeps
-// (or proportionally scaled ones that keep a non-full run under a second),
-// resolved from the workload registry.
-func table2Models(full bool) []table2Model {
-	keys := []string{"onnx:resnet", "onnx:encoder"}
-	if full {
-		keys = []string{"onnx:resnet-full", "onnx:encoder-full"}
-	}
-	models := make([]table2Model, 0, len(keys))
-	for _, k := range keys {
-		w := mustWorkload(k)
-		models = append(models, table2Model{
-			name:  w.Family(),
-			gid:   w.GraphID(Options{}, 0),
-			build: mustBuildWorkload(w, Options{}, 0),
-			pes:   w.PEs(),
-		})
-	}
-	return models
-}
-
-// table2Jobs compiles one streaming and one baseline job per (model, PE
-// count) row; the gain column is the ratio of the two makespans, computed
-// at render time.
-func table2Jobs(s Spec) []CellJob {
-	var jobs []CellJob
-	for _, m := range table2Models(s.Full) {
-		for _, p := range m.pes {
-			for _, variant := range []string{VariantTable2Str, VariantTable2NSTR} {
-				jobs = append(jobs, CellJob{
-					Job:      Job{Family: m.name, PEs: p, Variant: variant},
-					Key:      results.CellKey{Graph: m.gid, PEs: p, Variant: variant},
-					graphKey: m.gid,
-					build:    m.build,
-					variant:  mustVariant(variant),
-				})
-			}
-		}
-	}
-	return jobs
-}
-
-// ablationWorkloads is the ablation's family list: the paper's four plus
-// the reconvergent diamond that triggers the Figure 9 failure mode.
-func ablationWorkloads() []Workload {
-	return append(SweepWorkloads(), mustWorkload("synth:diamond"))
-}
-
-// ablationTopologies returns the ablation families as topologies for the
-// renderers and sequential references.
-func ablationTopologies() []Topology {
-	return append(Topologies(), diamondTopology())
-}
-
-// ablationPE picks the PE count the ablation schedules each family at: the
-// middle of its sweep.
-func ablationPE(topo Topology) int { return topo.PEs[len(topo.PEs)/2] }
-
-// ablationWorkloadPE is ablationPE over a workload's PE sweep.
-func ablationWorkloadPE(w Workload) int { pes := w.PEs(); return pes[len(pes)/2] }
-
-// ablationKey addresses one graph's buffer-sizing ablation cell.
-func ablationKey(topo Topology, opt Options, g int) results.CellKey {
-	return results.CellKey{Graph: graphID(topo.Name, opt, g), PEs: ablationPE(topo), Variant: VariantAblationUnit}
-}
-
-// ablationJobs compiles one job per graph: schedule with SB-LTS, simulate
-// once with Equation 5 FIFO sizes and again with unit FIFOs, and report
-// both makespans plus whether unit FIFOs deadlocked.
-func ablationJobs(s Spec) []CellJob {
-	opt := s.Opt
-	var jobs []CellJob
-	for _, w := range ablationWorkloads() {
-		p := ablationWorkloadPE(w)
-		for g := 0; g < w.Instances(opt); g++ {
-			gid := w.GraphID(opt, g)
-			jobs = append(jobs, CellJob{
-				Job:      Job{Family: w.Family(), Graph: g, PEs: p, Variant: VariantAblationUnit},
-				Key:      results.CellKey{Graph: gid, PEs: p, Variant: VariantAblationUnit},
-				graphKey: gid,
-				build:    mustBuildWorkload(w, opt, g),
-				variant:  mustVariant(VariantAblationUnit),
-			})
 		}
 	}
 	return jobs

@@ -14,7 +14,8 @@ import (
 // the concurrent engine to.
 
 // RunSweepSequential is the single-goroutine reference implementation of the
-// sweep; Runner.Sweep must reproduce its aggregates exactly. Unlike the
+// sweep; RunPlan over the sweep's grid must reproduce its aggregates
+// exactly (runSweep). Unlike the
 // engine it panics on scheduler errors. It calls the raw schedule, buffers
 // and desim entry points rather than EvalContext.Evaluate, so the
 // equivalence tests compare two independent paths; it is also the

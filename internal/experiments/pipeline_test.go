@@ -27,8 +27,8 @@ func fixedMeasure(f func()) time.Duration {
 	return time.Millisecond
 }
 
-// allSpecs is the -exp all plan at a reduced size, every registered
-// experiment — including the placement, HEFT, and pipelining extensions —
+// allSpecs is the -exp all plan at a reduced size, every experiment of the
+// table — including the placement, HEFT, and pipelining extensions —
 // on one shared option set.
 func allSpecs(graphs int) []Spec {
 	opt := Quick()
@@ -117,17 +117,20 @@ func fig12SequentialRef(w io.Writer, opt Options, measure func(func()) time.Dura
 // exported Table2Model reference rows.
 func table2SequentialRef(w io.Writer, full bool) {
 	fmt.Fprintf(w, "== Table 2: ML inference workloads (full=%v) ==\n\n", full)
-	for _, m := range table2Models(full) {
-		tg := m.build()
+	for _, m := range table2Workloads(Spec{Full: full}) {
+		tg, err := m.Build(Options{}, 0)
+		if err != nil {
+			panic(err)
+		}
 		var bufs int
 		for _, n := range tg.Nodes {
 			if n.Kind == core.Buffer {
 				bufs++
 			}
 		}
-		fmt.Fprintf(w, "%s: %d nodes (%d buffer nodes)\n", m.name, tg.Len(), bufs)
+		fmt.Fprintf(w, "%s: %d nodes (%d buffer nodes)\n", m.Family(), tg.Len(), bufs)
 		fmt.Fprintf(w, "%6s  %12s %13s %6s\n", "#PEs", "STR speedup", "NSTR speedup", "G")
-		for _, r := range Table2Model(tg, m.pes) {
+		for _, r := range Table2Model(tg, m.PEs()) {
 			fmt.Fprintf(w, "%6d  %12.1f %13.1f %6.1f\n", r.PEs, r.StrSpeedup, r.NstrSpeedup, r.Gain)
 		}
 		fmt.Fprintln(w)
@@ -137,8 +140,8 @@ func table2SequentialRef(w io.Writer, full bool) {
 // ablationSequentialRef is the pre-engine sequential buffer ablation.
 func ablationSequentialRef(w io.Writer, opt Options) {
 	fmt.Fprintf(w, "== Ablation: Equation 5 buffer sizing vs unit FIFOs (%d graphs/topology) ==\n\n", opt.Graphs)
-	for _, topo := range ablationTopologies() {
-		p := ablationPE(topo)
+	for _, topo := range append(Topologies(), diamondTopology()) {
+		p := topo.PEs[len(topo.PEs)/2]
 		var slowdowns []float64
 		deadlocks, runs := 0, 0
 		for g := 0; g < opt.Graphs; g++ {

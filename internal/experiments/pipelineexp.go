@@ -23,46 +23,19 @@ import (
 // count be derived.
 const pipelineIterations = 16
 
-// pipelineKey addresses one graph's pipelining cell at one PE count.
-func pipelineKey(topo Topology, opt Options, g, pes int) results.CellKey {
-	return results.CellKey{Graph: graphID(topo.Name, opt, g), PEs: pes, Variant: VariantPipeline}
-}
-
-// pipelineJobs compiles one pipelining job per (sweep workload, graph, PE
-// count).
-func pipelineJobs(s Spec) []CellJob {
-	opt := s.Opt
-	var jobs []CellJob
-	for _, w := range SweepWorkloads() {
-		for g := 0; g < w.Instances(opt); g++ {
-			gid := w.GraphID(opt, g)
-			build := mustBuildWorkload(w, opt, g)
-			for _, p := range w.PEs() {
-				jobs = append(jobs, CellJob{
-					Job:      Job{Family: w.Family(), Graph: g, PEs: p, Variant: VariantPipeline},
-					Key:      results.CellKey{Graph: gid, PEs: p, Variant: VariantPipeline},
-					graphKey: gid,
-					build:    build,
-					variant:  mustVariant(VariantPipeline),
-				})
-			}
-		}
-	}
-	return jobs
-}
-
 // renderPipeline prints one steady-state pipelining table per topology.
-func renderPipeline(w io.Writer, set *results.Set, opt Options) {
+func renderPipeline(w io.Writer, _ *Plan, set *results.Set, spec Spec) {
+	opt := spec.Opt
 	fmt.Fprintf(w, "== Steady-state pipelining of the SB-LTS schedule (%d graphs/topology, %d iterations) ==\n\n",
 		opt.Graphs, pipelineIterations)
-	for _, topo := range Topologies() {
-		fmt.Fprintf(w, "%s (#Tasks = %d)\n", topo.Name, topo.Tasks)
+	for _, f := range sweepFamilies {
+		fmt.Fprintf(w, "%s (#Tasks = %d)\n", f.topo.Name, f.topo.Tasks)
 		fmt.Fprintf(w, "%6s  %10s %10s %8s %14s\n",
 			"PEs", "latency", "II", "blocks", "pipe speedup")
-		for _, p := range topo.PEs {
+		for _, p := range f.topo.PEs {
 			var latency, ii, blocks, speedup []float64
 			for g := 0; g < opt.Graphs; g++ {
-				cell, ok := set.Get(pipelineKey(topo, opt, g, p))
+				cell, ok := set.Get(cellKey(f.GraphID(opt, g), p, VariantPipeline, false))
 				if !ok {
 					continue
 				}

@@ -29,20 +29,12 @@ const placementAnnealIters = 300
 // runs.
 const placementSeed = 1
 
-// placementVariant schedules with SB-LTS, places every spatial block on the
+// evalPlacement schedules with SB-LTS, places every spatial block on the
 // smallest near-square mesh with at least PEs processing elements, and
 // reports the worst-block congestion factor plus the estimated slowdown of
 // the placed schedule: each block's duration is scaled by its own congestion
 // factor, and blocks execute back to back (they are temporally multiplexed).
-type placementVariant struct{}
-
-func (placementVariant) Name() string { return VariantPlacement }
-
-func (placementVariant) Metrics() []string {
-	return []string{"congestion", "slowdown", "hopvol", "maxload"}
-}
-
-func (placementVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+func evalPlacement(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	ev, err := ctx.Evaluate(tg, p.PEs, schedule.SBLTS, false)
 	if err != nil {
 		return nil, err
@@ -86,47 +78,20 @@ func (placementVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams)
 	}, nil
 }
 
-// placementKey addresses one graph's placement cell at one PE count.
-func placementKey(topo Topology, opt Options, g, pes int) results.CellKey {
-	return results.CellKey{Graph: graphID(topo.Name, opt, g), PEs: pes, Variant: VariantPlacement}
-}
-
-// placementJobs compiles one placement job per (sweep workload, graph, PE
-// count).
-func placementJobs(s Spec) []CellJob {
-	opt := s.Opt
-	var jobs []CellJob
-	for _, w := range SweepWorkloads() {
-		for g := 0; g < w.Instances(opt); g++ {
-			gid := w.GraphID(opt, g)
-			build := mustBuildWorkload(w, opt, g)
-			for _, p := range w.PEs() {
-				jobs = append(jobs, CellJob{
-					Job:      Job{Family: w.Family(), Graph: g, PEs: p, Variant: VariantPlacement},
-					Key:      results.CellKey{Graph: gid, PEs: p, Variant: VariantPlacement},
-					graphKey: gid,
-					build:    build,
-					variant:  mustVariant(VariantPlacement),
-				})
-			}
-		}
-	}
-	return jobs
-}
-
 // renderPlacement prints one table per topology: per PE count, the mesh
 // dimensions and the distribution of the congestion factor and the
 // estimated placed-vs-contention-free slowdown across graphs.
-func renderPlacement(w io.Writer, set *results.Set, opt Options) {
+func renderPlacement(w io.Writer, _ *Plan, set *results.Set, spec Spec) {
+	opt := spec.Opt
 	fmt.Fprintf(w, "== Placement: SB-LTS blocks on a 2D-mesh NoC (%d graphs/topology) ==\n\n", opt.Graphs)
-	for _, topo := range Topologies() {
-		fmt.Fprintf(w, "%s (#Tasks = %d)\n", topo.Name, topo.Tasks)
+	for _, f := range sweepFamilies {
+		fmt.Fprintf(w, "%s (#Tasks = %d)\n", f.topo.Name, f.topo.Tasks)
 		fmt.Fprintf(w, "%6s %6s  %22s  %20s %10s\n",
 			"PEs", "mesh", "congestion (med/max)", "slowdown (med/max)", "avg hopvol")
-		for _, p := range topo.PEs {
+		for _, p := range f.topo.PEs {
 			var congestion, slowdown, hopvol []float64
 			for g := 0; g < opt.Graphs; g++ {
-				cell, ok := set.Get(placementKey(topo, opt, g, p))
+				cell, ok := set.Get(cellKey(f.GraphID(opt, g), p, VariantPlacement, false))
 				if !ok {
 					continue
 				}

@@ -16,7 +16,7 @@ import (
 // hash agree on which job each index denotes and on what its cell may
 // carry, which is what lets a distributed-sweep coordinator lease bare job
 // indices to its agents (internal/distrib): an agent built from different
-// code, flags, or registry contents compiles a different plan, hashes
+// code, flags, or table contents compiles a different plan, hashes
 // differently, and is rejected before it can contribute a single cell.
 func PlanHash(p *Plan) string {
 	h := sha256.New()
@@ -24,7 +24,7 @@ func PlanHash(p *Plan) string {
 	variants := make(map[string][]string)
 	for _, j := range p.Jobs {
 		fmt.Fprintf(h, "%s %s\n", j.Key, j.Job)
-		variants[j.variant.Name()] = j.variant.Metrics()
+		variants[j.variant.Name] = j.variant.Metrics
 	}
 	names := make([]string, 0, len(variants))
 	for name := range variants {

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 
-	"repro/internal/core"
 	"repro/internal/results"
 	"repro/internal/stats"
 )
@@ -16,34 +14,14 @@ import (
 // identical. Cells missing from the set (failed jobs, or a partial shard
 // rendered directly) are left out of the aggregates, exactly as the
 // sequential reference would have dropped them. Each experiment's renderer
-// is resolved through the experiment registry; specs whose experiment is
+// is resolved through the experiment table; specs whose experiment is
 // unknown (impossible for a compiled plan) are skipped.
 func Render(w io.Writer, p *Plan, set *results.Set) {
 	for _, s := range p.Specs {
-		e, err := LookupExperiment(s.Name)
-		if err != nil {
-			continue
+		if e, err := LookupExperiment(s.Name); err == nil {
+			e.render(w, p, set, s)
 		}
-		e.Render(w, p, set, s)
 	}
-}
-
-// runSpecs is the shared implementation of the one-call experiment
-// functions (Fig10, Table2, ...): compile the specs, run them on the
-// engine, report failures, render.
-func runSpecs(w io.Writer, specs []Spec) {
-	p, err := Compile(specs)
-	if err != nil {
-		panic(err) // the callers pass fixed, known names
-	}
-	opt := specs[0].Opt
-	set, rep := Runner{
-		Workers:    opt.Workers,
-		ShardIndex: opt.ShardIndex,
-		ShardCount: opt.ShardCount,
-	}.RunPlan(p)
-	ReportFailures(os.Stderr, rep)
-	Render(w, p, set)
 }
 
 // maxReportedFailures bounds the per-run failure lines ReportFailures
@@ -83,11 +61,12 @@ func printFailures(w io.Writer, headline string, fails []results.Failure) {
 	}
 }
 
-func renderFig10(w io.Writer, set *results.Set, opt Options) {
+func renderFig10(w io.Writer, _ *Plan, set *results.Set, spec Spec) {
+	opt := spec.Opt
 	fmt.Fprintf(w, "== Figure 10: speedup over sequential execution (%d graphs/topology) ==\n\n", opt.Graphs)
-	for _, topo := range Topologies() {
-		points := sweepPointsFromSet(set, topo, opt, false)
-		fmt.Fprintf(w, "%s (#Tasks = %d)\n", topo.Name, topo.Tasks)
+	for _, f := range sweepFamilies {
+		points := sweepPointsFromSet(set, f, opt, false)
+		fmt.Fprintf(w, "%s (#Tasks = %d)\n", f.topo.Name, f.topo.Tasks)
 		fmt.Fprintf(w, "%6s  %-10s %8s %8s %8s %8s  %s\n",
 			"PEs", "scheduler", "Q1", "median", "Q3", "mean", "PE util (mean)")
 		for _, pt := range points {
@@ -111,11 +90,12 @@ func renderFig10(w io.Writer, set *results.Set, opt Options) {
 	}
 }
 
-func renderFig11(w io.Writer, set *results.Set, opt Options) {
+func renderFig11(w io.Writer, _ *Plan, set *results.Set, spec Spec) {
+	opt := spec.Opt
 	fmt.Fprintf(w, "== Figure 11: streaming SLR (makespan / streaming depth, %d graphs/topology) ==\n\n", opt.Graphs)
-	for _, topo := range Topologies() {
-		points := sweepPointsFromSet(set, topo, opt, false)
-		fmt.Fprintf(w, "%s (#Tasks = %d)\n", topo.Name, topo.Tasks)
+	for _, f := range sweepFamilies {
+		points := sweepPointsFromSet(set, f, opt, false)
+		fmt.Fprintf(w, "%s (#Tasks = %d)\n", f.topo.Name, f.topo.Tasks)
 		fmt.Fprintf(w, "%6s  %-10s %8s %8s %8s\n", "PEs", "scheduler", "Q1", "median", "Q3")
 		for _, pt := range points {
 			for _, r := range []struct {
@@ -130,13 +110,15 @@ func renderFig11(w io.Writer, set *results.Set, opt Options) {
 	}
 }
 
-func renderFig12(w io.Writer, set *results.Set, opt Options) {
+func renderFig12(w io.Writer, _ *Plan, set *results.Set, spec Spec) {
+	opt := spec.Opt
 	fmt.Fprintf(w, "== Figure 12: canonical task graphs vs CSDF (%d graphs/topology) ==\n\n", opt.Graphs)
-	for _, topo := range Topologies() {
+	for _, f := range sweepFamilies {
 		var schedTimes, csdfTimes, ratios []float64
 		for g := 0; g < opt.Graphs; g++ {
-			str, strOK := set.Get(fig12Key(topo, opt, g, VariantFig12Str))
-			cs, csOK := set.Get(fig12Key(topo, opt, g, VariantFig12CSDF))
+			gid := f.GraphID(opt, g)
+			str, strOK := set.Get(cellKey(gid, 0, VariantFig12Str, false))
+			cs, csOK := set.Get(cellKey(gid, 0, VariantFig12CSDF, false))
 			if strOK {
 				schedTimes = append(schedTimes, str.Values["seconds"])
 			}
@@ -148,7 +130,7 @@ func renderFig12(w io.Writer, set *results.Set, opt Options) {
 			}
 		}
 		st, ct, rt := stats.Summarize(schedTimes), stats.Summarize(csdfTimes), stats.Summarize(ratios)
-		fmt.Fprintf(w, "%s (#Tasks = %d)\n", topo.Name, topo.Tasks)
+		fmt.Fprintf(w, "%s (#Tasks = %d)\n", f.topo.Name, f.topo.Tasks)
 		fmt.Fprintf(w, "  scheduling time  STR-SCHD median %.3gs   CSDF median %.3gs   (x%.0f)\n",
 			st.Median, ct.Median, ct.Median/st.Median)
 		fmt.Fprintf(w, "  makespan ratio   median %.4f  q1 %.4f  q3 %.4f  max %.4f\n\n",
@@ -156,11 +138,12 @@ func renderFig12(w io.Writer, set *results.Set, opt Options) {
 	}
 }
 
-func renderFig13(w io.Writer, set *results.Set, opt Options) {
+func renderFig13(w io.Writer, _ *Plan, set *results.Set, spec Spec) {
+	opt := spec.Opt
 	fmt.Fprintf(w, "== Figure 13: discrete-event validation, relative error %% (%d graphs/topology) ==\n\n", opt.Graphs)
-	for _, topo := range Topologies() {
-		points := sweepPointsFromSet(set, topo, opt, true)
-		fmt.Fprintf(w, "%s (#Tasks = %d)\n", topo.Name, topo.Tasks)
+	for _, f := range sweepFamilies {
+		points := sweepPointsFromSet(set, f, opt, true)
+		fmt.Fprintf(w, "%s (#Tasks = %d)\n", f.topo.Name, f.topo.Tasks)
 		fmt.Fprintf(w, "%6s  %-10s %8s %8s %8s %8s %8s  %s\n",
 			"PEs", "scheduler", "min", "Q1", "median", "Q3", "max", "deadlocks")
 		for _, pt := range points {
@@ -177,33 +160,29 @@ func renderFig13(w io.Writer, set *results.Set, opt Options) {
 	}
 }
 
-func renderTable2(w io.Writer, p *Plan, set *results.Set, full bool) {
-	fmt.Fprintf(w, "== Table 2: ML inference workloads (full=%v) ==\n\n", full)
-	for _, m := range table2Models(full) {
+func renderTable2(w io.Writer, p *Plan, set *results.Set, spec Spec) {
+	fmt.Fprintf(w, "== Table 2: ML inference workloads (full=%v) ==\n\n", spec.Full)
+	for _, m := range table2Workloads(spec) {
+		gid, pes := m.GraphID(Options{}, 0), m.PEs()
 		// The streaming cells carry the graph shape, so rendering merged
 		// shards does not rebuild the model; only a set with no streaming
 		// row at all (every str job failed) falls back to building it.
 		nodes, bufs, haveShape := 0, 0, false
-		for _, pe := range m.pes {
-			if c, ok := set.Get(results.CellKey{Graph: m.gid, PEs: pe, Variant: VariantTable2Str}); ok {
+		for _, pe := range pes {
+			if c, ok := set.Get(cellKey(gid, pe, VariantTable2Str, false)); ok {
 				nodes, bufs, haveShape = int(c.Values["nodes"]), int(c.Values["buffers"]), true
 				break
 			}
 		}
 		if !haveShape {
-			tg, _ := p.graphs.Get(m.gid, m.build)
-			nodes = tg.Len()
-			for _, n := range tg.Nodes {
-				if n.Kind == core.Buffer {
-					bufs++
-				}
-			}
+			tg, _ := p.graphs.Get(gid, buildFunc(m, Options{}, 0))
+			nodes, bufs = tg.Len(), bufferNodes(tg)
 		}
-		fmt.Fprintf(w, "%s: %d nodes (%d buffer nodes)\n", m.name, nodes, bufs)
+		fmt.Fprintf(w, "%s: %d nodes (%d buffer nodes)\n", m.Family(), nodes, bufs)
 		fmt.Fprintf(w, "%6s  %12s %13s %6s\n", "#PEs", "STR speedup", "NSTR speedup", "G")
-		for _, pe := range m.pes {
-			str, strOK := set.Get(results.CellKey{Graph: m.gid, PEs: pe, Variant: VariantTable2Str})
-			nstr, nstrOK := set.Get(results.CellKey{Graph: m.gid, PEs: pe, Variant: VariantTable2NSTR})
+		for _, pe := range pes {
+			str, strOK := set.Get(cellKey(gid, pe, VariantTable2Str, false))
+			nstr, nstrOK := set.Get(cellKey(gid, pe, VariantTable2NSTR, false))
 			if !strOK || !nstrOK {
 				continue
 			}
@@ -215,14 +194,21 @@ func renderTable2(w io.Writer, p *Plan, set *results.Set, full bool) {
 	}
 }
 
-func renderAblation(w io.Writer, set *results.Set, opt Options) {
+// renderAblation quantifies what the Section 6 analysis buys: every
+// graph is simulated once with the Equation 5 FIFO sizes and once with unit
+// FIFOs everywhere. Unit FIFOs either deadlock the block (the Figure 9
+// failure) or stall producers into a longer makespan; the table reports the
+// deadlock rate and the slowdown distribution of the runs that survive. A
+// graph whose sized simulation deadlocks is a job failure.
+func renderAblation(w io.Writer, _ *Plan, set *results.Set, spec Spec) {
+	opt := spec.Opt
 	fmt.Fprintf(w, "== Ablation: Equation 5 buffer sizing vs unit FIFOs (%d graphs/topology) ==\n\n", opt.Graphs)
-	for _, topo := range ablationTopologies() {
-		p := ablationPE(topo)
+	for _, f := range ablationFamilies {
+		p := ablationPE(f)
 		var slowdowns []float64
 		deadlocks, runs := 0, 0
 		for g := 0; g < opt.Graphs; g++ {
-			cell, ok := set.Get(ablationKey(topo, opt, g))
+			cell, ok := set.Get(cellKey(f.GraphID(opt, g), p, VariantAblationUnit, false))
 			if !ok {
 				continue
 			}
@@ -233,7 +219,7 @@ func renderAblation(w io.Writer, set *results.Set, opt Options) {
 			}
 			slowdowns = append(slowdowns, cell.Values["unit"]/cell.Values["sized"])
 		}
-		fmt.Fprintf(w, "%s (#Tasks = %d, P = %d)\n", topo.Name, topo.Tasks, p)
+		fmt.Fprintf(w, "%s (#Tasks = %d, P = %d)\n", f.topo.Name, f.topo.Tasks, p)
 		fmt.Fprintf(w, "  unit FIFOs deadlock %d/%d graphs\n", deadlocks, runs)
 		if len(slowdowns) > 0 {
 			s := stats.Summarize(slowdowns)

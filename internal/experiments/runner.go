@@ -93,10 +93,6 @@ type Runner struct {
 	// it: the coordinator picks indices into the shared compiled plan, and
 	// the agent runs just those. Out-of-range indices are skipped.
 	Only []int
-	// Cache memoizes graph construction for Sweep. Nil means a fresh cache
-	// per sweep; RunPlan always uses the plan's own cache, which is shared
-	// with table rendering.
-	Cache *GraphCache
 	// SimEngine selects the desim engine every worker uses. The zero value
 	// is desim.EngineLeap; desim.EngineReference is the engine-equivalence
 	// test seam. Both engines produce byte-identical Stats, so cells and
@@ -196,15 +192,14 @@ func (c *GraphCache) Builds() int {
 	return c.builds
 }
 
-// runJobs executes the shard-eligible jobs on the worker pool and returns
-// the produced cells aligned with the job list (nil for skipped or failed
-// jobs) plus the run report. This is the single engine path behind Sweep
-// and RunPlan.
-func (r Runner) runJobs(jobs []CellJob, graphs *GraphCache) ([]*results.Cell, Report) {
+// RunPlan executes the shard-eligible jobs of a compiled plan on the worker
+// pool, memoizing graphs in the plan's cache (shared with table
+// rendering), and collects the produced cells into a set ready for
+// rendering, artifact writing, or merging, plus the run report. It is the
+// one engine path.
+func (r Runner) RunPlan(p *Plan) (*results.Set, Report) {
 	start := time.Now()
-	if graphs == nil {
-		graphs = NewGraphCache()
-	}
+	jobs, graphs := p.Jobs, p.graphs
 
 	type outMsg struct {
 		idx    int
@@ -256,7 +251,7 @@ func (r Runner) runJobs(jobs []CellJob, graphs *GraphCache) ([]*results.Cell, Re
 	}()
 
 	// Results stream in completion order; store them by job index so the
-	// report and the cells below are independent of scheduling
+	// report and the set below are independent of scheduling
 	// interleavings.
 	cells := make([]*results.Cell, len(jobs))
 	durs := make([]time.Duration, len(jobs))
@@ -268,6 +263,7 @@ func (r Runner) runJobs(jobs []CellJob, graphs *GraphCache) ([]*results.Cell, Re
 		durs[m.idx], errs[m.idx], cached[m.idx], ran[m.idx] = m.dur, m.err, m.cached, true
 	}
 
+	set := results.NewSet()
 	rep := Report{}
 	for i := range jobs {
 		if !ran[i] {
@@ -284,15 +280,20 @@ func (r Runner) runJobs(jobs []CellJob, graphs *GraphCache) ([]*results.Cell, Re
 		if cached[i] {
 			rep.CacheHits++
 		}
+		if err := set.Add(*cells[i]); err != nil {
+			// Compile deduplicates keys, so a collision here is a bug in
+			// the job grid.
+			panic(err)
+		}
 	}
 	rep.Skipped = len(jobs) - rep.Jobs
 	rep.Elapsed = time.Since(start)
-	return cells, rep
+	return set, rep
 }
 
 // runCellJob executes one job: fetch (or build) the graph, consult the
-// persistent results cache, and only on a miss run the job's registered
-// variant and store its values.
+// persistent results cache, and only on a miss run the job's variant and
+// store its values.
 func (r Runner) runCellJob(job CellJob, graphs *GraphCache, ws *EvalContext) (*results.Cell, bool, error) {
 	if r.failHook != nil {
 		if err := r.failHook(job.Job); err != nil {
@@ -324,51 +325,19 @@ func (r Runner) runCellJob(job CellJob, graphs *GraphCache, ws *EvalContext) (*r
 	return &results.Cell{Key: job.Key, Label: job.Job.String(), Values: vals}, false, nil
 }
 
-// RunPlan executes a compiled plan and collects the produced cells into a
-// set ready for rendering, artifact writing, or merging.
-func (r Runner) RunPlan(p *Plan) (*results.Set, Report) {
-	cells, rep := r.runJobs(p.Jobs, p.graphs)
-	return setFromCells(cells), rep
-}
-
-// setFromCells collects non-nil cells, preserving job order.
-func setFromCells(cells []*results.Cell) *results.Set {
-	set := results.NewSet()
-	for _, c := range cells {
-		if c == nil {
-			continue
-		}
-		if err := set.Add(*c); err != nil {
-			// Compile deduplicates keys, so a collision here is a bug in the
-			// job builders.
-			panic(err)
-		}
-	}
-	return set
-}
-
-// Sweep evaluates one topology across its PE counts on the worker pool and
-// returns the aggregate plus a per-job report. With no failures and no
-// sharding, the points are identical to RunSweepSequential's.
-func (r Runner) Sweep(topo Topology, opt Options, simulate bool) ([]SweepPoint, Report) {
-	jobs := sweepTopoJobs(topo, opt, simulate)
-	cells, rep := r.runJobs(jobs, r.Cache)
-	return sweepPointsFromSet(setFromCells(cells), topo, opt, simulate), rep
-}
-
-// sweepPointsFromSet folds one topology's sweep cells into SweepPoints in
+// sweepPointsFromSet folds one sweep family's cells into SweepPoints in
 // the sequential loop's enumeration order (graphs outermost, then PEs,
 // then LTS/RLX/NSTR), skipping cells that failed or fell outside the
 // shard. The append order — and therefore the rendered table — matches
-// RunSweepSequential bit for bit.
-func sweepPointsFromSet(set *results.Set, topo Topology, opt Options, simulate bool) []SweepPoint {
-	points := make([]SweepPoint, len(topo.PEs))
-	for i, p := range topo.PEs {
+// the sequential reference bit for bit.
+func sweepPointsFromSet(set *results.Set, f *synthWorkload, opt Options, simulate bool) []SweepPoint {
+	pes := f.topo.PEs
+	points := make([]SweepPoint, len(pes))
+	for i, p := range pes {
 		points[i].PEs = p
 	}
 	// One explicit fold per sweep variant, visited in the sequential loop's
-	// LTS/RLX/NSTR order; dispatch-by-name lives only in the Variant
-	// registry.
+	// LTS/RLX/NSTR order.
 	foldStreaming := func(pt *SweepPoint, v map[string]float64,
 		speedup, sslr, util, errs *[]float64) {
 		*speedup = append(*speedup, v["speedup"])
@@ -382,15 +351,16 @@ func sweepPointsFromSet(set *results.Set, topo Topology, opt Options, simulate b
 		}
 	}
 	for g := 0; g < opt.Graphs; g++ {
-		for i, p := range topo.PEs {
+		gid := f.GraphID(opt, g)
+		for i, p := range pes {
 			pt := &points[i]
-			if cell, ok := set.Get(sweepKey(topo, opt, g, p, VariantLTS, simulate)); ok {
+			if cell, ok := set.Get(cellKey(gid, p, VariantLTS, simulate)); ok {
 				foldStreaming(pt, cell.Values, &pt.SpeedupLTS, &pt.SSLRLTS, &pt.UtilLTS, &pt.ErrLTS)
 			}
-			if cell, ok := set.Get(sweepKey(topo, opt, g, p, VariantRLX, simulate)); ok {
+			if cell, ok := set.Get(cellKey(gid, p, VariantRLX, simulate)); ok {
 				foldStreaming(pt, cell.Values, &pt.SpeedupRLX, &pt.SSLRRLX, &pt.UtilRLX, &pt.ErrRLX)
 			}
-			if cell, ok := set.Get(sweepKey(topo, opt, g, p, VariantNSTR, simulate)); ok {
+			if cell, ok := set.Get(cellKey(gid, p, VariantNSTR, simulate)); ok {
 				pt.SpeedupNSTR = append(pt.SpeedupNSTR, cell.Values["speedup"])
 				pt.UtilNSTR = append(pt.UtilNSTR, cell.Values["util"])
 			}

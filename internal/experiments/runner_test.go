@@ -18,36 +18,53 @@ func sweepOpt(graphs int) Options {
 	return opt
 }
 
+// sweepPlan is one family's Figure 10/11 (or, simulating, Figure 13) sweep
+// as a plan of its own; graphs, when non-nil, is a cache shared across
+// plans.
+func sweepPlan(f *synthWorkload, opt Options, simulate bool, graphs *GraphCache) *Plan {
+	if graphs == nil {
+		graphs = NewGraphCache()
+	}
+	return &Plan{Jobs: grid([]Workload{f}, opt, Workload.PEs, sweepVariants, simulate), graphs: graphs}
+}
+
+// runSweep runs a sweepPlan on r and folds its cells into SweepPoints.
+func runSweep(r Runner, f *synthWorkload, opt Options, simulate bool, graphs *GraphCache) ([]SweepPoint, Report) {
+	set, rep := r.RunPlan(sweepPlan(f, opt, simulate, graphs))
+	return sweepPointsFromSet(set, f, opt, simulate), rep
+}
+
 // TestParallelSweepMatchesSequential: the engine must reproduce the
 // sequential aggregation bit for bit at every worker count, with and without
 // the discrete-event validation. Run under -race this also proves the worker
 // pool, the shared graph cache, and the per-worker scratch are race-free.
 func TestParallelSweepMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
-		topo     Topology
+		f        *synthWorkload
 		simulate bool
 	}{
-		{Topologies()[0], true},  // Chain, with desim validation
-		{Topologies()[2], false}, // Gaussian elimination, schedule only
+		{sweepFamilies[0], true},  // Chain, with desim validation
+		{sweepFamilies[2], false}, // Gaussian elimination, schedule only
 	} {
 		opt := sweepOpt(6)
-		want := RunSweepSequential(tc.topo, opt, tc.simulate)
+		topo := tc.f.topo
+		want := RunSweepSequential(topo, opt, tc.simulate)
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, rep := Runner{Workers: workers}.Sweep(tc.topo, opt, tc.simulate)
+			got, rep := runSweep(Runner{Workers: workers}, tc.f, opt, tc.simulate, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s workers=%d: parallel sweep diverges from sequential",
-					tc.topo.Name, workers)
+					topo.Name, workers)
 			}
-			wantJobs := opt.Graphs * len(tc.topo.PEs) * numSweepVariants
+			wantJobs := opt.Graphs * len(topo.PEs) * len(sweepVariants)
 			if rep.Jobs != wantJobs || rep.Completed != wantJobs || len(rep.Failures) != 0 {
 				t.Errorf("%s workers=%d: report %d/%d jobs, %d failures; want %d/%d, 0",
-					tc.topo.Name, workers, rep.Completed, rep.Jobs, len(rep.Failures), wantJobs, wantJobs)
+					topo.Name, workers, rep.Completed, rep.Jobs, len(rep.Failures), wantJobs, wantJobs)
 			}
 			if len(rep.Timings) != wantJobs {
-				t.Errorf("%s workers=%d: %d timings, want %d", tc.topo.Name, workers, len(rep.Timings), wantJobs)
+				t.Errorf("%s workers=%d: %d timings, want %d", topo.Name, workers, len(rep.Timings), wantJobs)
 			}
 			if rep.Work <= 0 {
-				t.Errorf("%s workers=%d: non-positive total work %v", tc.topo.Name, workers, rep.Work)
+				t.Errorf("%s workers=%d: non-positive total work %v", topo.Name, workers, rep.Work)
 			}
 		}
 	}
@@ -59,12 +76,9 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 func TestFigureWritersIdenticalAcrossWorkerCounts(t *testing.T) {
 	render := func(workers int) string {
 		opt := sweepOpt(3)
-		opt.Workers = workers
-		var buf bytes.Buffer
-		Fig10(&buf, opt)
-		Fig11(&buf, opt)
-		Fig13(&buf, opt)
-		return buf.String()
+		out, _ := renderSpecs(t, []Spec{{Name: "fig10", Opt: opt}, {Name: "fig11", Opt: opt}, {Name: "fig13", Opt: opt}},
+			Runner{Workers: workers})
+		return out
 	}
 	want := render(1)
 	for _, workers := range []int{4, 8} {
@@ -78,10 +92,9 @@ func TestFigureWritersIdenticalAcrossWorkerCounts(t *testing.T) {
 // order (graphs outermost, then PEs, then scheduler kind) regardless of
 // completion interleaving.
 func TestSweepTimingsOrdered(t *testing.T) {
-	topo := Topologies()[0]
-	opt := sweepOpt(4)
-	_, rep := Runner{Workers: 4}.Sweep(topo, opt, false)
-	want := sweepTopoJobs(topo, opt, false)
+	p := sweepPlan(sweepFamilies[0], sweepOpt(4), false, nil)
+	_, rep := Runner{Workers: 4}.RunPlan(p)
+	want := p.Jobs
 	if len(rep.Timings) != len(want) {
 		t.Fatalf("%d timings, want %d", len(rep.Timings), len(want))
 	}
@@ -96,7 +109,7 @@ func TestSweepTimingsOrdered(t *testing.T) {
 // and error, the rest of the sweep completes, and only the failing cells are
 // missing from the aggregate — the sweep is not aborted.
 func TestSeededFailureCollection(t *testing.T) {
-	topo := Topologies()[0]
+	f := sweepFamilies[0]
 	opt := sweepOpt(5)
 	injected := errors.New("injected scheduler fault")
 	r := Runner{
@@ -108,9 +121,9 @@ func TestSeededFailureCollection(t *testing.T) {
 			return nil
 		},
 	}
-	points, rep := r.Sweep(topo, opt, false)
+	points, rep := runSweep(r, f, opt, false, nil)
 
-	wantFailures := len(topo.PEs) // one RLX job per PE count for graph 2
+	wantFailures := len(f.topo.PEs) // one RLX job per PE count for graph 2
 	if len(rep.Failures) != wantFailures {
 		t.Fatalf("%d failures, want %d", len(rep.Failures), wantFailures)
 	}
@@ -135,23 +148,23 @@ func TestSeededFailureCollection(t *testing.T) {
 // TestShardedSweepPartitionsJobs: shards are disjoint, cover every job, and
 // their sample counts sum to the full sweep's.
 func TestShardedSweepPartitionsJobs(t *testing.T) {
-	topo := Topologies()[0]
+	f := sweepFamilies[0]
 	opt := sweepOpt(5)
-	full, _ := Runner{Workers: 2}.Sweep(topo, opt, false)
+	full, _ := runSweep(Runner{Workers: 2}, f, opt, false, nil)
 
 	const shards = 3
 	totalJobs, totalLTS := 0, 0
 	for idx := 0; idx < shards; idx++ {
-		points, rep := Runner{Workers: 2, ShardIndex: idx, ShardCount: shards}.Sweep(topo, opt, false)
+		points, rep := runSweep(Runner{Workers: 2, ShardIndex: idx, ShardCount: shards}, f, opt, false, nil)
 		totalJobs += rep.Jobs
-		if rep.Jobs+rep.Skipped != opt.Graphs*len(topo.PEs)*numSweepVariants {
+		if rep.Jobs+rep.Skipped != opt.Graphs*len(f.topo.PEs)*len(sweepVariants) {
 			t.Errorf("shard %d: jobs %d + skipped %d != total", idx, rep.Jobs, rep.Skipped)
 		}
 		for _, pt := range points {
 			totalLTS += len(pt.SpeedupLTS)
 		}
 	}
-	if want := opt.Graphs * len(topo.PEs) * numSweepVariants; totalJobs != want {
+	if want := opt.Graphs * len(f.topo.PEs) * len(sweepVariants); totalJobs != want {
 		t.Errorf("shards ran %d jobs total, want %d", totalJobs, want)
 	}
 	wantLTS := 0
@@ -166,15 +179,15 @@ func TestShardedSweepPartitionsJobs(t *testing.T) {
 // TestGraphCacheMemoizes: one build per graph index regardless of how many
 // (PE, variant) jobs touch it, and shared caches survive across sweeps.
 func TestGraphCacheMemoizes(t *testing.T) {
-	topo := Topologies()[0]
+	f := sweepFamilies[0]
 	opt := sweepOpt(4)
 	cache := NewGraphCache()
-	Runner{Workers: 4, Cache: cache}.Sweep(topo, opt, false)
+	runSweep(Runner{Workers: 4}, f, opt, false, cache)
 	if cache.Builds() != opt.Graphs {
 		t.Errorf("cache built %d graphs, want %d", cache.Builds(), opt.Graphs)
 	}
 	// A second sweep over the same graphs rebuilds nothing.
-	Runner{Workers: 4, Cache: cache}.Sweep(topo, opt, false)
+	runSweep(Runner{Workers: 4}, f, opt, false, cache)
 	if cache.Builds() != opt.Graphs {
 		t.Errorf("shared cache rebuilt graphs: %d builds, want %d", cache.Builds(), opt.Graphs)
 	}
@@ -228,13 +241,14 @@ func TestParseShardStrict(t *testing.T) {
 // TestGraphCacheKeyedByConfig: a cache shared across sweeps with different
 // synth configs must not serve one config's graphs to the other.
 func TestGraphCacheKeyedByConfig(t *testing.T) {
-	topo := Topologies()[0]
+	f := sweepFamilies[0]
+	topo := f.topo
 	small := sweepOpt(3)
 	big := small
 	big.Config = Defaults().Config
 	cache := NewGraphCache()
-	gotSmall, _ := Runner{Workers: 2, Cache: cache}.Sweep(topo, small, false)
-	gotBig, _ := Runner{Workers: 2, Cache: cache}.Sweep(topo, big, false)
+	gotSmall, _ := runSweep(Runner{Workers: 2}, f, small, false, cache)
+	gotBig, _ := runSweep(Runner{Workers: 2}, f, big, false, cache)
 	if cache.Builds() != small.Graphs+big.Graphs {
 		t.Errorf("cache built %d graphs, want %d (configs must not share entries)",
 			cache.Builds(), small.Graphs+big.Graphs)

@@ -36,7 +36,7 @@ var scalePEs = []int{256}
 // scaleWorkload is one synthetic family sized by the ladder instead of by
 // the paper's figure sizes.
 type scaleWorkload struct {
-	key    string // registry name, e.g. "synth:gaussian-xl"
+	key    string // table name, e.g. "synth:gaussian-xl"
 	family string // display family, e.g. "Gaussian Elimination XL"
 	build  func(target int, rng *rand.Rand, cfg synth.Config) *core.TaskGraph
 }
@@ -54,44 +54,30 @@ func (w *scaleWorkload) Build(opt Options, g int) (*core.TaskGraph, error) {
 	return w.build(scaleLadder[g], newRng(opt.Seed+int64(g)), opt.Config), nil
 }
 
-// scaleWorkloadNames lists the XL families in render order.
-var scaleWorkloadNames = []string{"synth:chain-xl", "synth:fft-xl", "synth:gaussian-xl", "synth:cholesky-xl"}
-
-// scaleWorkloadDefs returns the XL families; registerWorkloads registers
-// them and scaleJobs/renderScale resolve them by name.
-func scaleWorkloadDefs() []*scaleWorkload {
-	return []*scaleWorkload{
-		{key: "synth:chain-xl", family: "Chain XL",
-			build: func(target int, rng *rand.Rand, cfg synth.Config) *core.TaskGraph {
-				return synth.Chain(target, rng, cfg)
-			}},
-		{key: "synth:fft-xl", family: "FFT XL",
-			build: func(target int, rng *rand.Rand, cfg synth.Config) *core.TaskGraph {
-				return synth.FFT(synth.FFTPointsFor(target), rng, cfg)
-			}},
-		{key: "synth:gaussian-xl", family: "Gaussian Elimination XL",
-			build: func(target int, rng *rand.Rand, cfg synth.Config) *core.TaskGraph {
-				return synth.Gaussian(synth.GaussianFor(target), rng, cfg)
-			}},
-		{key: "synth:cholesky-xl", family: "Cholesky Factorization XL",
-			build: func(target int, rng *rand.Rand, cfg synth.Config) *core.TaskGraph {
-				return synth.Cholesky(synth.CholeskyFor(target), rng, cfg)
-			}},
-	}
+// scaleFamilies are the XL families, in render order.
+var scaleFamilies = []*scaleWorkload{
+	{key: "synth:chain-xl", family: "Chain XL",
+		build: func(target int, rng *rand.Rand, cfg synth.Config) *core.TaskGraph {
+			return synth.Chain(target, rng, cfg)
+		}},
+	{key: "synth:fft-xl", family: "FFT XL",
+		build: func(target int, rng *rand.Rand, cfg synth.Config) *core.TaskGraph {
+			return synth.FFT(synth.FFTPointsFor(target), rng, cfg)
+		}},
+	{key: "synth:gaussian-xl", family: "Gaussian Elimination XL",
+		build: func(target int, rng *rand.Rand, cfg synth.Config) *core.TaskGraph {
+			return synth.Gaussian(synth.GaussianFor(target), rng, cfg)
+		}},
+	{key: "synth:cholesky-xl", family: "Cholesky Factorization XL",
+		build: func(target int, rng *rand.Rand, cfg synth.Config) *core.TaskGraph {
+			return synth.Cholesky(synth.CholeskyFor(target), rng, cfg)
+		}},
 }
 
-// scaleVariant partitions (SB-LTS, on the worker's reusable Partitioner so
+// evalScale partitions (SB-LTS, on the worker's reusable Partitioner so
 // the measured region has no warm-up allocations) and schedules one graph,
 // timing both stages on the context clock.
-type scaleVariant struct{}
-
-func (scaleVariant) Name() string { return VariantScale }
-
-func (scaleVariant) Metrics() []string {
-	return []string{"tasks", "partition_seconds", "schedule_seconds", "blocks", "sslr"}
-}
-
-func (scaleVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+func evalScale(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	var part schedule.Partition
 	var err error
 	pdur := ctx.Measure(func() {
@@ -116,45 +102,17 @@ func (scaleVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (ma
 	}, nil
 }
 
-// scaleKey addresses one rung's cell.
-func scaleKey(w Workload, opt Options, g, pes int) results.CellKey {
-	return results.CellKey{Graph: w.GraphID(opt, g), PEs: pes, Variant: VariantScale}
-}
-
-// scaleJobs compiles one job per (XL family, ladder rung, PE count).
-func scaleJobs(s Spec) []CellJob {
-	opt := s.Opt
-	var jobs []CellJob
-	for _, name := range scaleWorkloadNames {
-		w := mustWorkload(name)
-		for g := 0; g < w.Instances(opt); g++ {
-			gid := w.GraphID(opt, g)
-			build := mustBuildWorkload(w, opt, g)
-			for _, p := range w.PEs() {
-				jobs = append(jobs, CellJob{
-					Job:      Job{Family: w.Family(), Graph: g, PEs: p, Variant: VariantScale},
-					Key:      results.CellKey{Graph: gid, PEs: p, Variant: VariantScale},
-					graphKey: gid,
-					build:    build,
-					variant:  mustVariant(VariantScale),
-				})
-			}
-		}
-	}
-	return jobs
-}
-
 // renderScale prints one wall-time-vs-size table per XL family.
-func renderScale(w io.Writer, set *results.Set, opt Options) {
+func renderScale(w io.Writer, _ *Plan, set *results.Set, spec Spec) {
 	fmt.Fprintf(w, "== Scale: Algorithm 1 and scheduler wall time vs graph size (P = %d) ==\n\n", scalePEs[0])
-	for _, name := range scaleWorkloadNames {
-		wl := mustWorkload(name)
+	for _, wl := range scaleFamilies {
 		fmt.Fprintf(w, "%s\n", wl.Family())
 		fmt.Fprintf(w, "%10s  %10s %14s %14s %8s %8s\n",
 			"target", "tasks", "partition (s)", "schedule (s)", "blocks", "SSLR")
 		for g, target := range scaleLadder {
+			gid := wl.GraphID(spec.Opt, g)
 			for _, p := range wl.PEs() {
-				cell, ok := set.Get(scaleKey(wl, opt, g, p))
+				cell, ok := set.Get(cellKey(gid, p, VariantScale, false))
 				if !ok {
 					continue
 				}

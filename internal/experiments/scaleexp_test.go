@@ -15,7 +15,7 @@ func TestScaleJobsCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(scaleWorkloadNames) * len(scaleLadder) * len(scalePEs)
+	want := len(scaleFamilies) * len(scaleLadder) * len(scalePEs)
 	if len(p.Jobs) != want {
 		t.Fatalf("scale compiled to %d jobs, want %d", len(p.Jobs), want)
 	}
@@ -32,7 +32,10 @@ func TestScaleJobsCompile(t *testing.T) {
 // with sane values, and the task count matches the closed-form ladder
 // sizing.
 func TestScaleVariantMetrics(t *testing.T) {
-	w := mustWorkload("synth:gaussian-xl")
+	w, err := LookupWorkload("synth:gaussian-xl")
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt := Quick()
 	tg, err := w.Build(opt, 0) // smallest rung
 	if err != nil {
@@ -43,11 +46,15 @@ func TestScaleVariantMetrics(t *testing.T) {
 	}
 	ctx := NewEvalContext()
 	ctx.measure = fixedMeasure
-	vals, err := scaleVariant{}.Eval(ctx, tg, EvalParams{PEs: scalePEs[0], Depth: schedule.StreamingDepth(tg)})
+	v, err := LookupVariant(VariantScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range (scaleVariant{}).Metrics() {
+	vals, err := v.Eval(ctx, tg, EvalParams{PEs: scalePEs[0], Depth: schedule.StreamingDepth(tg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range v.Metrics {
 		if _, ok := vals[m]; !ok {
 			t.Errorf("metric %q missing from evaluation", m)
 		}
@@ -83,7 +90,10 @@ func TestScaleWorkloadsMeetLadderTargets(t *testing.T) {
 			}
 		}
 		// Rung 0 is cheap enough to build and verify against the formula.
-		w := mustWorkload(name)
+		w, err := LookupWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tg, err := w.Build(opt, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +103,10 @@ func TestScaleWorkloadsMeetLadderTargets(t *testing.T) {
 		}
 	}
 	// Deterministic rebuilds: instance g is a pure function of (opt, g).
-	w := mustWorkload("synth:cholesky-xl")
+	w, err := LookupWorkload("synth:cholesky-xl")
+	if err != nil {
+		t.Fatal(err)
+	}
 	a, _ := w.Build(opt, 1)
 	b, _ := w.Build(opt, 1)
 	if a.G.Len() != b.G.Len() {

@@ -1,82 +1,84 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
-// fakeVariant is a minimal registrable variant for registry tests.
-type fakeVariant struct {
-	name    string
-	metrics []string
-}
-
-func (v fakeVariant) Name() string      { return v.name }
-func (v fakeVariant) Metrics() []string { return v.metrics }
-func (v fakeVariant) Eval(*EvalContext, *core.TaskGraph, EvalParams) (map[string]float64, error) {
-	return map[string]float64{}, nil
-}
-
-func wantPanic(t *testing.T, substr string, f func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("no panic (want one containing %q)", substr)
+// TestTableNamesUnique: names are unique within each table — variants
+// and workloads address persistent artifacts, so two procedures or graph
+// sources under one name would silently corrupt caches.
+func TestTableNamesUnique(t *testing.T) {
+	for table, names := range map[string][]string{
+		"variant":    VariantNames(),
+		"workload":   WorkloadNames(),
+		"experiment": ExperimentNames(),
+	} {
+		seen := map[string]bool{}
+		for _, name := range names {
+			if name == "" || seen[name] {
+				t.Errorf("%s table: empty or duplicate name %q", table, name)
+			}
+			seen[name] = true
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, substr) {
-			t.Fatalf("panic %v, want one containing %q", r, substr)
-		}
-	}()
-	f()
+	}
 }
 
-// TestRegisterVariantRejectsDuplicates: a second registration under an
-// already-used name panics — two procedures sharing a name would silently
-// corrupt persistent caches.
+// TestRegisterVariantRejectsDuplicates: every variant row is reachable by
+// its own name — a second row under a used name would be shadowed by the
+// first, its cells evaluated by the wrong procedure — and declares metrics
+// and an Eval. (The name predates the static variant table.)
 func TestRegisterVariantRejectsDuplicates(t *testing.T) {
-	wantPanic(t, "already registered", func() {
-		RegisterVariant(fakeVariant{name: VariantLTS, metrics: []string{"x"}})
-	})
-	wantPanic(t, "empty variant name", func() {
-		RegisterVariant(fakeVariant{metrics: []string{"x"}})
-	})
-	wantPanic(t, "no metrics", func() {
-		RegisterVariant(fakeVariant{name: "metricless"})
-	})
+	for i := range variantTable {
+		v := &variantTable[i]
+		if v.Name == "" {
+			t.Errorf("variant row %d has an empty name", i)
+		}
+		if got, err := LookupVariant(v.Name); err != nil || got != v {
+			t.Errorf("variant %q: lookup returns another row (%v)", v.Name, err)
+		}
+		if len(v.Metrics) == 0 || v.Eval == nil {
+			t.Errorf("variant %q declares no metrics or no Eval", v.Name)
+		}
+	}
 }
 
 // TestRegisterWorkloadRejectsDuplicates: workload names address artifacts,
-// so re-registration panics.
+// so every workload row must be the one its name looks up. (The name
+// predates the static workload table.)
 func TestRegisterWorkloadRejectsDuplicates(t *testing.T) {
-	wantPanic(t, "already registered", func() {
-		RegisterWorkload(&synthWorkload{key: "synth:chain", topo: Topologies()[0]})
-	})
-	wantPanic(t, "empty workload name", func() {
-		RegisterWorkload(&synthWorkload{topo: Topologies()[0]})
-	})
-}
-
-// TestRegisterExperimentRejectsBadWiring: duplicate names, missing hooks,
-// and undeclared variants are registration-time panics.
-func TestRegisterExperimentRejectsBadWiring(t *testing.T) {
-	ok, err := LookupExperiment("fig10")
-	if err != nil {
-		t.Fatal(err)
+	for i, w := range workloadTable {
+		if w.Name() == "" {
+			t.Errorf("workload row %d has an empty name", i)
+		}
+		if got, err := LookupWorkload(w.Name()); err != nil || got != w {
+			t.Errorf("workload %q: lookup returns another row (%v)", w.Name(), err)
+		}
 	}
-	wantPanic(t, "already registered", func() { RegisterExperiment(ok) })
-	wantPanic(t, "nil Jobs or Render", func() {
-		RegisterExperiment(Experiment{Name: "hookless"})
-	})
-	bad := ok
-	bad.Name = "bad-variants"
-	bad.Variants = []string{"no-such-variant"}
-	wantPanic(t, "unknown variant", func() { RegisterExperiment(bad) })
 }
 
-// TestLookupUnknownNames: every registry reports unknown names as errors,
+// TestRegisterExperimentRejectsBadWiring: every experiment row is the one
+// its name looks up, has its workloads and renderer, and names only
+// variants that resolve in the variant table. (The name predates the
+// static experiment table.)
+func TestRegisterExperimentRejectsBadWiring(t *testing.T) {
+	for i, e := range experimentTable {
+		if _, err := LookupExperiment(e.Name); err != nil || slices.Index(ExperimentNames(), e.Name) != i {
+			t.Errorf("experiment %q: lookup returns another row (%v)", e.Name, err)
+		}
+		if e.workloads == nil || e.render == nil {
+			t.Errorf("experiment %q lacks its workloads or renderer", e.Name)
+		}
+		for _, vn := range e.Variants {
+			if _, err := LookupVariant(vn); err != nil {
+				t.Errorf("experiment %q: %v", e.Name, err)
+			}
+		}
+	}
+}
+
+// TestLookupUnknownNames: every table lookup reports unknown names as errors,
 // and Compile surfaces them instead of silently dropping specs.
 func TestLookupUnknownNames(t *testing.T) {
 	if _, err := LookupVariant("no-such-variant"); err == nil || !strings.Contains(err.Error(), "unknown variant") {
@@ -94,7 +96,7 @@ func TestLookupUnknownNames(t *testing.T) {
 }
 
 // TestRegistriesAreConsistent: every experiment's declared variants are
-// registered and cover exactly the variants its compiled jobs dispatch to,
+// table rows and cover exactly the variants its compiled jobs dispatch to,
 // and every compiled job's graph can be addressed through the plan.
 func TestRegistriesAreConsistent(t *testing.T) {
 	for _, s := range allSpecs(2) {
@@ -105,12 +107,12 @@ func TestRegistriesAreConsistent(t *testing.T) {
 		declared := map[string]bool{}
 		for _, vn := range e.Variants {
 			if _, err := LookupVariant(vn); err != nil {
-				t.Errorf("%s declares unregistered variant %q", s.Name, vn)
+				t.Errorf("%s declares unknown variant %q", s.Name, vn)
 			}
 			declared[vn] = true
 		}
 		used := map[string]bool{}
-		for _, j := range e.Jobs(s) {
+		for _, j := range e.jobs(s) {
 			used[j.Key.Variant] = true
 			if j.Key.Variant != j.Job.Variant {
 				t.Errorf("%s job %v: key variant %q != job variant %q", s.Name, j.Job, j.Key.Variant, j.Job.Variant)
@@ -129,12 +131,12 @@ func TestRegistriesAreConsistent(t *testing.T) {
 	}
 }
 
-// TestSweepWorkloadsMatchTopologies: the registry's sweep workloads are the
-// figure families, in figure order, with identical graph IDs to the
+// TestSweepWorkloadsMatchTopologies: the sweep workloads are the figure
+// families, in figure order, with identical graph IDs to the
 // topology-based addressing the renderers use.
 func TestSweepWorkloadsMatchTopologies(t *testing.T) {
 	topos := Topologies()
-	ws := SweepWorkloads()
+	ws := sweepFamilies
 	if len(ws) != len(topos) {
 		t.Fatalf("%d sweep workloads, %d topologies", len(ws), len(topos))
 	}
@@ -152,8 +154,8 @@ func TestSweepWorkloadsMatchTopologies(t *testing.T) {
 	}
 }
 
-// TestModelWorkloadsBackTable2: the table2 view resolves from the registry
-// with the historical graph IDs, so existing artifacts and caches keep
+// TestModelWorkloadsBackTable2: the table2 workloads carry the historical
+// graph IDs, so existing artifacts and caches keep
 // addressing the same cells.
 func TestModelWorkloadsBackTable2(t *testing.T) {
 	for _, tc := range []struct {
@@ -163,18 +165,21 @@ func TestModelWorkloadsBackTable2(t *testing.T) {
 		{false, []string{"model:Resnet-50/tiny", "model:Transformer-encoder/tiny"}},
 		{true, []string{"model:Resnet-50/full", "model:Transformer-encoder/full"}},
 	} {
-		models := table2Models(tc.full)
+		models := table2Workloads(Spec{Full: tc.full})
 		if len(models) != len(tc.gids) {
 			t.Fatalf("full=%v: %d models", tc.full, len(models))
 		}
 		for i, m := range models {
-			if m.gid != tc.gids[i] {
-				t.Errorf("full=%v model %d gid %q, want %q", tc.full, i, m.gid, tc.gids[i])
+			if gid := m.GraphID(Options{}, 0); gid != tc.gids[i] {
+				t.Errorf("full=%v model %d gid %q, want %q", tc.full, i, gid, tc.gids[i])
 			}
 		}
 	}
-	// A registered model workload builds a real graph exactly once per ID.
-	w := mustWorkload("onnx:mlp")
+	// A model workload of the table builds a real graph.
+	w, err := LookupWorkload("onnx:mlp")
+	if err != nil {
+		t.Fatal(err)
+	}
 	tg, err := w.Build(Options{}, 0)
 	if err != nil || tg.Len() == 0 {
 		t.Fatalf("onnx:mlp build: %v (%d nodes)", err, tg.Len())
@@ -199,13 +204,13 @@ func TestVariantMetricsCoverProducedValues(t *testing.T) {
 			t.Fatalf("cell %s: %v", c.Key, err)
 		}
 		declared := map[string]bool{}
-		for _, m := range v.Metrics() {
+		for _, m := range v.Metrics {
 			declared[m] = true
 		}
 		for name := range c.Values {
 			if !declared[name] {
 				t.Errorf("cell %s carries undeclared value %q (variant %q declares %v)",
-					c.Key, name, c.Key.Variant, v.Metrics())
+					c.Key, name, c.Key.Variant, v.Metrics)
 			}
 		}
 	}

@@ -113,74 +113,42 @@ type EvalParams struct {
 	Depth    float64
 }
 
-// Variant is one registered evaluation procedure: given a frozen task graph
-// and parameters, it produces the named float64 values of a results.Cell.
-// A variant's name addresses its cells in shard artifacts and the results
-// cache, so evaluation arithmetic must never change under a fixed name —
-// changing it requires a new name (and a results.SchemaVersion bump, see
-// docs/ARTIFACTS.md).
+// Variant is one evaluation procedure, a row of the variant table: given a
+// frozen task graph and parameters, Eval produces the named float64 values
+// of a results.Cell. A variant's name addresses its cells in shard
+// artifacts and the results cache, so evaluation arithmetic must never
+// change under a fixed name — changing it requires a new name (and a
+// results.SchemaVersion bump, see docs/ARTIFACTS.md).
 //
-// Variants must be stateless (or internally synchronized): one instance is
-// shared by every worker goroutine. Per-evaluation scratch belongs on the
-// EvalContext.
-type Variant interface {
-	// Name is the registry key and the CellKey.Variant value.
-	Name() string
+// Eval must be stateless: one row is shared by every worker goroutine.
+// Per-evaluation scratch belongs on the EvalContext.
+type Variant struct {
+	// Name is the table key and the CellKey.Variant value.
+	Name string
 	// Metrics declares every value name cells of this variant may carry.
 	// Cells may carry a subset (e.g. simulation errors only when Simulate),
 	// never a value outside this list — merges validate against it.
-	Metrics() []string
+	Metrics []string
 	// Eval runs the procedure on one graph.
-	Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error)
+	Eval func(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error)
 }
 
-// variantRegistry holds the registered variants; registration happens in
-// this package's init, so lookups are read-only afterwards and need no lock.
-var (
-	variantRegistry = map[string]Variant{}
-	variantOrder    []string
-)
-
-// RegisterVariant adds a variant to the registry. It panics on an empty name,
-// a nil metric list, or a duplicate registration: variants address persistent
-// artifacts, so two procedures under one name would silently corrupt caches.
-func RegisterVariant(v Variant) {
-	name := v.Name()
-	if name == "" {
-		panic("experiments: RegisterVariant: empty variant name")
+// LookupVariant returns the row of the variant table with the given name.
+func LookupVariant(name string) (*Variant, error) {
+	for i := range variantTable {
+		if variantTable[i].Name == name {
+			return &variantTable[i], nil
+		}
 	}
-	if len(v.Metrics()) == 0 {
-		panic(fmt.Sprintf("experiments: RegisterVariant(%q): variant declares no metrics", name))
-	}
-	if _, dup := variantRegistry[name]; dup {
-		panic(fmt.Sprintf("experiments: RegisterVariant(%q): already registered", name))
-	}
-	variantRegistry[name] = v
-	variantOrder = append(variantOrder, name)
+	return nil, fmt.Errorf("unknown variant %q (see -list-variants)", name)
 }
 
-// LookupVariant returns the registered variant with the given name.
-func LookupVariant(name string) (Variant, error) {
-	v, ok := variantRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown variant %q (see -list-variants)", name)
-	}
-	return v, nil
-}
-
-// mustVariant is LookupVariant for compile paths whose names are registered
-// by this package itself.
-func mustVariant(name string) Variant {
-	v, err := LookupVariant(name)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// VariantNames returns every registered variant name, sorted.
+// VariantNames returns every variant name, sorted.
 func VariantNames() []string {
-	names := append([]string(nil), variantOrder...)
+	names := make([]string, len(variantTable))
+	for i, v := range variantTable {
+		names[i] = v.Name
+	}
 	sort.Strings(names)
 	return names
 }

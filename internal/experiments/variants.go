@@ -13,8 +13,8 @@ import (
 // Variant names identify the evaluation procedure of a cell; together with
 // the graph and PE count they address one unit of experiment output in
 // shard artifacts and the results cache (see docs/ARTIFACTS.md for the
-// values each variant produces). Every name here is registered in the
-// Variant registry (register.go) and dispatched through it.
+// values each variant produces). Every name here is a row of the
+// variant table below.
 const (
 	// VariantLTS, VariantRLX, and VariantNSTR are the sweep procedures
 	// behind Figures 10, 11, and 13: the two streaming heuristics and the
@@ -48,50 +48,56 @@ const (
 	VariantPlacement = "placement"
 )
 
-// streamSweepVariant is the shared evaluation of the two streaming
-// heuristics: Algorithm 1 partitioning, the ST/FO/LO recurrences, and (when
-// Simulate) the Appendix B discrete-event validation with Equation 5 FIFOs.
-type streamSweepVariant struct {
-	name      string
-	heuristic schedule.Variant
+// variantTable lists every evaluation procedure. Names are unique
+// (TestTableNamesUnique); LookupVariant and VariantNames read it.
+var variantTable = []Variant{
+	{VariantLTS, sweepMetrics, evalStream(schedule.SBLTS)},
+	{VariantRLX, sweepMetrics, evalStream(schedule.SBRLX)},
+	{VariantNSTR, []string{"speedup", "util"}, evalNSTR},
+	{VariantFig12Str, []string{"seconds", "makespan"}, evalFig12Str},
+	{VariantFig12CSDF, []string{"seconds", "makespan"}, evalFig12CSDF},
+	{VariantTable2Str, []string{"speedup", "makespan", "nodes", "buffers"}, evalTable2Str},
+	{VariantTable2NSTR, []string{"speedup", "makespan"}, evalTable2NSTR},
+	{VariantAblationUnit, []string{"sized", "unit", "deadlock"}, evalAblation},
+	{VariantHEFT, []string{"speedup", "makespan"}, evalHEFT},
+	{VariantPipeline, []string{"latency", "ii", "blocks"}, evalPipeline},
+	{VariantPlacement, []string{"congestion", "slowdown", "hopvol", "maxload"}, evalPlacement},
+	{VariantScale, []string{"tasks", "partition_seconds", "schedule_seconds", "blocks", "sslr"}, evalScale},
 }
 
-func (v streamSweepVariant) Name() string { return v.name }
+// sweepMetrics are the values of the two streaming sweep variants.
+var sweepMetrics = []string{"speedup", "sslr", "util", "simerr", "deadlock"}
 
-func (v streamSweepVariant) Metrics() []string {
-	return []string{"speedup", "sslr", "util", "simerr", "deadlock"}
-}
-
-func (v streamSweepVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
-	ev, err := ctx.Evaluate(tg, p.PEs, v.heuristic, p.Simulate)
-	if err != nil {
-		return nil, err
-	}
-	res := ev.Res
-	vals := map[string]float64{
-		"speedup": res.Speedup(tg),
-		"sslr":    res.Makespan / p.Depth,
-		"util":    res.Utilization(tg, p.PEs),
-	}
-	if st := ev.Sim; st != nil {
-		vals["simerr"], vals["deadlock"] = 0, 0
-		if st.Deadlocked {
-			vals["deadlock"] = 1
-		} else {
-			vals["simerr"] = st.RelativeError(res.Makespan)
+// evalStream is the shared evaluation of the two streaming heuristics:
+// Algorithm 1 partitioning, the ST/FO/LO recurrences, and (when Simulate)
+// the Appendix B discrete-event validation with Equation 5 FIFOs.
+func evalStream(heuristic schedule.Variant) func(*EvalContext, *core.TaskGraph, EvalParams) (map[string]float64, error) {
+	return func(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+		ev, err := ctx.Evaluate(tg, p.PEs, heuristic, p.Simulate)
+		if err != nil {
+			return nil, err
 		}
+		res := ev.Res
+		vals := map[string]float64{
+			"speedup": res.Speedup(tg),
+			"sslr":    res.Makespan / p.Depth,
+			"util":    res.Utilization(tg, p.PEs),
+		}
+		if st := ev.Sim; st != nil {
+			vals["simerr"], vals["deadlock"] = 0, 0
+			if st.Deadlocked {
+				vals["deadlock"] = 1
+			} else {
+				vals["simerr"] = st.RelativeError(res.Makespan)
+			}
+		}
+		return vals, nil
 	}
-	return vals, nil
 }
 
-// nstrVariant is the non-streaming baseline of the sweeps. It never
-// simulates, so its cells always carry Simulate=false.
-type nstrVariant struct{}
-
-func (nstrVariant) Name() string      { return VariantNSTR }
-func (nstrVariant) Metrics() []string { return []string{"speedup", "util"} }
-
-func (nstrVariant) Eval(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+// evalNSTR is the non-streaming baseline of the sweeps. It never
+// simulates, so its cells always carry Simulate=false (cellKey).
+func evalNSTR(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	nstr, err := baseline.Schedule(tg, p.PEs, baseline.Options{Insertion: true})
 	if err != nil {
 		return nil, err
@@ -99,14 +105,10 @@ func (nstrVariant) Eval(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[s
 	return map[string]float64{"speedup": nstr.Speedup(tg), "util": nstr.Utilization(tg)}, nil
 }
 
-// fig12StrVariant times the canonical-graph scheduler with as many PEs as
-// compute nodes (SB-RLX, as in Section 7.2); the PEs param is the 0 sentinel.
-type fig12StrVariant struct{}
-
-func (fig12StrVariant) Name() string      { return VariantFig12Str }
-func (fig12StrVariant) Metrics() []string { return []string{"seconds", "makespan"} }
-
-func (fig12StrVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, _ EvalParams) (map[string]float64, error) {
+// evalFig12Str times the canonical-graph scheduler with as many PEs as
+// compute nodes (SB-RLX, as in Section 7.2); the PEs param is the 0
+// sentinel.
+func evalFig12Str(ctx *EvalContext, tg *core.TaskGraph, _ EvalParams) (map[string]float64, error) {
 	var ev Evaluation
 	var err error
 	dur := ctx.Measure(func() {
@@ -118,13 +120,8 @@ func (fig12StrVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, _ EvalParams) 
 	return map[string]float64{"seconds": dur.Seconds(), "makespan": ev.Res.Makespan}, nil
 }
 
-// fig12CSDFVariant times the CSDF self-timed engine on the same graph.
-type fig12CSDFVariant struct{}
-
-func (fig12CSDFVariant) Name() string      { return VariantFig12CSDF }
-func (fig12CSDFVariant) Metrics() []string { return []string{"seconds", "makespan"} }
-
-func (fig12CSDFVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, _ EvalParams) (map[string]float64, error) {
+// evalFig12CSDF times the CSDF self-timed engine on the same graph.
+func evalFig12CSDF(ctx *EvalContext, tg *core.TaskGraph, _ EvalParams) (map[string]float64, error) {
 	var optimal float64
 	var err error
 	dur := ctx.Measure(func() {
@@ -141,41 +138,33 @@ func (fig12CSDFVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, _ EvalParams)
 	return map[string]float64{"seconds": dur.Seconds(), "makespan": optimal}, nil
 }
 
-// table2StrVariant is the Table 2 streaming row: SB-LTS at the model's PE
-// count. The graph shape rides along so a -merge can print the model header
-// without rebuilding the (possibly huge) graph.
-type table2StrVariant struct{}
-
-func (table2StrVariant) Name() string { return VariantTable2Str }
-
-func (table2StrVariant) Metrics() []string {
-	return []string{"speedup", "makespan", "nodes", "buffers"}
-}
-
-func (table2StrVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+// evalTable2Str is the Table 2 streaming row: SB-LTS at the model's PE
+// count. The graph shape rides along so a -merge can print the model
+// header without rebuilding the (possibly huge) graph.
+func evalTable2Str(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	ev, err := ctx.Evaluate(tg, p.PEs, schedule.SBLTS, false)
 	if err != nil {
 		return nil, err
 	}
+	return map[string]float64{
+		"speedup": ev.Res.Speedup(tg), "makespan": ev.Res.Makespan,
+		"nodes": float64(tg.Len()), "buffers": float64(bufferNodes(tg)),
+	}, nil
+}
+
+// bufferNodes counts the graph's buffer nodes.
+func bufferNodes(tg *core.TaskGraph) int {
 	var bufs int
 	for _, n := range tg.Nodes {
 		if n.Kind == core.Buffer {
 			bufs++
 		}
 	}
-	return map[string]float64{
-		"speedup": ev.Res.Speedup(tg), "makespan": ev.Res.Makespan,
-		"nodes": float64(tg.Len()), "buffers": float64(bufs),
-	}, nil
+	return bufs
 }
 
-// table2NSTRVariant is the Table 2 buffered-baseline row.
-type table2NSTRVariant struct{}
-
-func (table2NSTRVariant) Name() string      { return VariantTable2NSTR }
-func (table2NSTRVariant) Metrics() []string { return []string{"speedup", "makespan"} }
-
-func (table2NSTRVariant) Eval(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+// evalTable2NSTR is the Table 2 buffered-baseline row.
+func evalTable2NSTR(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	nstr, err := baseline.Schedule(tg, p.PEs, baseline.Options{Insertion: true})
 	if err != nil {
 		return nil, err
@@ -183,15 +172,10 @@ func (table2NSTRVariant) Eval(_ *EvalContext, tg *core.TaskGraph, p EvalParams) 
 	return map[string]float64{"speedup": nstr.Speedup(tg), "makespan": nstr.Makespan}, nil
 }
 
-// ablationVariant schedules with SB-LTS, simulates once with Equation 5 FIFO
+// evalAblation schedules with SB-LTS, simulates once with Equation 5 FIFO
 // sizes and again with unit FIFOs, and reports both makespans plus whether
 // unit FIFOs deadlocked.
-type ablationVariant struct{}
-
-func (ablationVariant) Name() string      { return VariantAblationUnit }
-func (ablationVariant) Metrics() []string { return []string{"sized", "unit", "deadlock"} }
-
-func (ablationVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+func evalAblation(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	ev, err := ctx.Evaluate(tg, p.PEs, schedule.SBLTS, true)
 	if err != nil {
 		return nil, err
@@ -215,14 +199,9 @@ func (ablationVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) 
 	return vals, nil
 }
 
-// heftVariant runs the HEFT list scheduler on a homogeneous device of the
+// evalHEFT runs the HEFT list scheduler on a homogeneous device of the
 // requested PE count, the buffered baseline of the heft experiment.
-type heftVariant struct{}
-
-func (heftVariant) Name() string      { return VariantHEFT }
-func (heftVariant) Metrics() []string { return []string{"speedup", "makespan"} }
-
-func (heftVariant) Eval(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+func evalHEFT(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	res, err := heft.Schedule(tg, heft.Homogeneous(p.PEs))
 	if err != nil {
 		return nil, err
@@ -230,15 +209,10 @@ func (heftVariant) Eval(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[s
 	return map[string]float64{"speedup": res.Speedup(tg), "makespan": res.Makespan}, nil
 }
 
-// pipelineVariant derives the steady-state macro-pipeline of the SB-LTS
+// evalPipeline derives the steady-state macro-pipeline of the SB-LTS
 // schedule: single-iteration latency, initiation interval (the slowest
 // spatial block), and the block count.
-type pipelineVariant struct{}
-
-func (pipelineVariant) Name() string      { return VariantPipeline }
-func (pipelineVariant) Metrics() []string { return []string{"latency", "ii", "blocks"} }
-
-func (pipelineVariant) Eval(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+func evalPipeline(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	ev, err := ctx.Evaluate(tg, p.PEs, schedule.SBLTS, false)
 	if err != nil {
 		return nil, err

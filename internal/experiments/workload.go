@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/onnx"
 )
 
 // Workload is one named source of task graphs: a synthetic random family
@@ -15,7 +17,7 @@ import (
 // persistent results cache — so a new workload inherits sharding, merging,
 // and caching for free.
 type Workload interface {
-	// Name is the registry key, e.g. "synth:fft" or "onnx:resnet".
+	// Name is the workload table key, e.g. "synth:fft" or "onnx:resnet".
 	Name() string
 	// Family is the display name used in Job identities and table headers,
 	// e.g. "FFT" or "Resnet-50".
@@ -33,72 +35,94 @@ type Workload interface {
 	PEs() []int
 }
 
-// workloadRegistry holds the registered workloads; registration happens in
-// this package's init, so lookups are read-only afterwards and need no lock.
+// sweepFamilies are the four synthetic families of the Figure 10-13 sweeps,
+// in figure order; the heft, pipeline and placement extensions run over the
+// same graphs.
+var sweepFamilies = func() []*synthWorkload {
+	topos := Topologies()
+	keys := []string{"synth:chain", "synth:fft", "synth:gaussian", "synth:cholesky"}
+	fs := make([]*synthWorkload, len(keys))
+	for i, key := range keys {
+		fs[i] = &synthWorkload{key: key, topo: topos[i]}
+	}
+	return fs
+}()
+
+// ablationFamilies adds the reconvergent diamond, which triggers the
+// Figure 9 failure mode, to the sweep families.
+var ablationFamilies = append(slices.Clip(sweepFamilies), &synthWorkload{key: "synth:diamond", topo: diamondTopology()})
+
+// The ONNX model graphs. The tiny/full pairs carry Table 2's PE sweeps
+// (full) and their proportionally scaled quick counterparts (tiny); the
+// graph IDs are the historical "model:<name>/<size>" cell addresses.
 var (
-	workloadRegistry = map[string]Workload{}
-	workloadOrder    []string
+	table2Tiny = []Workload{
+		&modelWorkload{"onnx:resnet", "Resnet-50", "model:Resnet-50/tiny", []int{64, 128, 192, 256},
+			func() (*core.TaskGraph, error) { return onnx.ResNet50(onnx.TinyResNet50()) }},
+		&modelWorkload{"onnx:encoder", "Transformer encoder layer", "model:Transformer-encoder/tiny", []int{32, 64, 96, 128},
+			func() (*core.TaskGraph, error) { return onnx.TransformerEncoder(onnx.TinyEncoder()) }},
+	}
+	table2Full = []Workload{
+		&modelWorkload{"onnx:resnet-full", "Resnet-50", "model:Resnet-50/full", []int{512, 1024, 1536, 2048},
+			func() (*core.TaskGraph, error) { return onnx.ResNet50(onnx.FullResNet50()) }},
+		&modelWorkload{"onnx:encoder-full", "Transformer encoder layer", "model:Transformer-encoder/full", []int{256, 512, 768, 1024, 2048},
+			func() (*core.TaskGraph, error) { return onnx.TransformerEncoder(onnx.BaseEncoder()) }},
+	}
+	otherModels = []Workload{
+		&modelWorkload{"onnx:vgg", "VGG-16", "model:VGG-16/tiny", []int{64, 128, 256},
+			func() (*core.TaskGraph, error) { return onnx.VGG(onnx.TinyVGG()) }},
+		&modelWorkload{"onnx:vgg-full", "VGG-16", "model:VGG-16/full", []int{512, 1024, 2048},
+			func() (*core.TaskGraph, error) { return onnx.VGG(onnx.FullVGG16()) }},
+		&modelWorkload{"onnx:mlp", "MLP", "model:MLP/tiny", []int{16, 32, 64},
+			func() (*core.TaskGraph, error) {
+				return onnx.MLP(onnx.MLPConfig{Batch: 64, Layers: []int64{256, 512, 512, 128, 10}})
+			}},
+		// The million-task deep MLP is deliberately outside the scale
+		// experiment's job list — building a ~10^6-node model graph is
+		// itself seconds of work — and is exercised by the scale-smoke
+		// pipeline test instead.
+		&modelWorkload{"onnx:mlp-deep", "MLP", "model:MLP/deep", []int{256},
+			func() (*core.TaskGraph, error) { return onnx.MLP(onnx.DeepMLP(980, 512, 64)) }},
+	}
 )
 
-// RegisterWorkload adds a workload to the registry, panicking on an empty
-// name or a duplicate registration: workload graph IDs address persistent
-// artifacts, so two sources under one name would silently corrupt them.
-func RegisterWorkload(w Workload) {
-	name := w.Name()
-	if name == "" {
-		panic("experiments: RegisterWorkload: empty workload name")
+// workloadTable lists every workload. Names are unique
+// (TestTableNamesUnique); LookupWorkload and WorkloadNames read it.
+var workloadTable = slices.Concat(asWorkloads(ablationFamilies), table2Tiny, table2Full, otherModels, asWorkloads(scaleFamilies))
+
+// asWorkloads widens a slice of one workload implementation.
+func asWorkloads[W Workload](ws []W) []Workload {
+	out := make([]Workload, len(ws))
+	for i, w := range ws {
+		out[i] = w
 	}
-	if _, dup := workloadRegistry[name]; dup {
-		panic(fmt.Sprintf("experiments: RegisterWorkload(%q): already registered", name))
-	}
-	workloadRegistry[name] = w
-	workloadOrder = append(workloadOrder, name)
+	return out
 }
 
-// LookupWorkload returns the registered workload with the given name.
+// LookupWorkload returns the workload with the given name.
 func LookupWorkload(name string) (Workload, error) {
-	w, ok := workloadRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q (see -list-variants)", name)
+	for _, w := range workloadTable {
+		if w.Name() == name {
+			return w, nil
+		}
 	}
-	return w, nil
+	return nil, fmt.Errorf("unknown workload %q (see -list-variants)", name)
 }
 
-// mustWorkload is LookupWorkload for compile paths whose names are
-// registered by this package itself.
-func mustWorkload(name string) Workload {
-	w, err := LookupWorkload(name)
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
-// WorkloadNames returns every registered workload name, sorted.
+// WorkloadNames returns every workload name, sorted.
 func WorkloadNames() []string {
-	names := append([]string(nil), workloadOrder...)
+	names := make([]string, len(workloadTable))
+	for i, w := range workloadTable {
+		names[i] = w.Name()
+	}
 	sort.Strings(names)
 	return names
 }
 
-// sweepWorkloadNames lists the synthetic sweep families in the canonical
-// order of the paper's figures; SweepWorkloads resolves them.
-var sweepWorkloadNames = []string{"synth:chain", "synth:fft", "synth:gaussian", "synth:cholesky"}
-
-// SweepWorkloads returns the four synthetic families of the Figure 10-13
-// sweeps, in figure order.
-func SweepWorkloads() []Workload {
-	ws := make([]Workload, len(sweepWorkloadNames))
-	for i, name := range sweepWorkloadNames {
-		ws[i] = mustWorkload(name)
-	}
-	return ws
-}
-
-// mustBuildWorkload adapts a workload instance to the infallible builder the
+// buildFunc adapts a workload instance to the infallible builder the
 // GraphCache expects. Synthetic generators cannot fail; a static model graph
 // failing to build is a bug in its fixed configuration.
-func mustBuildWorkload(w Workload, opt Options, g int) func() *core.TaskGraph {
+func buildFunc(w Workload, opt Options, g int) func() *core.TaskGraph {
 	return func() *core.TaskGraph {
 		tg, err := w.Build(opt, g)
 		if err != nil {
@@ -108,9 +132,9 @@ func mustBuildWorkload(w Workload, opt Options, g int) func() *core.TaskGraph {
 	}
 }
 
-// synthWorkload adapts one Topology (a seeded random family) to the workload
-// registry. Instance g of a run is built from seed opt.Seed+g, exactly as
-// the sequential references do.
+// synthWorkload adapts one Topology (a seeded random family) to the
+// workload table. Instance g of a run is built from seed opt.Seed+g,
+// exactly as the sequential references do.
 type synthWorkload struct {
 	key  string
 	topo Topology

@@ -1,4 +1,4 @@
-package retry
+package httpapi
 
 import (
 	"testing"
@@ -10,8 +10,8 @@ import (
 // to cap.
 func TestSeededBackoffIsDeterministicAndBounded(t *testing.T) {
 	base, cap := 100*time.Millisecond, time.Second
-	a := New(base, cap, 42)
-	b := New(base, cap, 42)
+	a := newBackoff(base, cap, 42)
+	b := newBackoff(base, cap, 42)
 	ceil := base
 	for i := 0; i < 20; i++ {
 		wa, wb := a.Next(), b.Next()
@@ -33,7 +33,7 @@ func TestSeededBackoffIsDeterministicAndBounded(t *testing.T) {
 // The ceiling saturates at the cap instead of growing (or overflowing)
 // forever.
 func TestBackoffCapsAndSurvivesOverflow(t *testing.T) {
-	b := New(time.Millisecond, 8*time.Millisecond, 1)
+	b := newBackoff(time.Millisecond, 8*time.Millisecond, 1)
 	// Burn through the ramp; after it the ceiling must stay at the cap.
 	for i := 0; i < 200; i++ {
 		if w := b.Next(); w > 8*time.Millisecond {
@@ -42,7 +42,7 @@ func TestBackoffCapsAndSurvivesOverflow(t *testing.T) {
 	}
 	// A huge base shifted repeatedly would overflow time.Duration; Next
 	// must clamp to the cap, never return a negative or zero wait.
-	h := New(time.Hour, 2*time.Hour, 1)
+	h := newBackoff(time.Hour, 2*time.Hour, 1)
 	for i := 0; i < 80; i++ {
 		if w := h.Next(); w <= 0 || w > 2*time.Hour {
 			t.Fatalf("step %d: wait %v out of range after potential overflow", i, w)
@@ -51,22 +51,22 @@ func TestBackoffCapsAndSurvivesOverflow(t *testing.T) {
 }
 
 func TestBackoffDefaultsAndReset(t *testing.T) {
-	b := New(0, 0, 7)
-	if w := b.Next(); w < DefaultBase/2 || w > DefaultBase {
-		t.Fatalf("first default wait %v outside [%v, %v]", w, DefaultBase/2, DefaultBase)
+	b := newBackoff(0, 0, 7)
+	if w := b.Next(); w < defaultBase/2 || w > defaultBase {
+		t.Fatalf("first default wait %v outside [%v, %v]", w, defaultBase/2, defaultBase)
 	}
 	for i := 0; i < 50; i++ {
-		if w := b.Next(); w > DefaultCap {
-			t.Fatalf("default wait %v exceeds DefaultCap %v", w, DefaultCap)
+		if w := b.Next(); w > defaultCap {
+			t.Fatalf("default wait %v exceeds defaultCap %v", w, defaultCap)
 		}
 	}
 	b.Reset()
-	if w := b.Next(); w > DefaultBase {
-		t.Fatalf("wait %v after Reset, want back on the %v base rung", w, DefaultBase)
+	if w := b.Next(); w > defaultBase {
+		t.Fatalf("wait %v after Reset, want back on the %v base rung", w, defaultBase)
 	}
 
 	// A cap below the base is raised to the base rather than inverted.
-	c := New(time.Second, time.Millisecond, 3)
+	c := newBackoff(time.Second, time.Millisecond, 3)
 	if w := c.Next(); w < time.Second/2 || w > time.Second {
 		t.Fatalf("wait %v with cap<base, want within [0.5s, 1s]", w)
 	}

@@ -3,7 +3,7 @@
 // (internal/distrib): one codec with bounded request bodies, one error
 // type, one error-body shape, bearer-token auth, the serve-until-done
 // lifecycle, and on the client side one single-attempt call and one
-// retry loop. Every non-2xx answer of either server carries the body
+// retry loop with seeded, capped exponential backoff. Every non-2xx answer of either server carries the body
 //
 //	{"error": "<message>"}
 //
@@ -26,8 +26,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/retry"
 )
 
 // Error is a non-2xx HTTP answer. A handler returns one to choose the
@@ -275,12 +273,12 @@ func responseError(req *http.Request, resp *http.Response) *Error {
 }
 
 // Retry is a retry policy: which failures to retry, for how long, and
-// the internal/retry backoff between attempts.
+// the capped, jittered exponential backoff (backoff.go) between attempts.
 type Retry struct {
 	// Budget bounds the time from the first attempt after which no retry
 	// starts; <= 0 allows a single attempt.
 	Budget time.Duration
-	// Base, Cap and Seed configure the backoff (retry.New).
+	// Base, Cap and Seed configure the backoff (newBackoff).
 	Base, Cap time.Duration
 	Seed      int64
 	// Retryable approves retrying an attempt's error.
@@ -294,7 +292,7 @@ type Retry struct {
 // carried; one timer serves every wait.
 func (p Retry) Do(ctx context.Context, attempt func() error) error {
 	deadline := time.Now().Add(p.Budget)
-	var bo *retry.Backoff
+	var bo *backoff
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -307,7 +305,7 @@ func (p Retry) Do(ctx context.Context, attempt func() error) error {
 			return err
 		}
 		if bo == nil {
-			bo = retry.New(p.Base, p.Cap, p.Seed)
+			bo = newBackoff(p.Base, p.Cap, p.Seed)
 		}
 		wait := bo.Next()
 		var e *Error

@@ -19,7 +19,7 @@
 //
 // Entry points: ResNet50, TransformerEncoder, MLP, and VGG build frozen
 // model graphs from their Config shapes (Table 2 uses the first two, at
-// tiny and full sizes; the experiment layer registers them as onnx:*
+// tiny and full sizes; the experiment layer lists them as onnx:*
 // workloads); Builder is the operator-level API new models compose.
 // Construction is deterministic in the config — no randomness — so model
 // cells are shared across runs through the content-addressed results cache.

@@ -30,7 +30,7 @@ type Meta struct {
 	Experiments []ExpMeta `json:"experiments"`
 	// Variants maps each evaluation procedure the run's experiments dispatch
 	// to onto the value names its cells may carry, as declared by the
-	// variant registry. A merge rejects cells carrying values outside their
+	// variant table. A merge rejects cells carrying values outside their
 	// variant's declaration — a cheap end-to-end check that a shard was
 	// produced by the same evaluation code.
 	Variants map[string][]string `json:"variants,omitempty"`

@@ -1,15 +1,140 @@
-package kernels
+package schedule_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/buffers"
 	"repro/internal/core"
 	"repro/internal/desim"
-
+	"repro/internal/graph"
 	"repro/internal/schedule"
 )
+
+// The canonical task graphs of the operations worked through in Section 3.2
+// of the paper: the outer product (Figure 2) and vector normalization
+// (Figure 4). Each operation comes in the paper's implementation variants,
+// which trade streaming opportunities against buffer space; the tests below
+// pin how they schedule, size their buffers and simulate. Matrix-matrix
+// multiplication variants live in package onnx and in examples/matmul.
+
+// OuterProductVariant selects one of the Figure 2 implementations.
+type OuterProductVariant int
+
+const (
+	// OuterRowMajor (Figure 2, graph 1) replicates every element of u
+	// through an upsampler and buffers v; u streams, and A comes out
+	// row-major.
+	OuterRowMajor OuterProductVariant = iota
+	// OuterColMajor (graph 2) is the symmetric implementation: v streams
+	// and A comes out column-major.
+	OuterColMajor
+	// OuterBuffered (graph 3) buffers both inputs; only the result can
+	// stream.
+	OuterBuffered
+)
+
+// OuterProduct builds A[n,m] = u[n] (x) v[m]^T as a canonical task graph.
+// The returned sink receives the n*m result elements.
+func OuterProduct(variant OuterProductVariant, n, m int64) (*core.TaskGraph, graph.NodeID, error) {
+	if n < 1 || m < 1 {
+		return nil, 0, fmt.Errorf("kernels: outer product needs positive sizes, got %d x %d", n, m)
+	}
+	tg := core.New()
+	u := tg.AddSource("u", n)
+	v := tg.AddSource("v", m)
+	var mul graph.NodeID
+
+	switch variant {
+	case OuterRowMajor:
+		// Every element of u is replicated m times; v is read n times from
+		// a buffer.
+		up := tg.AddCompute("rep.u", n, n*m)
+		bv := tg.AddBuffer("v.buf", m, n*m)
+		mul = tg.AddElementWise("mul", n*m)
+		tg.MustConnect(u, up)
+		tg.MustConnect(v, bv)
+		tg.MustConnect(up, mul)
+		tg.MustConnect(bv, mul)
+	case OuterColMajor:
+		up := tg.AddCompute("rep.v", m, n*m)
+		bu := tg.AddBuffer("u.buf", n, n*m)
+		mul = tg.AddElementWise("mul", n*m)
+		tg.MustConnect(v, up)
+		tg.MustConnect(u, bu)
+		tg.MustConnect(up, mul)
+		tg.MustConnect(bu, mul)
+	case OuterBuffered:
+		bu := tg.AddBuffer("u.buf", n, n*m)
+		bv := tg.AddBuffer("v.buf", m, n*m)
+		mul = tg.AddElementWise("mul", n*m)
+		tg.MustConnect(u, bu)
+		tg.MustConnect(v, bv)
+		tg.MustConnect(bu, mul)
+		tg.MustConnect(bv, mul)
+	default:
+		return nil, 0, fmt.Errorf("kernels: unknown outer product variant %d", variant)
+	}
+
+	sink := tg.AddSink("A", n*m)
+	tg.MustConnect(mul, sink)
+	if err := tg.Freeze(); err != nil {
+		return nil, 0, err
+	}
+	return tg, sink, nil
+}
+
+// VectorNormVariant selects one of the Figure 4 implementations of
+// y = x / ||x||.
+type VectorNormVariant int
+
+const (
+	// NormBuffered (Figure 4, graph 1) stores x in a buffer read twice:
+	// once by the norm reduction, once by the division. No pipelining
+	// between the two phases.
+	NormBuffered VectorNormVariant = iota
+	// NormStreamed (graph 2) streams x directly to both the reduction and
+	// the element-wise division. This pipelines, but the edge carrying x to
+	// the division needs n elements of FIFO space or the graph deadlocks —
+	// the situation Section 6 sizes for.
+	NormStreamed
+)
+
+// VectorNorm builds the normalization of an n-element vector.
+func VectorNorm(variant VectorNormVariant, n int64) (*core.TaskGraph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("kernels: vector norm needs a positive size, got %d", n)
+	}
+	tg := core.New()
+	x := tg.AddSource("x", n)
+	nrm := tg.AddCompute("nrm", n, 1)
+	bn := tg.AddBuffer("nrm.buf", 1, n)
+	div := tg.AddElementWise("div", n)
+	y := tg.AddSink("y", n)
+
+	switch variant {
+	case NormBuffered:
+		bx := tg.AddBuffer("x.buf", n, n)
+		tg.MustConnect(x, bx)
+		tg.MustConnect(x, nrm)
+		tg.MustConnect(bx, div)
+	case NormStreamed:
+		rep := tg.AddElementWise("tee", n)
+		tg.MustConnect(x, rep)
+		tg.MustConnect(rep, nrm)
+		tg.MustConnect(rep, div)
+	default:
+		return nil, fmt.Errorf("kernels: unknown vector norm variant %d", variant)
+	}
+	tg.MustConnect(nrm, bn)
+	tg.MustConnect(bn, div)
+	tg.MustConnect(div, y)
+	if err := tg.Freeze(); err != nil {
+		return nil, err
+	}
+	return tg, nil
+}
 
 func scheduleAll(t *testing.T, tg *core.TaskGraph) *schedule.Result {
 	t.Helper()

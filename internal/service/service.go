@@ -9,8 +9,8 @@
 //
 // The protocol is three endpoints:
 //
-//	POST /v1/submit       submit one graph (inline JSON or a registered
-//	                      workload name) for scheduling; 429 + Retry-After
+//	POST /v1/submit       submit one graph (inline JSON or a workload
+//	                      name of the experiment tables) for scheduling; 429 + Retry-After
 //	                      when the admission queue is full
 //	GET  /v1/result/{id}  the job's state and, once done, its schedule
 //	                      report; ?wait=<dur> long-polls until completion
@@ -135,7 +135,7 @@ type SubmitRequest struct {
 	// JSON field wins when both are set). Empty means DefaultTenant, so
 	// legacy clients keep working unchanged.
 	Tenant string `json:"tenant,omitempty"`
-	// Workload names a registered workload ("synth:fft", "onnx:mlp", ...;
+	// Workload names a workload of the experiment tables ("synth:fft", "onnx:mlp", ...;
 	// see streamsched -list-variants). Synthetic families build instance 0
 	// at Seed under the default volume config, so equal (workload, seed)
 	// submissions are the same graph.
@@ -936,7 +936,7 @@ type rejection struct {
 }
 
 // maxSubmitBody caps a submission body. Inline graphs are the only big
-// field, and even the XL workload families are registered by name rather
+// field, and even the XL workload families are selected by name rather
 // than posted — 8 MiB is room for any sane inline graph while keeping a
 // hostile client from buffering the service into an OOM.
 const maxSubmitBody = 8 << 20

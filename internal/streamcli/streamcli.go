@@ -93,8 +93,8 @@ func ParseTenantMix(s string) ([]service.TenantShare, error) {
 }
 
 // LoadGraph builds the task graph selected by exactly one of path (a JSON
-// graph file), synthName (a generated topology), or model (a registered
-// onnx:* workload). size and seed parameterize the synthetic generators;
+// graph file), synthName (a generated topology), or model (an onnx:*
+// workload of the experiment tables). size and seed parameterize the synthetic generators;
 // model graphs are static and ignore both.
 func LoadGraph(path, synthName, model string, size int, seed int64) (*core.TaskGraph, error) {
 	selected := 0
@@ -116,7 +116,7 @@ func LoadGraph(path, synthName, model string, size int, seed int64) (*core.TaskG
 	}
 	if model != "" {
 		// Model graphs come from the experiment pipeline's workload
-		// registry ("onnx:<name>"), the same sources Table 2 evaluates.
+		// table ("onnx:<name>"), the same sources Table 2 evaluates.
 		w, err := experiments.LookupWorkload("onnx:" + model)
 		if err != nil {
 			return nil, fmt.Errorf("unknown model %q (see -list-variants)", model)
@@ -248,7 +248,7 @@ func PrintSim(w io.Writer, ev experiments.Evaluation) {
 	}
 }
 
-// ListVariants writes the three registries of the shared experiment
+// ListVariants writes the three tables of the shared experiment
 // pipeline — the -list-variants output of both commands: experiments in
 // render order with their variants, then every variant with its declared
 // metric keys, then every workload with its family and PE sweep.
@@ -267,7 +267,7 @@ func ListVariants(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "  %-14s %s\n", name, strings.Join(v.Metrics(), ", "))
+		fmt.Fprintf(w, "  %-14s %s\n", name, strings.Join(v.Metrics, ", "))
 	}
 	fmt.Fprintln(w, "\nworkloads:")
 	for _, name := range experiments.WorkloadNames() {
