@@ -73,7 +73,6 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/experiments"
 	"repro/internal/results"
-	"repro/internal/streamcli"
 )
 
 // config is the parsed command line: every flag's value, the names of the
@@ -152,6 +151,9 @@ var modeFlags = map[string]struct {
 		" (workers run in -agent processes)"},
 	"-merge":                 {[]string{"merge"}, " (the artifacts' metadata defines the run)"},
 	"-cache-stats/-cache-gc": {[]string{"cache", "cache-stats", "cache-gc"}, ""},
+	"a local run": {[]string{"exp", "graphs", "seed", "quick", "full-models", "workers", "shard",
+		"out", "cache", "report", "cpuprofile", "memprofile"},
+		" (it applies to a coordinator or its clients)"},
 }
 
 // checkModeFlags rejects the first explicitly set flag, in name order,
@@ -199,7 +201,8 @@ func run(c config) error {
 	}
 
 	if c.list {
-		return streamcli.ListVariants(os.Stdout)
+		experiments.ListVariants(os.Stdout)
+		return nil
 	}
 	if c.status != "" {
 		if err := checkModeFlags("-status", c.explicit); err != nil {
@@ -219,9 +222,6 @@ func run(c config) error {
 		}
 		return runServe(c)
 	}
-	if c.snapshotEvery != 0 || c.stateDir != "" {
-		return fmt.Errorf("-state/-snapshot-every only apply to -serve")
-	}
 	if c.merge {
 		// Merge mode takes its entire configuration from the artifacts'
 		// metadata.
@@ -236,6 +236,9 @@ func run(c config) error {
 			return err
 		}
 		return runCacheMaintenance(c.cacheDir, c.cacheStats, c.cacheGC)
+	}
+	if err := checkModeFlags("a local run", c.explicit); err != nil {
+		return err
 	}
 	if len(c.args) > 0 {
 		return fmt.Errorf("unexpected arguments %q (artifact files go with -merge)", c.args)

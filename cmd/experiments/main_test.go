@@ -27,6 +27,8 @@ func TestModeFlags(t *testing.T) {
 			"-exp has no effect with -cache-stats/-cache-gc"},
 		{"-cache-stats/-cache-gc", config{cacheGC: time.Hour, cacheDir: cacheDir}, []string{"workers"},
 			"-workers has no effect with -cache-stats/-cache-gc"},
+		{"a local run", config{}, []string{"lease-timeout", "batch", "worker-id", "token"},
+			"-batch has no effect with a local run (it applies to a coordinator or its clients)"},
 	} {
 		m, ok := modeFlags[tc.mode]
 		if !ok {
@@ -53,10 +55,14 @@ func TestModeFlags(t *testing.T) {
 // TestStateNeedsServe: the coordinator's journal flags outside -serve are
 // an error, not a silent no-op.
 func TestStateNeedsServe(t *testing.T) {
-	for _, c := range []config{{stateDir: t.TempDir()}, {snapshotEvery: 8}} {
-		c.explicit = map[string]bool{"state": c.stateDir != "", "snapshot-every": c.snapshotEvery != 0}
-		if err := run(c); err == nil || err.Error() != "-state/-snapshot-every only apply to -serve" {
-			t.Errorf("%+v: err %v", c, err)
+	for _, tc := range []struct {
+		c    config
+		flag string
+	}{{config{stateDir: t.TempDir()}, "state"}, {config{snapshotEvery: 8}, "snapshot-every"}} {
+		tc.c.explicit = map[string]bool{tc.flag: true}
+		want := "-" + tc.flag + " has no effect with a local run (it applies to a coordinator or its clients)"
+		if err := run(tc.c); err == nil || err.Error() != want {
+			t.Errorf("-%s: err %v, want %q", tc.flag, err, want)
 		}
 	}
 }

@@ -176,27 +176,69 @@ func FuzzDecodeJSONVsReference(f *testing.F) {
 
 // TestDecodeJSONAdversarialScale decodes a 10^5-fan-out star and 10^5
 // duplicate edges: no decode step may scan a node's adjacency once per
-// edge, so both stay far below a second.
+// edge. The bound is a ratio against a same-size chain, where every node
+// has degree one, decoded in the same test: a per-edge adjacency scan makes
+// the star ~10^4 times the chain's work, while machine load slows both.
 func TestDecodeJSONAdversarialScale(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		in    string
-		edges int
-	}{
-		{"star", star(100_000, false), 100_000},
-		{"duplicates", star(100_000, true), 100_000},
-	} {
-		start := time.Now()
-		tg, err := core.DecodeJSON(strings.NewReader(tc.in))
-		elapsed := time.Since(start)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	const k, maxRatio = 100_000, 5
+	for _, dup := range []bool{false, true} {
+		in, control := star(k, dup), chain(k, dup)
+		var starTime, chainTime time.Duration
+		for rep := 0; rep < 2; rep++ {
+			d, tg := timedDecode(t, in)
+			if tg.G.NumEdges() != k || tg.G.OutDegree(0) != k {
+				t.Fatalf("dup=%v: %d edges, out-degree %d, want %d", dup, tg.G.NumEdges(), tg.G.OutDegree(0), k)
+			}
+			starTime = minPositive(starTime, d)
+			d, tg = timedDecode(t, control)
+			if tg.G.NumEdges() != k || tg.G.OutDegree(0) != 1 {
+				t.Fatalf("dup=%v control: %d edges, out-degree %d", dup, tg.G.NumEdges(), tg.G.OutDegree(0))
+			}
+			chainTime = minPositive(chainTime, d)
 		}
-		if tg.G.NumEdges() != tc.edges || tg.G.OutDegree(0) != tc.edges {
-			t.Fatalf("%s: %d edges, out-degree %d, want %d", tc.name, tg.G.NumEdges(), tg.G.OutDegree(0), tc.edges)
-		}
-		if elapsed > time.Second {
-			t.Errorf("%s: decode took %v", tc.name, elapsed)
+		t.Logf("dup=%v: star %v, chain %v", dup, starTime, chainTime)
+		if starTime > maxRatio*chainTime {
+			t.Errorf("dup=%v: star decode %v is over %dx the degree-1 chain's %v", dup, starTime, maxRatio, chainTime)
 		}
 	}
+}
+
+// chain is star's degree-1 control: the same node count, node records and
+// edge count (duplicated when dup), as a path 0 -> 1 -> ... -> k.
+func chain(k int, dup bool) string {
+	var b strings.Builder
+	b.WriteString(`{"nodes":[{"kind":"source","out":4}`)
+	for i := 0; i < k; i++ {
+		b.WriteString(`,{"kind":"compute","in":4,"out":4}`)
+	}
+	b.WriteString(`],"edges":[`)
+	for i := 1; i <= k; i++ {
+		if i > 1 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "[%d,%d]", i-1, i)
+		if dup {
+			fmt.Fprintf(&b, ",[%d,%d]", i-1, i)
+		}
+	}
+	b.WriteString(`]}`)
+	return b.String()
+}
+
+func timedDecode(t *testing.T, in string) (time.Duration, *core.TaskGraph) {
+	t.Helper()
+	start := time.Now()
+	tg, err := core.DecodeJSON(strings.NewReader(in))
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return elapsed, tg
+}
+
+func minPositive(a, b time.Duration) time.Duration {
+	if a == 0 || b < a {
+		return b
+	}
+	return a
 }

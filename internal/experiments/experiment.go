@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/results"
 )
@@ -127,4 +128,29 @@ func ExperimentNames() []string {
 		names[i] = e.Name
 	}
 	return names
+}
+
+// ListVariants writes the three tables of the experiment pipeline — the
+// -list-variants output of both commands: experiments in render order with
+// their variants, then every variant with its declared metric keys, then
+// every workload with its family and PE sweep.
+func ListVariants(w io.Writer) {
+	fmt.Fprintln(w, "experiments (render order):")
+	for _, e := range experimentTable {
+		fmt.Fprintf(w, "  %-10s variants: %s\n", e.Name, strings.Join(e.Variants, ", "))
+	}
+	fmt.Fprintln(w, "\nvariants (cell metrics):")
+	for _, name := range VariantNames() {
+		v, _ := LookupVariant(name)
+		fmt.Fprintf(w, "  %-14s %s\n", name, strings.Join(v.Metrics, ", "))
+	}
+	fmt.Fprintln(w, "\nworkloads:")
+	for _, name := range WorkloadNames() {
+		wl, _ := LookupWorkload(name)
+		pes := make([]string, 0, len(wl.PEs()))
+		for _, p := range wl.PEs() {
+			pes = append(pes, fmt.Sprint(p))
+		}
+		fmt.Fprintf(w, "  %-18s %-26s PEs %s\n", name, wl.Family(), strings.Join(pes, ","))
+	}
 }

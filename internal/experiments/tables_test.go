@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -212,6 +213,24 @@ func TestVariantMetricsCoverProducedValues(t *testing.T) {
 				t.Errorf("cell %s carries undeclared value %q (variant %q declares %v)",
 					c.Key, name, c.Key.Variant, v.Metrics)
 			}
+		}
+	}
+}
+
+func TestListVariants(t *testing.T) {
+	var buf bytes.Buffer
+	ListVariants(&buf)
+	for _, want := range []string{"experiments (render order):", "fig13      variants: ",
+		"variants (cell metrics):", "workloads:", "synth:fft", "onnx:mlp"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("missing %q in listing", want)
+		}
+	}
+	// Every workload row carries its PE sweep.
+	_, rows, _ := strings.Cut(buf.String(), "workloads:\n")
+	for _, row := range strings.Split(strings.TrimRight(rows, "\n"), "\n") {
+		if _, pes, ok := strings.Cut(row, " PEs "); !ok || pes == "" {
+			t.Errorf("workload row without a PE column: %q", row)
 		}
 	}
 }

@@ -435,47 +435,3 @@ func (g *DAG) WCC() (comp []int, count int) {
 	}
 	return comp, count
 }
-
-// Induced returns the subgraph induced by keep (nodes where keep[v] is true)
-// along with the mapping orig -> new ID (InvalidNode for dropped nodes) and
-// new -> orig.
-func (g *DAG) Induced(keep []bool) (sub *DAG, toSub []NodeID, toOrig []NodeID) {
-	if len(keep) != g.n {
-		panic("graph: Induced keep length mismatch")
-	}
-	sub = New()
-	toSub = make([]NodeID, g.n)
-	for v := 0; v < g.n; v++ {
-		if keep[v] {
-			toSub[v] = sub.AddNode()
-			toOrig = append(toOrig, NodeID(v))
-		} else {
-			toSub[v] = InvalidNode
-		}
-	}
-	for u := 0; u < g.n; u++ {
-		if !keep[u] {
-			continue
-		}
-		vols := g.SuccVolumes(NodeID(u))
-		for i, v := range g.Succs(NodeID(u)) {
-			if keep[v] {
-				sub.MustEdge(toSub[u], toSub[v], vols[i])
-			}
-		}
-	}
-	return sub, toSub, toOrig
-}
-
-// Clone returns a deep copy of the graph in an unfrozen state.
-func (g *DAG) Clone() *DAG {
-	g.fold()
-	clone := func(a adjacency) adjacency {
-		return adjacency{
-			off:  append([]int(nil), a.off...),
-			ids:  append([]NodeID(nil), a.ids...),
-			vols: append([]int64(nil), a.vols...),
-		}
-	}
-	return &DAG{n: g.n, out: clone(g.out), in: clone(g.in)}
-}

@@ -168,47 +168,6 @@ func TestLongestPathAndBottomLevels(t *testing.T) {
 	}
 }
 
-func TestInduced(t *testing.T) {
-	g := New()
-	a, b, c := g.AddNode(), g.AddNode(), g.AddNode()
-	g.MustEdge(a, b, 3)
-	g.MustEdge(b, c, 4)
-	sub, toSub, toOrig := g.Induced([]bool{true, true, false})
-	if sub.Len() != 2 || sub.NumEdges() != 1 {
-		t.Fatalf("induced: %d nodes %d edges", sub.Len(), sub.NumEdges())
-	}
-	if sub.Volume(toSub[a], toSub[b]) != 3 {
-		t.Errorf("induced volume lost")
-	}
-	if toSub[c] != InvalidNode || toOrig[0] != a {
-		t.Errorf("mappings wrong: %v %v", toSub, toOrig)
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := New()
-	a, b, c, d := g.AddNode(), g.AddNode(), g.AddNode(), g.AddNode()
-	g.MustEdge(a, b, 1)
-	g.MustEdge(b, c, 1)
-	_ = d
-	r := g.Reachable(a)
-	if !r[b] || !r[c] || r[d] || r[a] {
-		t.Errorf("reachable = %v", r)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := New()
-	a, b := g.AddNode(), g.AddNode()
-	g.MustEdge(a, b, 1)
-	c := g.Clone()
-	c.AddNode()
-	c.MustEdge(a, NodeID(2), 9)
-	if g.Len() != 2 || g.NumEdges() != 1 {
-		t.Errorf("clone mutation leaked into original")
-	}
-}
-
 func TestFreezeBlocksMutation(t *testing.T) {
 	g := New()
 	g.AddNode()

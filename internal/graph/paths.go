@@ -95,25 +95,6 @@ func (g *DAG) BottomLevels(weight []float64) []float64 {
 	return bl
 }
 
-// Reachable returns the set of nodes reachable from v (excluding v itself)
-// as a boolean slice.
-func (g *DAG) Reachable(v NodeID) []bool {
-	g.fold()
-	seen := make([]bool, g.n)
-	stack := []NodeID{v}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.out.nbrs(u) {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return seen
-}
-
 // DOT renders the graph in Graphviz DOT format. label may be nil, in which
 // case node IDs are used.
 func (g *DAG) DOT(name string, label func(NodeID) string) string {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -111,6 +112,58 @@ type TenantShare struct {
 	// tenant's submissions (how a mix models one tenant submitting
 	// larger graphs than another).
 	Workload string `json:"workload,omitempty"`
+}
+
+// ParseTenantMix parses the -tenant-mix flag: comma-separated
+// name=share[@slo_ms][/workload] entries, e.g.
+//
+//	interactive=3@50,batch=1/synth:cholesky
+//
+// Shares are relative weights (normalized over the mix); @slo_ms scores
+// the tenant's completed requests against a latency bound in the load
+// report; /workload overrides the base workload for that tenant's
+// submissions. "" means no mix.
+func ParseTenantMix(s string) ([]TenantShare, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return nil, nil
+	}
+	var mix []TenantShare
+	seen := make(map[string]bool)
+	for _, entry := range strings.Split(s, ",") {
+		entry = strings.TrimSpace(entry)
+		if entry == "" {
+			return nil, fmt.Errorf("tenant mix: empty entry")
+		}
+		name, val, ok := strings.Cut(entry, "=")
+		name = strings.TrimSpace(name)
+		if !ok || name == "" {
+			return nil, fmt.Errorf("tenant mix: entry %q is not name=share[@slo_ms][/workload]", entry)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("tenant mix: tenant %q listed twice", name)
+		}
+		seen[name] = true
+		ts := TenantShare{Name: name}
+		if val, ts.Workload, ok = strings.Cut(val, "/"); ok && ts.Workload == "" {
+			return nil, fmt.Errorf("tenant mix: tenant %q has an empty workload override", name)
+		}
+		shareStr, sloStr, hasSLO := strings.Cut(val, "@")
+		share, err := strconv.ParseFloat(strings.TrimSpace(shareStr), 64)
+		if err != nil || share <= 0 {
+			return nil, fmt.Errorf("tenant mix: tenant %q: share %q must be a positive number", name, shareStr)
+		}
+		ts.Share = share
+		if hasSLO {
+			slo, err := strconv.ParseFloat(strings.TrimSpace(sloStr), 64)
+			if err != nil || slo <= 0 {
+				return nil, fmt.Errorf("tenant mix: tenant %q: slo_ms %q must be a positive number", name, sloStr)
+			}
+			ts.SLOMs = slo
+		}
+		mix = append(mix, ts)
+	}
+	return mix, nil
 }
 
 // AssignTenants maps each of n request indices to a tenant of the mix,

@@ -393,3 +393,44 @@ func TestLoadAgainstLiveService(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestParseTenantMix(t *testing.T) {
+	mix, err := ParseTenantMix(" interactive=3@50, batch=1/synth:cholesky ,bg=0.5@10/onnx:mlp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []TenantShare{
+		{Name: "interactive", Share: 3, SLOMs: 50},
+		{Name: "batch", Share: 1, Workload: "synth:cholesky"},
+		{Name: "bg", Share: 0.5, SLOMs: 10, Workload: "onnx:mlp"},
+	}
+	if len(mix) != len(want) {
+		t.Fatalf("parsed %d entries, want %d: %+v", len(mix), len(want), mix)
+	}
+	for i := range want {
+		if mix[i] != want[i] {
+			t.Errorf("entry %d: %+v, want %+v", i, mix[i], want[i])
+		}
+	}
+
+	if mix, err := ParseTenantMix(""); err != nil || mix != nil {
+		t.Errorf("empty mix: %+v, %v", mix, err)
+	}
+
+	for _, bad := range []string{
+		"noshare",  // not name=share
+		"=3",       // empty name
+		"a=3,a=1",  // duplicate tenant
+		"a=0",      // zero share
+		"a=-1",     // negative share
+		"a=x",      // non-numeric share
+		"a=1@0",    // non-positive slo
+		"a=1@x",    // non-numeric slo
+		"a=1/",     // empty workload override
+		"a=1,,b=2", // empty entry
+	} {
+		if _, err := ParseTenantMix(bad); err == nil {
+			t.Errorf("mix %q accepted", bad)
+		}
+	}
+}

@@ -62,17 +62,21 @@ type SimReport struct {
 // reference the byte-identity tests compare service responses against;
 // service workers run the same packaging on their pooled contexts.
 func BuildReport(tg *core.TaskGraph, pes int, v schedule.Variant, varName string, simulate bool) (*ScheduleReport, error) {
-	return evalReport(experiments.NewEvalContext(), tg, pes, v, varName, simulate)
-}
-
-// evalReport evaluates one graph on ec and packages the result. The
-// report owns every slice it carries: BlockOf is cloned out of ec's
-// partition scratch, and ST/FO/LO/PE are owned by the schedule Result.
-func evalReport(ec *experiments.EvalContext, tg *core.TaskGraph, pes int, v schedule.Variant, varName string, simulate bool) (*ScheduleReport, error) {
+	ec := experiments.NewEvalContext()
 	ev, err := ec.Evaluate(tg, pes, v, simulate)
 	if err != nil {
 		return nil, err
 	}
+	return NewReport(ec, tg, pes, varName, ev), nil
+}
+
+// NewReport packages ev, the evaluation of tg on pes processing elements
+// that ec just produced, as the report of heuristic varName; it is the one
+// derivation of the summary metrics, behind the service and the batch CLI.
+// When ev did not simulate, ec's sizer computes the Equation 5 buffer
+// budget. The report owns every slice it carries: BlockOf is cloned out of
+// ec's partition scratch, and ST/FO/LO/PE are owned by the schedule Result.
+func NewReport(ec *experiments.EvalContext, tg *core.TaskGraph, pes int, varName string, ev experiments.Evaluation) *ScheduleReport {
 	res := ev.Res
 	rep := &ScheduleReport{
 		Nodes:          tg.Len(),
@@ -93,7 +97,7 @@ func evalReport(ec *experiments.EvalContext, tg *core.TaskGraph, pes int, v sche
 		LO:             res.LO,
 	}
 	sizes := ev.Sizes
-	if !simulate {
+	if ev.Sim == nil {
 		sizes = ec.Sizer.Sizes(tg, res)
 	}
 	rep.StreamingEdges = len(sizes)
@@ -107,5 +111,5 @@ func evalReport(ec *experiments.EvalContext, tg *core.TaskGraph, pes int, v sche
 			DeadlockCycle: st.DeadlockCycle,
 		}
 	}
-	return rep, nil
+	return rep
 }

@@ -112,10 +112,11 @@ func TestEvalReportReusesScratch(t *testing.T) {
 		var got []*ScheduleReport
 		var want [][]byte
 		for i, tg := range []*core.TaskGraph{large, small, large} {
-			rep, err := evalReport(ec, tg, 8, schedule.SBLTS, "lts", simulate)
+			ev, err := ec.Evaluate(tg, 8, schedule.SBLTS, simulate)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rep := NewReport(ec, tg, 8, "lts", ev)
 			ref, err := BuildReport(tg, 8, schedule.SBLTS, "lts", simulate)
 			if err != nil {
 				t.Fatal(err)

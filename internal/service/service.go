@@ -528,12 +528,15 @@ func (s *Service) run(j *job, ec *experiments.EvalContext) {
 		s.mu.Lock()
 		s.evals++
 		s.mu.Unlock()
-		rep, err = evalReport(ec, j.tg, j.pes, j.variant, j.varName, j.simulate)
-		if err == nil && s.opt.Cache != nil {
-			// Best effort: a failed write only costs a future
-			// re-evaluation.
-			if data, mErr := json.Marshal(rep); mErr == nil {
-				s.opt.Cache.PutBlob(reportBlobNS, j.cacheKey, data) //nolint:errcheck
+		var ev experiments.Evaluation
+		if ev, err = ec.Evaluate(j.tg, j.pes, j.variant, j.simulate); err == nil {
+			rep = NewReport(ec, j.tg, j.pes, j.varName, ev)
+			if s.opt.Cache != nil {
+				// Best effort: a failed write only costs a future
+				// re-evaluation.
+				if data, mErr := json.Marshal(rep); mErr == nil {
+					s.opt.Cache.PutBlob(reportBlobNS, j.cacheKey, data) //nolint:errcheck
+				}
 			}
 		}
 	}

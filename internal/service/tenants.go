@@ -144,6 +144,20 @@ func LoadTenantsFile(path string) (TenantsConfig, error) {
 	return cfg, nil
 }
 
+// ParseTenantsArg resolves the -tenants flag: inline JSON (starts with
+// '{') or a path to a tenants-config file. Both are validated the same
+// way; "" is the single-tenant default contract.
+func ParseTenantsArg(s string) (TenantsConfig, error) {
+	s = strings.TrimSpace(s)
+	switch {
+	case s == "":
+		return DefaultTenantsConfig(), nil
+	case strings.HasPrefix(s, "{"):
+		return ParseTenantsConfig([]byte(s))
+	}
+	return LoadTenantsFile(s)
+}
+
 // Load-shed policies: what happens when a submission arrives at a full
 // queue (open == QueueCap).
 const (

@@ -531,3 +531,44 @@ func TestAssignTenantsProportional(t *testing.T) {
 		}
 	}
 }
+
+func TestParseTenantsArg(t *testing.T) {
+	// Empty means the single-tenant default contract.
+	cfg, err := ParseTenantsArg("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Default.Weight != 1 || len(cfg.Tenants) != 0 {
+		t.Fatalf("empty arg: %+v", cfg)
+	}
+
+	// Inline JSON (leading '{') parses without touching the filesystem.
+	cfg, err = ParseTenantsArg(` {"default":{"weight":2},"tenants":{"gold":{"weight":3,"max_open":8}}}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Default.Weight != 2 || cfg.Tenants["gold"].MaxOpen != 8 {
+		t.Fatalf("inline arg: %+v", cfg)
+	}
+
+	// Anything else is a file path, validated the same way.
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(path, []byte(`{"tenants":{"bronze":{"weight":1,"slo_ms":50}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err = ParseTenantsArg(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Tenants["bronze"].SLOMs != 50 {
+		t.Fatalf("file arg: %+v", cfg)
+	}
+
+	// Errors surface from both paths: invalid inline config, missing file.
+	if _, err := ParseTenantsArg(`{"tenants":{"bad":{"weight":-1}}}`); err == nil {
+		t.Error("invalid inline config accepted")
+	}
+	if _, err := ParseTenantsArg(filepath.Join(t.TempDir(), "absent.json")); err == nil {
+		t.Error("missing file accepted")
+	}
+}
