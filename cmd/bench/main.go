@@ -16,16 +16,14 @@
 // the correction is clamped (a change that slows everything down cannot
 // normalize itself away) and -raw disables it. `make bench-diff` wires the
 // gate against the latest committed baseline; CI runs it with a loose
-// ns/op tolerance (wall-clock times do not transfer across machines) and
-// a strict allocs/op tolerance (allocation counts do).
+// ns/op tolerance (wall-clock times do not transfer across machines).
+// allocs/op must match exactly: allocation counts do transfer.
 //
 // Usage:
 //
 //	go run ./cmd/bench [-out FILE] [-bench regex] [-benchtime 50x]
 //	                   [-pkg ./,./internal/desim] [-timeout 30m]
-//	go run ./cmd/bench -diff latest [-against FILE] [-tolerance 10]
-//	                   [-alloc-tolerance 0] [-tolerance-for key=pct,...]
-//	                   [-allow regex,...]
+//	go run ./cmd/bench -diff latest [-against FILE] [-tolerance 10] [-raw]
 //
 // The snapshot format (schema streamsched-bench/v2) keys every benchmark by
 // its package import path so equally named benchmarks in different packages
@@ -195,15 +193,12 @@ func main() {
 	timeout := flag.String("timeout", "30m", "go test timeout")
 	diffBase := flag.String("diff", "", "baseline snapshot to gate against (\"latest\" resolves the highest BENCH_<N>.json); runs the benchmarks, compares, and exits 1 on any regression")
 	against := flag.String("against", "", "with -diff: gate this existing snapshot file instead of running the benchmarks")
-	tol := flag.Float64("tolerance", 10, "default ns/op regression tolerance, percent over baseline")
-	allocTol := flag.Float64("alloc-tolerance", 0, "allocs/op regression tolerance, percent over baseline (allocation counts are machine-independent, so the default is exact)")
-	tolFor := flag.String("tolerance-for", "", "per-benchmark ns/op tolerance overrides, comma-separated key=percent pairs (full v2 keys)")
-	allow := flag.String("allow", "", "comma-separated regexes of known-noisy benchmarks exempt from the ns/op gate (still alloc-gated)")
+	tol := flag.Float64("tolerance", 10, "ns/op regression tolerance, percent over baseline")
 	raw := flag.Bool("raw", false, "compare absolute ns/op without normalizing out suite-wide machine drift")
 	flag.Parse()
 
 	code, err := run(*out, *bench, *benchtime, *count, *pkgs, *timeout,
-		*diffBase, *against, *tol, *allocTol, *tolFor, *allow, *raw)
+		*diffBase, *against, *tol, *raw)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 	}
@@ -211,7 +206,7 @@ func main() {
 }
 
 func run(out, bench, benchtime string, count int, pkgs, timeout,
-	diffBase, against string, tol, allocTol float64, tolFor, allow string, raw bool) (int, error) {
+	diffBase, against string, tol float64, raw bool) (int, error) {
 
 	if diffBase == "" {
 		if against != "" {
@@ -234,11 +229,7 @@ func run(out, bench, benchtime string, count int, pkgs, timeout,
 		return 0, nil
 	}
 
-	opt, err := parseGateOpts(tol, allocTol, tolFor, allow)
-	if err != nil {
-		return 2, err
-	}
-	opt.raw = raw
+	opt := gateOpts{tolerance: tol, raw: raw}
 	if diffBase == "latest" {
 		name, _, err := latestBaseline(".")
 		if err != nil {
@@ -354,13 +345,10 @@ func readSnapshot(path string) (snapshot, error) {
 	return snap, nil
 }
 
-// gateOpts are the tolerances of one bench-diff comparison.
+// gateOpts are the settings of one bench-diff comparison.
 type gateOpts struct {
-	tolerance      float64            // ns/op regression tolerance, percent
-	allocTolerance float64            // allocs/op regression tolerance, percent
-	perBench       map[string]float64 // ns/op override per full v2 key
-	allow          []*regexp.Regexp   // ns/op-exempt benchmark keys
-	raw            bool               // skip machine-drift normalization
+	tolerance float64 // ns/op regression tolerance, percent
+	raw       bool    // skip machine-drift normalization
 }
 
 // Drift normalization bounds: the median new/baseline ns ratio is treated
@@ -401,42 +389,6 @@ func driftFactor(base, cur snapshot) float64 {
 	return mid
 }
 
-func parseGateOpts(tol, allocTol float64, tolFor, allow string) (gateOpts, error) {
-	opt := gateOpts{tolerance: tol, allocTolerance: allocTol, perBench: map[string]float64{}}
-	if tolFor != "" {
-		for _, pair := range strings.Split(tolFor, ",") {
-			k, v, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok {
-				return opt, fmt.Errorf("-tolerance-for: %q is not key=percent", pair)
-			}
-			pct, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return opt, fmt.Errorf("-tolerance-for %q: %w", pair, err)
-			}
-			opt.perBench[k] = pct
-		}
-	}
-	if allow != "" {
-		for _, pat := range strings.Split(allow, ",") {
-			re, err := regexp.Compile(strings.TrimSpace(pat))
-			if err != nil {
-				return opt, fmt.Errorf("-allow %q: %w", pat, err)
-			}
-			opt.allow = append(opt.allow, re)
-		}
-	}
-	return opt, nil
-}
-
-func (o *gateOpts) allowed(key string) bool {
-	for _, re := range o.allow {
-		if re.MatchString(key) {
-			return true
-		}
-	}
-	return false
-}
-
 // gateReport is the outcome of one comparison: human-readable lines plus
 // the keys that regressed.
 type gateReport struct {
@@ -445,9 +397,9 @@ type gateReport struct {
 }
 
 // compareSnapshots gates cur against base. A regression is a baseline
-// benchmark missing from cur, drift-adjusted ns/op above the
-// (per-benchmark) tolerance on a non-allowlisted benchmark, or allocs/op
-// above the alloc tolerance (allowlisting does not exempt allocations).
+// benchmark missing from cur, drift-adjusted ns/op above the tolerance,
+// or any growth in allocs/op (allocation counts are machine-independent,
+// so they must match exactly).
 // Benchmarks only in cur are reported but never fail; bytes_per_op is
 // never compared.
 func compareSnapshots(base, cur snapshot, opt gateOpts) (gateReport, error) {
@@ -490,22 +442,12 @@ func compareSnapshots(base, cur snapshot, opt gateOpts) (gateReport, error) {
 			continue
 		}
 		if b.NsPerOp > 0 {
-			tol := opt.tolerance
-			if t, ok := opt.perBench[key]; ok {
-				tol = t
-			}
-			pct := 100 * (c.NsPerOp/drift - b.NsPerOp) / b.NsPerOp
-			switch {
-			case pct > tol && opt.allowed(key):
-				rep.lines = append(rep.lines, fmt.Sprintf("allowed %s: ns/op +%.1f%% drift-adjusted (%.0f -> %.0f), over %.0f%% tolerance but allowlisted as noisy",
-					key, pct, b.NsPerOp, c.NsPerOp, tol))
-			case pct > tol:
-				fail(key, "ns/op +%.1f%% drift-adjusted (%.0f -> %.0f), tolerance %.0f%%", pct, b.NsPerOp, c.NsPerOp, tol)
+			if pct := 100 * (c.NsPerOp/drift - b.NsPerOp) / b.NsPerOp; pct > opt.tolerance {
+				fail(key, "ns/op +%.1f%% drift-adjusted (%.0f -> %.0f), tolerance %.0f%%", pct, b.NsPerOp, c.NsPerOp, opt.tolerance)
 			}
 		}
-		limit := float64(b.AllocsPerOp) * (1 + opt.allocTolerance/100)
-		if float64(c.AllocsPerOp) > limit {
-			fail(key, "allocs/op %d -> %d, tolerance %.0f%%", b.AllocsPerOp, c.AllocsPerOp, opt.allocTolerance)
+		if c.AllocsPerOp > b.AllocsPerOp {
+			fail(key, "allocs/op %d -> %d, must not grow", b.AllocsPerOp, c.AllocsPerOp)
 		}
 	}
 	extra := 0

@@ -180,49 +180,6 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 	}
 }
 
-func TestComparePerBenchToleranceAndAllowlist(t *testing.T) {
-	base := snap(map[string]result{
-		"repro/BenchmarkNoisy":  {NsPerOp: 1000},
-		"repro/BenchmarkCustom": {NsPerOp: 1000, AllocsPerOp: 1},
-	})
-	cur := snap(map[string]result{
-		"repro/BenchmarkNoisy":  {NsPerOp: 1800, AllocsPerOp: 0},
-		"repro/BenchmarkCustom": {NsPerOp: 1400, AllocsPerOp: 1},
-	})
-
-	// Default tolerance flags both.
-	rep, err := compareSnapshots(base, cur, gateOpts{tolerance: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.regressions) != 2 {
-		t.Fatalf("regressions = %v, want both", rep.regressions)
-	}
-
-	// A 50% override admits Custom; the allowlist exempts Noisy's timing.
-	opt, err := parseGateOpts(10, 0, "repro/BenchmarkCustom=50", "Noisy$")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err = compareSnapshots(base, cur, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.regressions) != 0 {
-		t.Fatalf("override + allowlist: regressions = %v, want none", rep.lines)
-	}
-
-	// The allowlist does not exempt allocation regressions.
-	cur.Benchmarks["repro/BenchmarkNoisy"] = result{NsPerOp: 1800, AllocsPerOp: 3}
-	rep, err = compareSnapshots(base, cur, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.regressions) != 1 {
-		t.Fatalf("allowlisted benchmark grew allocs: regressions = %v, want 1", rep.regressions)
-	}
-}
-
 func TestCompareNormalizesUniformDrift(t *testing.T) {
 	// Ten benchmarks, all 30% slower: suite-wide machine drift, not a
 	// regression. An eleventh that doubled has moved relative to the suite

@@ -128,11 +128,9 @@ func (h readyHeap) Less(i, j int) bool {
 	}
 	return h[i].node < h[j].node
 }
-func (h readyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)         { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() any           { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-func (h readyHeap) Peek() readyItem     { return h[0] }
-func (h *readyHeap) PopItem() readyItem { return heap.Pop(h).(readyItem) }
+func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *readyHeap) Push(x any)   { *h = append(*h, x.(readyItem)) }
+func (h *readyHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
 // Schedule computes the buffered-communication schedule of a canonical task
 // graph on p homogeneous PEs.
@@ -155,7 +153,6 @@ func Schedule(t *core.TaskGraph, p int, opt Options) (*Result, error) {
 	pes := make([]timeline, p)
 	remIn := make([]int, n)
 	finish := make([]float64, n)
-	scheduled := make([]bool, n)
 	ready := &readyHeap{}
 	for v := 0; v < n; v++ {
 		remIn[v] = t.G.InDegree(graph.NodeID(v))
@@ -166,8 +163,7 @@ func Schedule(t *core.TaskGraph, p int, opt Options) (*Result, error) {
 
 	done := 0
 	for ready.Len() > 0 {
-		it := ready.PopItem()
-		v := it.node
+		v := heap.Pop(ready).(readyItem).node
 		node := t.Nodes[v]
 
 		// Data-ready time: every predecessor has finished. The NoC is
@@ -204,7 +200,6 @@ func Schedule(t *core.TaskGraph, p int, opt Options) (*Result, error) {
 		if finish[v] > res.Makespan {
 			res.Makespan = finish[v]
 		}
-		scheduled[v] = true
 		done++
 
 		for _, w := range t.G.Succs(v) {

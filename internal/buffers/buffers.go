@@ -122,8 +122,8 @@ type Sizer struct {
 // against the peeling reference.
 func (s *Sizer) Sizes(t *core.TaskGraph, r *schedule.Result) []EdgeSpace {
 	n, blockOf := t.G.Len(), r.Partition.BlockOf
-	s.preds = scratch.GrowInt32s(s.preds, n)
-	s.maxFO = scratch.GrowFloats(s.maxFO, n)
+	s.preds = scratch.GrowSlice(s.preds, n)
+	s.maxFO = scratch.GrowSlice(s.maxFO, n)
 
 	// Delay paths can also run through in-block buffer nodes (Figure 4,
 	// graph 2: the norm value reaches the divider only after the whole

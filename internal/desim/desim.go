@@ -249,7 +249,7 @@ func (s *Scratch) Simulate(t *core.TaskGraph, r *schedule.Result, cfg Config) (*
 
 	n := t.G.Len()
 	ne := t.G.NumEdges()
-	s.finish = scratch.GrowFloats(s.finish, n)
+	s.finish = scratch.GrowSlice(s.finish, n)
 	s.stats = Stats{Finish: s.finish}
 	stats := &s.stats
 
@@ -315,13 +315,13 @@ func (s *Scratch) Simulate(t *core.TaskGraph, r *schedule.Result, cfg Config) (*
 		to.inEdges = append(to.inEdges, e)
 	}
 
-	s.inBlk = scratch.GrowBools(s.inBlk, n)
+	s.inBlk = scratch.GrowSlice(s.inBlk, n)
 	if cfg.Engine != EngineReference {
-		s.wantStep = scratch.GrowBools(s.wantStep, n)
-		s.wakeAt = scratch.GrowInts(s.wakeAt, n)
-		s.nInLiveFifo = scratch.GrowInt32s(s.nInLiveFifo, n)
-		s.nOutFifo = scratch.GrowInt32s(s.nOutFifo, n)
-		s.isCompute = scratch.GrowBools(s.isCompute, n)
+		s.wantStep = scratch.GrowSlice(s.wantStep, n)
+		s.wakeAt = scratch.GrowSlice(s.wakeAt, n)
+		s.nInLiveFifo = scratch.GrowSlice(s.nInLiveFifo, n)
+		s.nOutFifo = scratch.GrowSlice(s.nOutFifo, n)
+		s.isCompute = scratch.GrowSlice(s.isCompute, n)
 		s.events = s.events[:0]
 	}
 

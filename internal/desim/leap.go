@@ -135,13 +135,13 @@ func (lp *leapState) sizeFor(n, ne int) {
 	if lp.ring == nil {
 		lp.ring = make([]uint64, leapWindow)
 	}
-	lp.taskCode = scratch.GrowUints(lp.taskCode, n)
-	lp.edgeCode = scratch.GrowUints(lp.edgeCode, ne)
-	lp.aC = scratch.GrowInts(lp.aC, n)
-	lp.aP = scratch.GrowInts(lp.aP, n)
-	lp.aOcc = scratch.GrowInts(lp.aOcc, ne)
-	lp.aW = scratch.GrowInts(lp.aW, ne)
-	lp.aCons = scratch.GrowInts(lp.aCons, ne)
+	lp.taskCode = scratch.GrowSlice(lp.taskCode, n)
+	lp.edgeCode = scratch.GrowSlice(lp.edgeCode, ne)
+	lp.aC = scratch.GrowSlice(lp.aC, n)
+	lp.aP = scratch.GrowSlice(lp.aP, n)
+	lp.aOcc = scratch.GrowSlice(lp.aOcc, ne)
+	lp.aW = scratch.GrowSlice(lp.aW, ne)
+	lp.aCons = scratch.GrowSlice(lp.aCons, ne)
 }
 
 // restart forgets the anchor and every recorded hash before cycle from:

@@ -325,14 +325,6 @@ func (c *Coordinator) checkpointLocked() error {
 	})
 }
 
-// Checkpoint forces a snapshot + journal truncation now, outside the
-// SnapshotEvery cadence.
-func (c *Coordinator) Checkpoint() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.checkpointLocked()
-}
-
 // releaseLocked returns a lease's still-leased jobs to the queue. Callers
 // hold c.mu.
 func (c *Coordinator) releaseLocked(l *lease) {
@@ -579,19 +571,6 @@ func (c *Coordinator) Artifact() *results.Artifact {
 		}
 	}
 	return art
-}
-
-// FailureCount reports how many jobs resolved as failures.
-func (c *Coordinator) FailureCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, f := range c.failures {
-		if f != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Handler exposes the coordinator's four endpoints as an http.Handler.

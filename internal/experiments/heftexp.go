@@ -11,9 +11,10 @@ import (
 // The heft experiment compares the paper's SB-LTS streaming heuristic
 // against HEFT (Topcuoglu et al., reference [33]) on a homogeneous device —
 // the classical buffered list scheduler the paper's Section 9 names as the
-// baseline for heterogeneous extensions. Both sides run over the same sweep
-// graphs; the SB-LTS cells are the same cells Figures 10/11 render, so a
-// combined run computes them once.
+// baseline for heterogeneous extensions. On unit-speed PEs HEFT is the
+// buffered baseline of internal/baseline (VariantHEFT). Both sides run over
+// the same sweep graphs; the SB-LTS cells are the same cells Figures 10/11
+// render, so a combined run computes them once.
 
 // renderHEFT prints one table per topology: per PE count, the median
 // speedups of both schedulers and the per-graph streaming gain

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"repro/internal/heft"
+	"repro/internal/baseline"
 	"repro/internal/noc"
 	"repro/internal/schedule"
 	"repro/internal/stats"
@@ -75,7 +77,7 @@ func heftSequentialRef(w io.Writer, opt Options) {
 			var heftSp, ltsSp, gains []float64
 			for g := 0; g < opt.Graphs; g++ {
 				tg := topo.Build(rand.New(rand.NewSource(opt.Seed+int64(g))), opt.Config)
-				hres, err := heft.Schedule(tg, heft.Homogeneous(p))
+				hres, err := baseline.Schedule(tg, p, baseline.Options{Insertion: true})
 				if err != nil {
 					panic(err)
 				}
@@ -156,6 +158,26 @@ func TestNewExperimentsMatchSequentialReferences(t *testing.T) {
 		if len(rep.Failures) != 0 {
 			t.Errorf("workers=%d: %d unexpected failures", workers, len(rep.Failures))
 		}
+	}
+}
+
+// TestHeftGolden: the heft table rendered through the engine at Quick()
+// with 3 graphs is byte-identical to testdata/heft.golden. The golden was
+// recorded from a standalone HEFT implementation, so it pins that the
+// buffered baseline the HEFT row runs is HEFT on a homogeneous device.
+func TestHeftGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "heft.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Quick()
+	opt.Graphs = 3
+	got, rep := renderSpecs(t, []Spec{{Name: "heft", Opt: opt}}, Runner{Workers: 2})
+	if len(rep.Failures) != 0 {
+		t.Fatalf("%d unexpected failures", len(rep.Failures))
+	}
+	if got != string(want) {
+		t.Errorf("heft table differs from the golden:\n%s", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/csdf"
-	"repro/internal/heft"
 	"repro/internal/schedule"
 )
 
@@ -35,9 +34,11 @@ const (
 	// VariantAblationUnit is the buffer-sizing ablation: one schedule
 	// simulated with Equation 5 FIFO sizes and again with unit FIFOs.
 	VariantAblationUnit = "ablation-unit"
-	// VariantHEFT is the Heterogeneous Earliest Finish Time list scheduler
-	// (reference [33]) on a homogeneous device, the classical buffered
-	// baseline the heft experiment compares SB-LTS against.
+	// VariantHEFT is HEFT (reference [33]) on a homogeneous device, the
+	// classical buffered baseline the heft experiment compares SB-LTS
+	// against. With unit-speed PEs its upward rank is the bottom level and
+	// the earliest-finish PE is the earliest-start PE, so it evaluates as
+	// the buffered baseline (evalBuffered), as VariantTable2NSTR does.
 	VariantHEFT = "HEFT"
 	// VariantPipeline analyzes the steady-state macro-pipeline of repeated
 	// iterations over the SB-LTS schedule (schedule.AnalyzePipeline).
@@ -57,9 +58,9 @@ var variantTable = []Variant{
 	{VariantFig12Str, []string{"seconds", "makespan"}, evalFig12Str},
 	{VariantFig12CSDF, []string{"seconds", "makespan"}, evalFig12CSDF},
 	{VariantTable2Str, []string{"speedup", "makespan", "nodes", "buffers"}, evalTable2Str},
-	{VariantTable2NSTR, []string{"speedup", "makespan"}, evalTable2NSTR},
+	{VariantTable2NSTR, []string{"speedup", "makespan"}, evalBuffered},
 	{VariantAblationUnit, []string{"sized", "unit", "deadlock"}, evalAblation},
-	{VariantHEFT, []string{"speedup", "makespan"}, evalHEFT},
+	{VariantHEFT, []string{"speedup", "makespan"}, evalBuffered},
 	{VariantPipeline, []string{"latency", "ii", "blocks"}, evalPipeline},
 	{VariantPlacement, []string{"congestion", "slowdown", "hopvol", "maxload"}, evalPlacement},
 	{VariantScale, []string{"tasks", "partition_seconds", "schedule_seconds", "blocks", "sslr"}, evalScale},
@@ -163,8 +164,9 @@ func bufferNodes(tg *core.TaskGraph) int {
 	return bufs
 }
 
-// evalTable2NSTR is the Table 2 buffered-baseline row.
-func evalTable2NSTR(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
+// evalBuffered is the buffered baseline's speedup and makespan: the Table 2
+// NSTR row and the heft experiment's HEFT row.
+func evalBuffered(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	nstr, err := baseline.Schedule(tg, p.PEs, baseline.Options{Insertion: true})
 	if err != nil {
 		return nil, err
@@ -197,16 +199,6 @@ func evalAblation(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[strin
 		vals["deadlock"] = 1
 	}
 	return vals, nil
-}
-
-// evalHEFT runs the HEFT list scheduler on a homogeneous device of the
-// requested PE count, the buffered baseline of the heft experiment.
-func evalHEFT(_ *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
-	res, err := heft.Schedule(tg, heft.Homogeneous(p.PEs))
-	if err != nil {
-		return nil, err
-	}
-	return map[string]float64{"speedup": res.Speedup(tg), "makespan": res.Makespan}, nil
 }
 
 // evalPipeline derives the steady-state macro-pipeline of the SB-LTS

@@ -89,15 +89,6 @@ func (g *DAG) AddNode() NodeID {
 	return NodeID(g.n - 1)
 }
 
-// AddNodes adds k nodes and returns the ID of the first one.
-func (g *DAG) AddNodes(k int) NodeID {
-	first := NodeID(g.n)
-	for i := 0; i < k; i++ {
-		g.AddNode()
-	}
-	return first
-}
-
 // AddEdge adds the edge u -> v with the given data volume. Adding an edge
 // that already exists overwrites its volume and keeps its position in both
 // adjacency lists. Self loops are rejected.

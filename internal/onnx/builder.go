@@ -120,13 +120,6 @@ func (b *Builder) Merge(name string, v Value) Value {
 	return Value{Parts: []graph.NodeID{buf}, PerPart: v.Total()}
 }
 
-// Reshape passes a tensor through a buffer node, modeling ONNX
-// Reshape/Transpose. A split input feeds the same buffer directly, so no
-// second buffering stage is introduced.
-func (b *Builder) Reshape(name string, v Value, outNumel int64) Value {
-	return b.bufferInto(name, v, outNumel)
-}
-
 // bufferInto stores a (possibly split) value into one buffer node emitting
 // outNumel elements. Collapsing the merge and the reshape/replay into a
 // single buffer avoids back-to-back buffers, which would serialize the

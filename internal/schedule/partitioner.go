@@ -91,12 +91,12 @@ func (pt *Partitioner) Partition(t *core.TaskGraph, p int, opt Options) (Partiti
 	n := t.G.Len()
 	pt.t = t
 	pt.epoch = 1
-	pt.remIn = scratch.GrowInt32s(pt.remIn, n)
-	pt.level = scratch.GrowInt32s(pt.level, n)
-	pt.srcO = scratch.GrowInts(pt.srcO, n)
-	pt.inCurEpoch = scratch.GrowInt32s(pt.inCurEpoch, n)
-	pt.classEpoch = scratch.GrowInt32s(pt.classEpoch, n)
-	pt.hadPred = scratch.GrowBools(pt.hadPred, n)
+	pt.remIn = scratch.GrowSlice(pt.remIn, n)
+	pt.level = scratch.GrowSlice(pt.level, n)
+	pt.srcO = scratch.GrowSlice(pt.srcO, n)
+	pt.inCurEpoch = scratch.GrowSlice(pt.inCurEpoch, n)
+	pt.classEpoch = scratch.GrowSlice(pt.classEpoch, n)
+	pt.hadPred = scratch.GrowSlice(pt.hadPred, n)
 	pt.arena = scratch.GrowSlice(pt.arena, n)
 	pt.blockOf = scratch.GrowSlice(pt.blockOf, n)
 	pt.blocks = pt.blocks[:0]

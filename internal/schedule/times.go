@@ -96,8 +96,8 @@ func (s *Scheduler) Schedule(t *core.TaskGraph, part Partition, p int) (*Result,
 	// bufferFill[v]: for buffer nodes, the time the tail has received all
 	// its input; consumers in later blocks read from memory and only need
 	// the fill time, not the emission time.
-	s.bufferFill = scratch.GrowFloats(s.bufferFill, n)
-	s.inBlk = scratch.GrowBools(s.inBlk, n)
+	s.bufferFill = scratch.GrowSlice(s.bufferFill, n)
+	s.inBlk = scratch.GrowSlice(s.inBlk, n)
 	if cap(s.localIdx) < n {
 		s.localIdx = make([]int32, n)
 	}
@@ -159,7 +159,7 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 		}
 	}
 	s.owner, s.side = owner, side
-	s.parent = scratch.GrowInt32s(s.parent, len(owner))
+	s.parent = scratch.GrowSlice(s.parent, len(owner))
 	for i := range s.parent {
 		s.parent[i] = int32(i)
 	}
@@ -172,7 +172,7 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 	}
 	// Number the weakly connected components densely in the order of
 	// their smallest local index, which union keeps as the root.
-	comp, count := scratch.GrowInt32s(s.comp, len(owner)), int32(0)
+	comp, count := scratch.GrowSlice(s.comp, len(owner)), int32(0)
 	for sv := range comp {
 		if root := s.find(int32(sv)); root == int32(sv) {
 			comp[sv] = count
@@ -183,7 +183,7 @@ func (s *Scheduler) blockIntervals(r *Result, t *core.TaskGraph, blk Block, comp
 	}
 	s.comp = comp
 
-	maxOut := scratch.GrowInts(s.maxOut, int(count))
+	maxOut := scratch.GrowSlice(s.maxOut, int(count))
 	s.maxOut = maxOut
 	for sv, v := range owner {
 		node := t.Nodes[v]

@@ -1,68 +1,16 @@
-// Package scratch provides the tiny grow-and-clear slice helpers shared by
-// the scratch-reusing hot paths (schedule.Scheduler, desim.Scratch): return
-// a zeroed slice of the requested length, reusing capacity when possible.
+// Package scratch provides the grow-and-clear slice helper shared by the
+// scratch-reusing hot paths (schedule.Scheduler, schedule.Partitioner,
+// buffers.Sizer, desim.Scratch): return a zeroed slice of the requested
+// length, reusing capacity when possible.
 //
-// Entry points: GrowFloats, GrowBools, GrowInts, and GrowUints. The
-// contract is exactly "a zeroed slice of length n backed, when capacity
-// allows, by the argument's array" — callers own the returned slice until
-// their next Grow call, so one scratch value must never be shared across
-// goroutines (each engine worker owns its own Scheduler/Scratch for this
-// reason).
+// The entry point is GrowSlice. The contract is exactly "a zeroed slice
+// of length n backed, when capacity allows, by the argument's array" —
+// callers own the returned slice until their next GrowSlice call, so one
+// scratch value must never be shared across goroutines (each engine worker
+// owns its own Scheduler/Scratch for this reason).
 package scratch
 
-// GrowFloats returns a zeroed float slice of length n, reusing capacity.
-func GrowFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// GrowBools returns a cleared bool slice of length n, reusing capacity.
-func GrowBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// GrowInts returns a zeroed int64 slice of length n, reusing capacity.
-func GrowInts(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// GrowUints returns a zeroed uint64 slice of length n, reusing capacity.
-func GrowUints(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// GrowInt32s returns a zeroed int32 slice of length n, reusing capacity.
-func GrowInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// GrowSlice is the same contract for any element type: the generic escape
-// hatch for scratch slices whose element is a named type (node IDs, block
-// records) rather than one of the primitives above.
+// GrowSlice returns a zeroed slice of length n, reusing s's capacity.
 func GrowSlice[E any](s []E, n int) []E {
 	if cap(s) < n {
 		return make([]E, n)

@@ -2,20 +2,20 @@ package scratch
 
 import "testing"
 
-// The Grow helpers share one contract: a zeroed slice of length n, backed
-// by the argument's array whenever its capacity suffices. The three cases
-// below (grow past capacity, shrink within capacity, exact reuse) pin it
-// for every element type via GrowInts and a generic harness.
+// GrowSlice's contract: a zeroed slice of length n, backed by the
+// argument's array whenever its capacity suffices. The three cases below
+// (grow past capacity, shrink within capacity, exact reuse) pin it for
+// int64, and a generic harness for every element type the hot paths use.
 
 func TestGrowIntsAllocatesPastCapacity(t *testing.T) {
-	s := GrowInts(nil, 4)
+	s := GrowSlice[int64](nil, 4)
 	if len(s) != 4 {
 		t.Fatalf("len = %d, want 4", len(s))
 	}
 	for i := range s {
 		s[i] = int64(i + 1)
 	}
-	grown := GrowInts(s, 16)
+	grown := GrowSlice(s, 16)
 	if len(grown) != 16 {
 		t.Fatalf("len = %d, want 16", len(grown))
 	}
@@ -34,11 +34,11 @@ func TestGrowIntsAllocatesPastCapacity(t *testing.T) {
 }
 
 func TestGrowIntsReusesCapacityAndClears(t *testing.T) {
-	s := GrowInts(nil, 8)
+	s := GrowSlice[int64](nil, 8)
 	for i := range s {
 		s[i] = 42
 	}
-	r := GrowInts(s, 5)
+	r := GrowSlice(s, 5)
 	if len(r) != 5 {
 		t.Fatalf("len = %d, want 5", len(r))
 	}
@@ -54,7 +54,7 @@ func TestGrowIntsReusesCapacityAndClears(t *testing.T) {
 	for i := range r {
 		r[i] = -7
 	}
-	r2 := GrowInts(r, 5)
+	r2 := GrowSlice(r, 5)
 	if &r2[0] != &r[0] {
 		t.Fatal("same-length Grow reallocated")
 	}
@@ -66,22 +66,22 @@ func TestGrowIntsReusesCapacityAndClears(t *testing.T) {
 }
 
 func TestGrowIntsZeroLength(t *testing.T) {
-	if s := GrowInts(nil, 0); len(s) != 0 {
+	if s := GrowSlice[int64](nil, 0); len(s) != 0 {
 		t.Fatalf("len = %d, want 0", len(s))
 	}
-	s := GrowInts([]int64{1, 2, 3}, 0)
+	s := GrowSlice([]int64{1, 2, 3}, 0)
 	if len(s) != 0 {
 		t.Fatalf("len = %d, want 0", len(s))
 	}
 }
 
-// growContract exercises one helper generically: dirty the slice, shrink,
-// grow back within capacity, and check zeroing and array identity at every
-// step.
-func growContract[E comparable](t *testing.T, name string, grow func([]E, int) []E, dirty E) {
+// growContract exercises GrowSlice for one element type: dirty the slice,
+// shrink, grow back within capacity, and check zeroing and array identity
+// at every step.
+func growContract[E comparable](t *testing.T, name string, dirty E) {
 	t.Helper()
 	var zero E
-	s := grow(nil, 6)
+	s := GrowSlice[E](nil, 6)
 	if len(s) != 6 {
 		t.Fatalf("%s: len = %d, want 6", name, len(s))
 	}
@@ -91,11 +91,11 @@ func growContract[E comparable](t *testing.T, name string, grow func([]E, int) [
 		}
 		s[i] = dirty
 	}
-	r := grow(s, 3)
+	r := GrowSlice(s, 3)
 	if len(r) != 3 || &r[0] != &s[0] {
 		t.Fatalf("%s: shrink did not reuse the backing array", name)
 	}
-	r = grow(r, 6) // back up within the original capacity
+	r = GrowSlice(r, 6) // back up within the original capacity
 	if len(r) != 6 || &r[0] != &s[0] {
 		t.Fatalf("%s: regrow within capacity did not reuse the backing array", name)
 	}
@@ -107,11 +107,10 @@ func growContract[E comparable](t *testing.T, name string, grow func([]E, int) [
 }
 
 func TestGrowHelpersShareContract(t *testing.T) {
-	growContract(t, "GrowFloats", GrowFloats, 3.5)
-	growContract(t, "GrowBools", GrowBools, true)
-	growContract(t, "GrowInts", GrowInts, int64(-9))
-	growContract(t, "GrowUints", GrowUints, uint64(9))
-	growContract(t, "GrowInt32s", GrowInt32s, int32(-5))
-	growContract(t, "GrowSlice[int]", GrowSlice[int], -3)
-	growContract(t, "GrowSlice[string]", GrowSlice[string], "dirty")
+	growContract(t, "float64", 3.5)
+	growContract(t, "bool", true)
+	growContract(t, "int64", int64(-9))
+	growContract(t, "uint64", uint64(9))
+	growContract(t, "int32", int32(-5))
+	growContract(t, "string", "dirty")
 }

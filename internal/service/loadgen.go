@@ -59,7 +59,7 @@ func WallClock() Clock { return wallClock{} }
 // exactly 1/rate apart; DistPoisson draws exponential inter-arrival gaps
 // with mean 1/rate from a fixed-seed source.
 func Arrivals(dist string, rate float64, n int, seed int64) ([]time.Duration, error) {
-	if rate <= 0 {
+	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return nil, fmt.Errorf("loadgen: rate must be positive, got %g", rate)
 	}
 	if n < 0 {

@@ -164,8 +164,10 @@ func TestArrivalsUniform(t *testing.T) {
 }
 
 func TestArrivalsBadInputs(t *testing.T) {
-	if _, err := Arrivals(DistPoisson, 0, 10, 1); err == nil {
-		t.Error("zero rate accepted")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Arrivals(DistPoisson, rate, 10, 1); err == nil {
+			t.Errorf("rate %g accepted", rate)
+		}
 	}
 	if _, err := Arrivals("normal", 10, 10, 1); err == nil {
 		t.Error("unknown distribution accepted")

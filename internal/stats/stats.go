@@ -2,19 +2,17 @@
 // evaluation distributions (Figures 10, 11, 12, 13 plot medians, quartiles,
 // whiskers, and outliers over 100 random task graphs).
 //
-// Entry points: Summarize folds a sample slice into a five-number Summary
-// with Tukey whiskers, and Table renders aligned rows of summaries. Both
-// are pure functions of their inputs — Summarize is total (it accepts
-// empty and partially filled sample sets, which sharded runs produce) and
-// never reorders the caller's slice, so the rendered tables are
-// byte-identical however the samples were computed.
+// The entry point, Summarize, folds a sample slice into a five-number
+// Summary with Tukey whiskers. It is a pure function of its input, total
+// (it accepts empty and partially filled sample sets, which sharded runs
+// produce), and never reorders the caller's slice, so the rendered tables
+// are byte-identical however the samples were computed.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary is a five-number box-plot summary with Tukey whiskers.
@@ -94,21 +92,4 @@ func quantile(sorted []float64, q float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d min=%.3g q1=%.3g med=%.3g q3=%.3g max=%.3g mean=%.3g",
 		s.N, s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean)
-}
-
-// Row renders selected fields for tabular experiment output.
-func (s Summary) Row() string {
-	return fmt.Sprintf("%8.2f %8.2f %8.2f %8.2f %8.2f",
-		s.WhiskLow, s.Q1, s.Median, s.Q3, s.WhiskHigh)
-}
-
-// Table formats labeled summaries with a header, one summary per row.
-func Table(title string, labels []string, sums []Summary) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%-24s %8s %8s %8s %8s %8s %6s\n", title,
-		"series", "whisk-", "Q1", "median", "Q3", "whisk+", "n")
-	for i, l := range labels {
-		fmt.Fprintf(&b, "%-24s %s %6d\n", l, sums[i].Row(), sums[i].N)
-	}
-	return b.String()
 }
