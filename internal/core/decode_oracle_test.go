@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -241,4 +243,114 @@ func minPositive(a, b time.Duration) time.Duration {
 		return b
 	}
 	return a
+}
+
+// encodeSeeds add names that need escaping, and successors added out of
+// (from, to) order, to the decoder seeds.
+var encodeSeeds = append(decodeSeeds[:len(decodeSeeds):len(decodeSeeds)],
+	`{"nodes":[{"name":"q\"b\\s\/<a>&amp;","kind":"compute","in":4,"out":4}]}`,
+	`{"nodes":[{"name":"a&b","kind":"source","out":4},{"name":"a<b","kind":"compute","in":4,"out":4},{"name":"a>b","kind":"compute","in":4,"out":4},{"name":"a\"b","kind":"compute","in":4,"out":4},{"name":"a\\b","kind":"sink","in":4}],"edges":[[0,2],[0,1],[1,4],[2,3],[3,4]]}`,
+	`{"nodes":[{"name":"tab\there","kind":"compute","in":4,"out":4},{"name":"del\u007f","kind":"compute","in":4,"out":4}]}`,
+	`{"nodes":[{"name":"\u0000\u001f\u007f\t\n\r\b\f","kind":"compute","in":4,"out":4}]}`,
+	`{"nodes":[{"name":"\u2028\u2029\u00e9\ud83d\ude00\ufffd","kind":"compute","in":4,"out":4}]}`,
+	"{\"nodes\":[{\"name\":\"\xc3\x28\xe2\x80\xa8\xed\xa0\x80\",\"kind\":\"compute\",\"in\":4,\"out\":4}]}",
+	`{"nodes":[{"name":" ~plain ASCII~ ","kind":"source","out":4},{"name":"","kind":"sink","in":4}],"edges":[[0,1]]}`,
+	`{"nodes":[{"kind":"source","out":4},{"kind":"compute","in":4,"out":4},{"kind":"compute","in":4,"out":4},{"kind":"sink","in":4}],"edges":[[0,3],[0,2],[0,1],[2,3],[1,3]]}`,
+	`{"nodes":[{"kind":"compute","in":-9223372036854775808,"out":9223372036854775807}]}`,
+)
+
+// checkEncodeAgainstReference fails unless, for a document DecodeJSON
+// accepts, EncodeJSON writes the reference encoder's bytes and decoding
+// them gives back the same graph: the same nodes, the same edge set with
+// the same volumes, and the same fingerprint.
+func checkEncodeAgainstReference(t *testing.T, in string) {
+	t.Helper()
+	g, err := core.DecodeJSON(strings.NewReader(in))
+	if err != nil {
+		return
+	}
+	var got, want bytes.Buffer
+	if err := g.EncodeJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.EncodeJSONReference(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("encoders disagree on %q:\n  EncodeJSON: %q\n  reference:  %q", in, got.Bytes(), want.Bytes())
+	}
+	again, err := core.DecodeJSON(&got)
+	if err != nil {
+		t.Fatalf("re-decoding %q: %v", want.Bytes(), err)
+	}
+	if !slices.Equal(g.Nodes, again.Nodes) || !slices.Equal(g.G.Edges(), again.G.Edges()) {
+		t.Fatalf("round trip of %q changed the graph", in)
+	}
+	if results.Fingerprint(g) != results.Fingerprint(again) {
+		t.Fatalf("round trip of %q changed the fingerprint", in)
+	}
+}
+
+func TestEncodeJSONMatchesReference(t *testing.T) {
+	long := `{"nodes":[{"name":"` + strings.Repeat("n", 70_000) + `","kind":"compute","in":4,"out":4},` +
+		`{"name":"` + strings.Repeat("é", 40_000) + `","kind":"compute","in":4,"out":4}]}`
+	for i, in := range append(encodeSeeds, append(largeDecodeCases, long)...) {
+		t.Run(fmt.Sprint(i), func(t *testing.T) { checkEncodeAgainstReference(t, in) })
+	}
+}
+
+// FuzzEncodeJSONVsReference checks the hand-written encoder against the
+// encoding/json reference on every graph the decoder accepts: identical
+// bytes, and a round trip back to the same graph.
+func FuzzEncodeJSONVsReference(f *testing.F) {
+	for _, in := range encodeSeeds {
+		f.Add(in)
+	}
+	f.Fuzz(checkEncodeAgainstReference)
+}
+
+// TestEncodeJSONGrowsBufferOnce: a bytes.Buffer destination ends no larger
+// than one write of the whole document leaves it, as the reference
+// encoder's single write does, so a caller that keeps the bytes keeps no
+// slack from doubling growth.
+func TestEncodeJSONGrowsBufferOnce(t *testing.T) {
+	g, err := core.DecodeJSON(strings.NewReader(chain(10_000, false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := g.EncodeJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.EncodeJSONReference(&want); err != nil {
+		t.Fatal(err)
+	}
+	if cap(got.Bytes()) > cap(want.Bytes()) {
+		t.Errorf("%d-byte document left a %d-byte buffer, reference %d", got.Len(), cap(got.Bytes()), cap(want.Bytes()))
+	}
+}
+
+// failWriter accepts n bytes, then fails every write.
+type failWriter struct{ n int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		return 0, errors.New("disk full")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestEncodeJSONWriteError: a write error reaches the caller, whether the
+// first write fails or a later one.
+func TestEncodeJSONWriteError(t *testing.T) {
+	g, err := core.DecodeJSON(strings.NewReader(chain(10_000, false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 40 << 10} {
+		if err := g.EncodeJSON(&failWriter{n: n}); err == nil || err.Error() != "disk full" {
+			t.Errorf("writer failing after %d bytes: got %v", n, err)
+		}
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 
 	"repro/internal/graph"
 )
@@ -22,8 +24,6 @@ type jsonNode struct {
 	Out  int64  `json:"out,omitempty"`
 }
 
-func kindToString(k Kind) string { return k.String() }
-
 func kindFromString(s string) (Kind, error) {
 	switch s {
 	case "compute":
@@ -38,21 +38,131 @@ func kindFromString(s string) (Kind, error) {
 	return 0, fmt.Errorf("core: unknown node kind %q", s)
 }
 
-// EncodeJSON writes the task graph as JSON. Node order defines IDs; edges
-// reference node indices.
+// EncodeJSON writes the task graph as canonical JSON, the bytes
+// results.Fingerprint hashes. Node order defines IDs; edges reference node
+// indices, sorted by (from, to). The bytes are those of encoding/json's
+// indented Encoder on jsonGraph (EncodeJSONReference, the test oracle),
+// written through one fixed buffer by walking the successor arrays in
+// place; only a node whose successors were added out of order has them
+// copied, into one scratch slice, to be sorted.
 func (t *TaskGraph) EncodeJSON(w io.Writer) error {
-	jg := jsonGraph{Nodes: make([]jsonNode, 0, len(t.Nodes))}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		// Grow a bytes.Buffer to the document's size first, as one write
+		// of it would: a caller keeping the bytes then keeps no slack.
+		var n byteCount
+		_ = t.EncodeJSON(&n) // counting never fails
+		g.Grow(int(n))
+	}
+	e := encoder{w: w, buf: make([]byte, 0, 32<<10)}
+	e.str("{\n  \"nodes\": [")
+	open := "\n    {\n      "
 	for _, n := range t.Nodes {
-		jg.Nodes = append(jg.Nodes, jsonNode{
-			Name: n.Name, Kind: kindToString(n.Kind), In: n.In, Out: n.Out,
-		})
+		e.str(open)
+		open = ",\n    {\n      "
+		if n.Name != "" {
+			e.str(`"name": `)
+			e.quote(n.Name)
+			e.str(",\n      ")
+		}
+		e.str(`"kind": `)
+		e.quote(n.Kind.String())
+		if n.In != 0 {
+			e.str(",\n      \"in\": ")
+			e.int(n.In)
+		}
+		if n.Out != 0 {
+			e.str(",\n      \"out\": ")
+			e.int(n.Out)
+		}
+		e.str("\n    }")
 	}
-	for _, e := range t.G.Edges() {
-		jg.Edges = append(jg.Edges, [2]int{int(e.From), int(e.To)})
+	if len(t.Nodes) > 0 {
+		e.str("\n  ")
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jg)
+	e.str("],\n  \"edges\": ")
+	if t.G.NumEdges() == 0 {
+		e.str("null")
+	} else {
+		e.str("[")
+		var scratch []graph.NodeID
+		pre, cut := make([]byte, 0, 48), 1 // pre opens each of u's edges; the first drops its comma
+		for u := 0; u < t.G.Len(); u++ {
+			succs := t.G.Succs(graph.NodeID(u))
+			if !slices.IsSorted(succs) {
+				scratch = append(scratch[:0], succs...)
+				slices.Sort(scratch)
+				succs = scratch
+			}
+			pre = append(strconv.AppendInt(append(pre[:0], ",\n    [\n      "...), int64(u), 10), ",\n      "...)
+			for _, v := range succs {
+				e.room(len(pre) + 32)
+				e.buf = append(strconv.AppendInt(append(e.buf, pre[cut:]...), int64(v), 10), "\n    ]"...)
+				cut = 0
+			}
+		}
+		e.str("\n  ]")
+	}
+	e.str("\n}\n")
+	return e.flush()
+}
+
+// byteCount is a writer that only counts.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) { *c += byteCount(len(p)); return len(p), nil }
+
+// encoder is EncodeJSON's output: bytes collect in buf, which is written
+// to w whenever it fills. The first write error sticks.
+type encoder struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (e *encoder) flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+	return e.err
+}
+
+// room flushes the buffer unless n more bytes fit.
+func (e *encoder) room(n int) {
+	if len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
+}
+
+func (e *encoder) str(s string) {
+	for len(e.buf)+len(s) > cap(e.buf) { // a long name: fill, flush, repeat
+		n := copy(e.buf[len(e.buf):cap(e.buf)], s)
+		e.buf, s = e.buf[:cap(e.buf)], s[n:]
+		e.flush()
+	}
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) int(v int64) {
+	e.room(20)
+	e.buf = strconv.AppendInt(e.buf, v, 10)
+}
+
+// quote writes s as a JSON string. Printable ASCII other than the
+// characters encoding/json escapes (", \ and, by default, <, > and &) is
+// written as is; any other string goes through encoding/json, which
+// escapes control bytes, U+2028 and U+2029 and replaces invalid UTF-8.
+func (e *encoder) quote(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			e.str(string(q))
+			return
+		}
+	}
+	e.str(`"`)
+	e.str(s)
+	e.str(`"`)
 }
 
 // DecodeJSON reads a task graph written by EncodeJSON (or authored by hand)

@@ -37,3 +37,22 @@ func DecodeJSONReference(r io.Reader) (*TaskGraph, error) {
 	}
 	return t, nil
 }
+
+func kindToString(k Kind) string { return k.String() }
+
+// EncodeJSONReference is the encoding/json encoder EncodeJSON replaced,
+// kept as the differential oracle: EncodeJSON must write exactly its bytes.
+func (t *TaskGraph) EncodeJSONReference(w io.Writer) error {
+	jg := jsonGraph{Nodes: make([]jsonNode, 0, len(t.Nodes))}
+	for _, n := range t.Nodes {
+		jg.Nodes = append(jg.Nodes, jsonNode{
+			Name: n.Name, Kind: kindToString(n.Kind), In: n.In, Out: n.Out,
+		})
+	}
+	for _, e := range t.G.Edges() {
+		jg.Edges = append(jg.Edges, [2]int{int(e.From), int(e.To)})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(jg)
+}

@@ -3,11 +3,13 @@ package results
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/synth"
 )
 
 func testGraph(t *testing.T, w int64) *core.TaskGraph {
@@ -78,6 +80,20 @@ func TestFingerprint(t *testing.T) {
 	}
 	if len(Fingerprint(a)) != 32 {
 		t.Errorf("fingerprint %q is not 32 hex chars", Fingerprint(a))
+	}
+}
+
+// TestFingerprintAllocsFlat: fingerprinting streams the canonical JSON
+// into the hash through one fixed buffer, so it allocates the same few
+// times at 10^3 nodes as at 10^4.
+func TestFingerprintAllocsFlat(t *testing.T) {
+	var counts []float64
+	for _, target := range []int{1_000, 10_000} {
+		tg := synth.Gaussian(synth.GaussianFor(target), rand.New(rand.NewSource(1)), synth.DefaultConfig())
+		counts = append(counts, testing.AllocsPerRun(5, func() { Fingerprint(tg) }))
+	}
+	if counts[0] != counts[1] || counts[0] > 8 {
+		t.Errorf("Fingerprint allocates %v times at 10^3 and 10^4 nodes, want the same count, at most 8", counts)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buffers"
 	"repro/internal/core"
+	"repro/internal/results"
 	"repro/internal/schedule"
 	"repro/internal/synth"
 )
@@ -86,10 +87,11 @@ func BenchmarkPartitionReferenceManyBlocks(b *testing.B) {
 }
 
 // BenchmarkScaleLadder times the batch path stage by stage across graph
-// sizes: decode (core.DecodeJSON of the graph's canonical JSON), partition
-// (a reused Partitioner), schedule (a reused Scheduler) and sizes (Equation
-// 5 on a reused buffers.Sizer), each its own row, so a regression is pinned
-// on the stage that caused it.
+// sizes: decode (core.DecodeJSON of the graph's canonical JSON),
+// fingerprint (results.Fingerprint, the service's cache and coalescing
+// key), partition (a reused Partitioner), schedule (a reused Scheduler)
+// and sizes (Equation 5 on a reused buffers.Sizer), each its own row, so a
+// regression is pinned on the stage that caused it.
 func BenchmarkScaleLadder(b *testing.B) {
 	for _, target := range []int{1_000, 10_000, 100_000} {
 		m := synth.GaussianFor(target)
@@ -109,6 +111,11 @@ func BenchmarkScaleLadder(b *testing.B) {
 				if _, err := core.DecodeJSON(bytes.NewReader(doc.Bytes())); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+		b.Run(fmt.Sprintf("gaussian-%d/fingerprint", target), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				results.Fingerprint(tg)
 			}
 		})
 		b.Run(fmt.Sprintf("gaussian-%d/partition", target), func(b *testing.B) {

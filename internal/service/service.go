@@ -615,6 +615,10 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if err != nil {
 		return SubmitResponse{}, httpapi.Errorf(http.StatusBadRequest, "bad submission: %v", err)
 	}
+	// Hash outside the lock: at 10^4 nodes it takes milliseconds that
+	// every other submit and completion would otherwise wait out. A
+	// submission rejected below has paid for it, as for its decoding.
+	fp := results.Fingerprint(tg)
 	pes := req.PEs
 	if pes <= 0 {
 		pes = s.opt.DefaultPEs
@@ -659,7 +663,6 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 		}
 	}
 	s.seq++
-	fp := results.Fingerprint(tg)
 	j := &job{
 		id:       fmt.Sprintf("j%d", s.seq),
 		seq:      s.seq,
