@@ -8,7 +8,7 @@
 //	            [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //	experiments -merge a.json b.json ...
 //	experiments -serve addr [-lease-timeout d] [-batch N] [-state dir]
-//	            [-snapshot-every N] [-token t] [-out merged.json] [spec flags]
+//	            [-token t] [-out merged.json] [spec flags]
 //	experiments -agent http://host:port [-worker-id name] [-workers N] [-cache dir] [-token t]
 //	experiments -status http://host:port [-token t]
 //	experiments -list-variants
@@ -91,7 +91,6 @@ type config struct {
 	leaseTimeout           time.Duration
 	batch                  int
 	stateDir               string
-	snapshotEvery          int
 	token, status          string
 	cpuProfile, memProfile string
 	explicit               map[string]bool
@@ -120,7 +119,6 @@ func main() {
 	flag.DurationVar(&c.leaseTimeout, "lease-timeout", distrib.DefaultLeaseTimeout, "with -serve: requeue a leased batch not completed within this duration")
 	flag.IntVar(&c.batch, "batch", distrib.DefaultBatchSize, "with -serve: jobs granted per lease")
 	flag.StringVar(&c.stateDir, "state", "", "with -serve: journal coordinator state to this directory so a killed coordinator can be restarted with the same flags and resume the run")
-	flag.IntVar(&c.snapshotEvery, "snapshot-every", 0, "with -serve -state: journal records between snapshots (default 256; negative disables snapshots)")
 	flag.StringVar(&c.token, "token", "", "shared bearer token: required of every client with -serve, sent with -agent and -status")
 	flag.StringVar(&c.status, "status", "", "print the status JSON of the coordinator at this URL, then exit")
 	flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -147,7 +145,7 @@ var modeFlags = map[string]struct {
 	"-agent": {[]string{"agent", "workers", "cache", "worker-id", "token", "cpuprofile", "memprofile"},
 		" (the coordinator defines the run)"},
 	"-serve": {[]string{"serve", "exp", "graphs", "seed", "quick", "full-models",
-		"lease-timeout", "batch", "out", "state", "snapshot-every", "token"},
+		"lease-timeout", "batch", "out", "state", "token"},
 		" (workers run in -agent processes)"},
 	"-merge":                 {[]string{"merge"}, " (the artifacts' metadata defines the run)"},
 	"-cache-stats/-cache-gc": {[]string{"cache", "cache-stats", "cache-gc"}, ""},
@@ -465,11 +463,10 @@ func runServe(c config) error {
 	}
 	coord, err := distrib.ServeRecovering(c.serve, os.Stderr, func() (*distrib.Coordinator, error) {
 		return distrib.NewCoordinator(specs, distrib.CoordinatorOptions{
-			LeaseTimeout:  c.leaseTimeout,
-			BatchSize:     c.batch,
-			StateDir:      c.stateDir,
-			SnapshotEvery: c.snapshotEvery,
-			Token:         c.token,
+			LeaseTimeout: c.leaseTimeout,
+			BatchSize:    c.batch,
+			StateDir:     c.stateDir,
+			Token:        c.token,
 		})
 	})
 	if err != nil {

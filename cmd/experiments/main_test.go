@@ -52,18 +52,13 @@ func TestModeFlags(t *testing.T) {
 	}
 }
 
-// TestStateNeedsServe: the coordinator's journal flags outside -serve are
+// TestStateNeedsServe: the coordinator's journal flag outside -serve is
 // an error, not a silent no-op.
 func TestStateNeedsServe(t *testing.T) {
-	for _, tc := range []struct {
-		c    config
-		flag string
-	}{{config{stateDir: t.TempDir()}, "state"}, {config{snapshotEvery: 8}, "snapshot-every"}} {
-		tc.c.explicit = map[string]bool{tc.flag: true}
-		want := "-" + tc.flag + " has no effect with a local run (it applies to a coordinator or its clients)"
-		if err := run(tc.c); err == nil || err.Error() != want {
-			t.Errorf("-%s: err %v, want %q", tc.flag, err, want)
-		}
+	c := config{stateDir: t.TempDir(), explicit: map[string]bool{"state": true}}
+	want := "-state has no effect with a local run (it applies to a coordinator or its clients)"
+	if err := run(c); err == nil || err.Error() != want {
+		t.Errorf("-state: err %v, want %q", err, want)
 	}
 }
 

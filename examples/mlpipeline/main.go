@@ -17,8 +17,9 @@ import (
 	"repro/internal/schedule"
 )
 
+var full = flag.Bool("full", false, "use the base-model encoder layer (seq 128, d 512, 8 heads, ff 2048)")
+
 func main() {
-	full := flag.Bool("full", false, "use the base-model encoder layer (seq 128, d 512, 8 heads, ff 2048)")
 	flag.Parse()
 
 	cfg := onnx.TinyEncoder()

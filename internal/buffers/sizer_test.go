@@ -83,28 +83,33 @@ func TestSizesMatchReference(t *testing.T) {
 }
 
 // randomCase builds a random canonical DAG and a random valid partition of
-// it: every edge joins a producer and a consumer of the same volume, and a
-// node's block is never before its predecessors' blocks. Some blocks stay
-// empty. It returns the graph and its schedule on as many PEs as the
-// fullest block needs.
+// it: every edge joins a producer and a consumer of the same volume, every
+// sink has an input, and a node's block is never before its predecessors'
+// blocks. Some blocks stay empty. It returns the graph and its schedule on
+// as many PEs as the fullest block needs.
 func randomCase(t testing.TB, seed int64, nodes, density, blocks uint8) (*core.TaskGraph, *schedule.Result) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := int(nodes)%48 + 1
 	vols := []int64{1, 4, 16, 32}
 	tg := core.New()
+	var producers []int // nodes a later node may read from (all but sinks)
 	for i := 0; i < n; i++ {
 		in, out := vols[rng.Intn(len(vols))], vols[rng.Intn(len(vols))]
 		switch k := rng.Intn(10); {
 		case k == 0:
 			tg.AddBuffer(fmt.Sprint("b", i), in, out)
 		case k == 1 && i > 0:
-			tg.AddSink(fmt.Sprint("k", i), in)
+			// A sink reads what some earlier producer writes, so the
+			// edge loop below always finds it an input.
+			tg.AddSink(fmt.Sprint("k", i), tg.Nodes[producers[rng.Intn(len(producers))]].Out)
+			continue
 		case k == 2:
 			tg.AddSource(fmt.Sprint("s", i), out)
 		default:
 			tg.AddCompute(fmt.Sprint("c", i), in, out)
 		}
+		producers = append(producers, i)
 	}
 	prob := float64(density%8+1) / 16
 	for v := 1; v < n; v++ {
@@ -112,10 +117,17 @@ func randomCase(t testing.TB, seed int64, nodes, density, blocks uint8) (*core.T
 		if nv.Kind == core.Source {
 			continue
 		}
+		last := -1 // the last producer v could read from
 		for u := 0; u < v; u++ {
-			if nu := tg.Nodes[u]; nu.Kind != core.Sink && nu.Out == nv.In && rng.Float64() < prob {
-				tg.MustConnect(graph.NodeID(u), graph.NodeID(v))
+			if nu := tg.Nodes[u]; nu.Kind != core.Sink && nu.Out == nv.In {
+				last = u
+				if rng.Float64() < prob {
+					tg.MustConnect(graph.NodeID(u), graph.NodeID(v))
+				}
 			}
+		}
+		if nv.Kind == core.Sink && tg.G.InDegree(graph.NodeID(v)) == 0 {
+			tg.MustConnect(graph.NodeID(last), graph.NodeID(v))
 		}
 	}
 	if err := tg.Freeze(); err != nil {

@@ -193,8 +193,8 @@ func (t *TaskGraph) Node(v graph.NodeID) Node { return t.Nodes[v] }
 
 // Validate checks canonicity: every edge's volume matches both endpoints,
 // computational nodes have positive I and O, sources have no inputs, sinks
-// no outputs, and the graph is acyclic. It must be called (directly or via
-// Freeze) before analysis.
+// have inputs but no outputs, and the graph is acyclic. It must be called
+// (directly or via Freeze) before analysis.
 func (t *TaskGraph) Validate() error {
 	if _, err := t.G.TopoOrder(); err != nil {
 		return err
@@ -218,6 +218,9 @@ func (t *TaskGraph) validateNodes() error {
 		case Sink:
 			if t.G.OutDegree(id) != 0 {
 				return fmt.Errorf("core: sink %d (%s) has outputs", v, n.Name)
+			}
+			if t.G.InDegree(id) == 0 {
+				return fmt.Errorf("core: sink %d (%s) has no inputs", v, n.Name)
 			}
 			if n.In <= 0 {
 				return fmt.Errorf("core: sink %d (%s) has no input volume", v, n.Name)
@@ -292,28 +295,6 @@ func (t *TaskGraph) Levels() []float64 {
 		lv[v] = best + step
 	}
 	return lv
-}
-
-// NumLevels returns L(G), the maximum canonical level over all nodes.
-func (t *TaskGraph) NumLevels() float64 {
-	max := 0.0
-	for _, l := range t.Levels() {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// MaxWork returns the maximum node work over the graph.
-func (t *TaskGraph) MaxWork() float64 {
-	max := 0.0
-	for _, n := range t.Nodes {
-		if w := n.Work(); w > max {
-			max = w
-		}
-	}
-	return max
 }
 
 // SplitBuffers returns the "buffer-split" transform of Section 4.1: a new

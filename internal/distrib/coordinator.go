@@ -27,10 +27,6 @@ const (
 	// that a dead worker forfeits little work and stragglers rebalance
 	// (see docs/DISTRIBUTED.md on batch sizing).
 	DefaultBatchSize = 16
-	// DefaultSnapshotEvery is how many journal records accumulate before
-	// the coordinator snapshots and truncates the journal. Replay cost
-	// after a crash is bounded by one snapshot interval.
-	DefaultSnapshotEvery = 256
 )
 
 // Request body ceilings for the coordinator's POST endpoints. A lease
@@ -59,11 +55,6 @@ type CoordinatorOptions struct {
 	// the directory back to its exact pre-crash state (recovery.go).
 	// Empty keeps the run purely in memory, as before.
 	StateDir string
-	// SnapshotEvery is how many journal records accumulate before an
-	// atomic snapshot truncates the journal; 0 means
-	// DefaultSnapshotEvery, negative disables snapshots (the journal
-	// grows for the whole run). Meaningless without StateDir.
-	SnapshotEvery int
 	// Token, when set, requires `Authorization: Bearer <Token>` on every
 	// endpoint; requests without it are answered 401.
 	Token string
@@ -119,12 +110,9 @@ type Coordinator struct {
 	start      time.Time
 	done       chan struct{}
 
-	// Persistence (nil / zero without a StateDir).
-	wal           *wal
-	snapshotEvery int
-	sinceSnap     int // journal records since the last snapshot
-	checkpoints   int
-	recovery      *RecoveryInfo
+	// Persistence (nil without a StateDir).
+	wal      *wal
+	recovery *RecoveryInfo
 }
 
 // NewCoordinator compiles the specs and sets up the job queue. The specs
@@ -147,30 +135,26 @@ func NewCoordinator(specs []experiments.Spec, opt CoordinatorOptions) (*Coordina
 	if opt.now == nil {
 		opt.now = time.Now
 	}
-	if opt.SnapshotEvery == 0 {
-		opt.SnapshotEvery = DefaultSnapshotEvery
-	}
 	c := &Coordinator{
-		plan:          plan,
-		meta:          experiments.MetaFromSpecs(specs, 0, 1),
-		planHash:      experiments.PlanHash(plan),
-		run:           opt.Run,
-		leaseTimeout:  opt.LeaseTimeout,
-		batchSize:     opt.BatchSize,
-		now:           opt.now,
-		token:         opt.Token,
-		snapshotEvery: opt.SnapshotEvery,
-		keyIdx:        make(map[results.CellKey]int, len(plan.Jobs)),
-		labelIdx:      make(map[string]int, len(plan.Jobs)),
-		state:         make([]jobState, len(plan.Jobs)),
-		owner:         make([]string, len(plan.Jobs)),
-		pending:       make([]int, 0, len(plan.Jobs)),
-		leases:        make(map[string]*lease),
-		cells:         make([]*results.Cell, len(plan.Jobs)),
-		failures:      make([]*results.Failure, len(plan.Jobs)),
-		unresolved:    len(plan.Jobs),
-		workers:       make(map[string]*WorkerStatus),
-		done:          make(chan struct{}),
+		plan:         plan,
+		meta:         experiments.MetaFromSpecs(specs, 0, 1),
+		planHash:     experiments.PlanHash(plan),
+		run:          opt.Run,
+		leaseTimeout: opt.LeaseTimeout,
+		batchSize:    opt.BatchSize,
+		now:          opt.now,
+		token:        opt.Token,
+		keyIdx:       make(map[results.CellKey]int, len(plan.Jobs)),
+		labelIdx:     make(map[string]int, len(plan.Jobs)),
+		state:        make([]jobState, len(plan.Jobs)),
+		owner:        make([]string, len(plan.Jobs)),
+		pending:      make([]int, 0, len(plan.Jobs)),
+		leases:       make(map[string]*lease),
+		cells:        make([]*results.Cell, len(plan.Jobs)),
+		failures:     make([]*results.Failure, len(plan.Jobs)),
+		unresolved:   len(plan.Jobs),
+		workers:      make(map[string]*WorkerStatus),
+		done:         make(chan struct{}),
 	}
 	c.start = c.now()
 	for i, j := range plan.Jobs {
@@ -272,7 +256,6 @@ func (c *Coordinator) appendLocked(now time.Time, recs ...*walRecord) error {
 	if err := c.wal.append(now, recs...); err != nil {
 		return httpapi.Errorf(http.StatusServiceUnavailable, "coordinator journal unavailable (%v); retry", err)
 	}
-	c.sinceSnap += len(recs)
 	return nil
 }
 
@@ -285,44 +268,6 @@ func (c *Coordinator) walUsableLocked() error {
 			"coordinator journal failed (%v); restart the coordinator to recover", c.wal.broken)
 	}
 	return nil
-}
-
-// maybeCheckpointLocked snapshots once enough journal records have
-// accumulated. Called after applying a mutation — never between journal
-// and apply, or the snapshot would claim a seq it does not reflect.
-// Callers hold c.mu.
-func (c *Coordinator) maybeCheckpointLocked() {
-	if c.wal == nil || c.snapshotEvery <= 0 || c.sinceSnap < c.snapshotEvery {
-		return
-	}
-	// A failed snapshot is not fatal — the journal still has everything —
-	// and the counter resets either way so a persistently failing disk
-	// degrades to journal-only operation instead of retrying every record.
-	c.checkpointLocked()
-}
-
-// checkpointLocked writes an atomic snapshot of the current state and
-// truncates the journal behind it. Callers hold c.mu.
-func (c *Coordinator) checkpointLocked() error {
-	if c.wal == nil {
-		return fmt.Errorf("distrib: coordinator has no state dir to checkpoint to")
-	}
-	st := c.snapshotLocked()
-	c.sinceSnap = 0
-	if err := writeSnapshot(c.wal.dir, st); err != nil {
-		return err
-	}
-	c.checkpoints++
-	return c.wal.rotate(c.now(), &walRecord{
-		Type:         recBegin,
-		Run:          c.run,
-		Meta:         &c.meta,
-		PlanHash:     c.planHash,
-		LeaseTimeout: c.leaseTimeout,
-		BatchSize:    c.batchSize,
-		Start:        c.start,
-		AfterSeq:     st.Seq,
-	})
 }
 
 // releaseLocked returns a lease's still-leased jobs to the queue. Callers
@@ -407,7 +352,6 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	}
 	c.pending = c.pending[i:]
 	c.applyLeaseLocked(rec)
-	c.maybeCheckpointLocked()
 	return LeaseResponse{Lease: rec.Lease, Jobs: jobs, Deadline: rec.Deadline}, nil
 }
 
@@ -499,11 +443,10 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		// Unreachable: every cell and failure was validated above.
 		return CompleteResponse{}, httpapi.Errorf(http.StatusInternalServerError, "%v", err)
 	}
-	c.maybeCheckpointLocked()
 	return resp, nil
 }
 
-// Status snapshots the run's progress. It applies lease expiry first, so
+// Status reports the run's progress. It applies lease expiry first, so
 // the report never shows a lapsed lease as in-flight work.
 func (c *Coordinator) Status() Status {
 	now := c.now()
@@ -511,15 +454,14 @@ func (c *Coordinator) Status() Status {
 	defer c.mu.Unlock()
 	c.expireLocked(now)
 	st := Status{
-		Run:         c.run,
-		Jobs:        len(c.plan.Jobs),
-		Pending:     len(c.pending),
-		Requeues:    c.requeues,
-		Done:        c.unresolved == 0,
-		Checkpoints: c.checkpoints,
-		Recovered:   c.recovery != nil && c.recovery.Resumed,
-		Elapsed:     now.Sub(c.start),
-		Workers:     make(map[string]WorkerStatus, len(c.workers)),
+		Run:       c.run,
+		Jobs:      len(c.plan.Jobs),
+		Pending:   len(c.pending),
+		Requeues:  c.requeues,
+		Done:      c.unresolved == 0,
+		Recovered: c.recovery != nil && c.recovery.Resumed,
+		Elapsed:   now.Sub(c.start),
+		Workers:   make(map[string]WorkerStatus, len(c.workers)),
 	}
 	for i := range c.state {
 		switch c.state[i] {

@@ -154,11 +154,9 @@ type Status struct {
 	// Requeues counts jobs returned to the queue by expired leases.
 	Requeues int  `json:"requeues"`
 	Done     bool `json:"done"`
-	// Checkpoints counts snapshots written this process lifetime;
 	// Recovered reports that this coordinator resumed a prior run from
-	// its `-state` directory. Both are zero/false for in-memory runs.
-	Checkpoints int  `json:"checkpoints,omitempty"`
-	Recovered   bool `json:"recovered,omitempty"`
+	// its `-state` directory; false for in-memory runs.
+	Recovered bool `json:"recovered,omitempty"`
 	// Elapsed is the wall-clock time since the coordinator started, in
 	// nanoseconds.
 	Elapsed time.Duration           `json:"elapsed"`

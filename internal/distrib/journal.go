@@ -2,8 +2,7 @@ package distrib
 
 // journal.go is the coordinator's write-ahead persistence layer: an
 // append-only journal of state transitions (run admission, lease grant,
-// lease expiry, batch completion) plus a periodic atomic snapshot that
-// lets the journal be truncated. Every record is framed with a length
+// lease expiry, batch completion). Every record is framed with a length
 // and a CRC32 and fsync'd before the transition it describes is applied
 // in memory or acknowledged to a client, so a coordinator killed at any
 // instant can replay the journal back to its exact pre-crash state
@@ -13,16 +12,14 @@ package distrib
 // one the agents will simply retry or recompute, and jobs are
 // deterministic.
 //
-// On-disk layout of a `-state` directory:
-//
-//	wal.log        framed walRecords, strictly increasing seq
-//	snapshot.json  {v, crc, state}: the full queue state at one seq
+// A `-state` directory holds one file, wal.log: framed walRecords with
+// strictly increasing seqs, opened by the run's begin record at seq 1.
+// The journal is the whole state and is never truncated behind a
+// checkpoint: every complete record carries its batch's cells verbatim,
+// so replay costs about what loading a full-state copy would.
 //
 // Frame format: uint32 LE payload length, uint32 LE CRC32 (IEEE) of the
-// payload, then the payload — one JSON-encoded walRecord. After a
-// snapshot at seq S the journal is rotated: a fresh wal.log holding only
-// a begin record with AfterSeq=S atomically replaces the old one, so
-// the journal never grows beyond one snapshot interval.
+// payload, then the payload — one JSON-encoded walRecord.
 
 import (
 	"encoding/binary"
@@ -39,17 +36,14 @@ import (
 )
 
 const (
-	walVersion       = 1
-	walFileName      = "wal.log"
-	snapshotFileName = "snapshot.json"
+	walVersion  = 1
+	walFileName = "wal.log"
 	// maxRecordBytes bounds a frame's declared payload length; anything
 	// larger is garbage (a torn or overwritten header), not a record.
 	maxRecordBytes = 256 << 20
 )
 
-// Record types. A begin record opens a journal file: the first one of a
-// run carries AfterSeq 0, a rotation's carries the seq of the snapshot
-// it truncated behind.
+// Record types. A begin record opens the journal at seq 1.
 const (
 	recBegin    = "begin"
 	recLease    = "lease"
@@ -73,7 +67,6 @@ type walRecord struct {
 	LeaseTimeout time.Duration `json:"lease_timeout,omitempty"`
 	BatchSize    int           `json:"batch_size,omitempty"`
 	Start        time.Time     `json:"start"`
-	AfterSeq     uint64        `json:"after_seq,omitempty"`
 
 	// lease and complete.
 	Lease  string `json:"lease,omitempty"`
@@ -98,7 +91,6 @@ type walRecord struct {
 // wal is an open journal file. The coordinator's mutex serializes all
 // access.
 type wal struct {
-	dir  string
 	path string
 	f    *os.File
 	seq  uint64
@@ -110,13 +102,20 @@ type wal struct {
 	broken error
 }
 
+// openWAL opens (creating if need be) the journal for appending after
+// seq, and fsyncs the directory so the file's entry survives a power
+// loss along with the records fsync'd into it.
 func openWAL(dir string, seq uint64) (*wal, error) {
 	path := filepath.Join(dir, walFileName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("distrib: opening journal: %w", err)
 	}
-	return &wal{dir: dir, path: path, f: f, seq: seq}, nil
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("distrib: opening journal: %w", err)
+	}
+	return &wal{path: path, f: f, seq: seq}, nil
 }
 
 func encodeFrame(rec *walRecord) ([]byte, error) {
@@ -169,55 +168,6 @@ func (w *wal) append(now time.Time, recs ...*walRecord) error {
 		return fmt.Errorf("journal sync: %w", err)
 	}
 	w.seq = seq
-	return nil
-}
-
-// rotate atomically replaces the journal with a fresh one holding only
-// the given begin record (whose AfterSeq names the snapshot that
-// superseded the old records). A failure before the rename leaves the
-// old journal untouched; a failure after it latches broken.
-func (w *wal) rotate(now time.Time, begin *walRecord) error {
-	if w.broken != nil {
-		return fmt.Errorf("journal unusable after earlier write failure: %w", w.broken)
-	}
-	begin.V = walVersion
-	begin.Seq = w.seq + 1
-	begin.Time = now
-	frame, err := encodeFrame(begin)
-	if err != nil {
-		return err
-	}
-	tmp := w.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("distrib: rotating journal: %w", err)
-	}
-	if _, err := f.Write(frame); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("distrib: rotating journal: %w", err)
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("distrib: rotating journal: %w", err)
-	}
-	if err := syncDir(w.dir); err != nil {
-		w.broken = err
-		return fmt.Errorf("distrib: rotating journal: %w", err)
-	}
-	nf, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		w.broken = err
-		return fmt.Errorf("distrib: reopening rotated journal: %w", err)
-	}
-	w.f.Close()
-	w.f = nf
-	w.seq = begin.Seq
 	return nil
 }
 
@@ -300,120 +250,6 @@ func readWAL(path string) (*walScan, error) {
 	scan.goodBytes = off
 	scan.dropped = int64(len(data)) - off
 	return scan, nil
-}
-
-// snapLease is one outstanding lease in a snapshot.
-type snapLease struct {
-	ID       string    `json:"id"`
-	Worker   string    `json:"worker"`
-	Jobs     []int     `json:"jobs"`
-	Deadline time.Time `json:"deadline"`
-}
-
-// snapState is the coordinator's full mutable state at one journal seq.
-// The pending FIFO is deliberately absent: recovery rebuilds it as the
-// still-pending jobs in index order, which changes only which agent
-// computes what — never the merged artifact, which is ordered by job
-// index and built from deterministic cells.
-type snapState struct {
-	Seq          uint64                   `json:"seq"`
-	Run          string                   `json:"run"`
-	PlanHash     string                   `json:"plan_hash"`
-	LeaseTimeout time.Duration            `json:"lease_timeout"`
-	BatchSize    int                      `json:"batch_size"`
-	Start        time.Time                `json:"start"`
-	LeaseSeq     int                      `json:"lease_seq"`
-	Requeues     int                      `json:"requeues"`
-	State        []jobState               `json:"state"`
-	Owner        []string                 `json:"owner"`
-	Leases       []snapLease              `json:"leases"`
-	Workers      map[string]*WorkerStatus `json:"workers"`
-	Cells        []*results.Cell          `json:"cells"`
-	Failures     []*results.Failure       `json:"failures"`
-}
-
-// snapshotFile wraps the state with a version and a CRC over the raw
-// state bytes, so a partially written or bit-rotted snapshot is
-// detected rather than loaded.
-type snapshotFile struct {
-	V     int             `json:"v"`
-	CRC   uint32          `json:"crc"`
-	State json.RawMessage `json:"state"`
-}
-
-// errCorruptSnapshot marks a snapshot that exists but cannot be
-// trusted. Recovery falls back to the journal when the journal still
-// holds the full history, and refuses to start when it does not.
-var errCorruptSnapshot = errors.New("corrupt snapshot")
-
-// writeSnapshot atomically replaces the snapshot: write to a temp file,
-// fsync it, rename over the real name, fsync the directory. A crash at
-// any point leaves either the old snapshot or the new one, never a mix.
-func writeSnapshot(dir string, st *snapState) error {
-	if err := faultpoint.Hit("distrib.snapshot.write"); err != nil {
-		return err
-	}
-	raw, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("distrib: encoding snapshot: %w", err)
-	}
-	body, err := json.Marshal(&snapshotFile{V: walVersion, CRC: crc32.ChecksumIEEE(raw), State: raw})
-	if err != nil {
-		return fmt.Errorf("distrib: encoding snapshot: %w", err)
-	}
-	path := filepath.Join(dir, snapshotFileName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("distrib: writing snapshot: %w", err)
-	}
-	if _, err := f.Write(body); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("distrib: writing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("distrib: writing snapshot: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("distrib: writing snapshot: %w", err)
-	}
-	return nil
-}
-
-// readSnapshot loads and verifies the snapshot; (nil, nil) when none
-// exists. Corruption — unparseable wrapper, wrong version, CRC or state
-// decode failure — returns an error wrapping errCorruptSnapshot.
-func readSnapshot(dir string) (*snapState, error) {
-	path := filepath.Join(dir, snapshotFileName)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("distrib: reading snapshot: %w", err)
-	}
-	var file snapshotFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		return nil, fmt.Errorf("distrib: %w: unparseable wrapper: %v", errCorruptSnapshot, err)
-	}
-	if file.V != walVersion {
-		return nil, fmt.Errorf("distrib: %w: format version %d, this build speaks %d", errCorruptSnapshot, file.V, walVersion)
-	}
-	if crc32.ChecksumIEEE(file.State) != file.CRC {
-		return nil, fmt.Errorf("distrib: %w: state checksum mismatch", errCorruptSnapshot)
-	}
-	var st snapState
-	if err := json.Unmarshal(file.State, &st); err != nil {
-		return nil, fmt.Errorf("distrib: %w: unparseable state: %v", errCorruptSnapshot, err)
-	}
-	return &st, nil
 }
 
 func syncDir(dir string) error {

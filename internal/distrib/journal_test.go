@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -184,62 +183,5 @@ func TestReadWALStopsAtSequenceGap(t *testing.T) {
 	}
 	if scan.torn == "" || len(scan.records) != 1 {
 		t.Fatalf("scan = %d records, torn %q; want 1 record and a sequence-gap tear", len(scan.records), scan.torn)
-	}
-}
-
-// Snapshots round-trip through their CRC'd wrapper, and any corruption —
-// a flipped state byte, a truncated file, garbage — is detected as
-// errCorruptSnapshot rather than loaded.
-func TestSnapshotRoundTripAndCorruption(t *testing.T) {
-	dir := t.TempDir()
-	st := &snapState{
-		Seq:      7,
-		Run:      "r",
-		PlanHash: "h",
-		LeaseSeq: 3,
-		State:    []jobState{jobDone, jobPending},
-		Owner:    []string{"", ""},
-		Leases:   []snapLease{{ID: "L3", Worker: "w", Jobs: []int{1}, Deadline: time.Unix(1_700_000_060, 0).UTC()}},
-	}
-	if err := writeSnapshot(dir, st); err != nil {
-		t.Fatalf("writeSnapshot: %v", err)
-	}
-	got, err := readSnapshot(dir)
-	if err != nil {
-		t.Fatalf("readSnapshot: %v", err)
-	}
-	if got.Seq != st.Seq || got.Run != st.Run || got.LeaseSeq != st.LeaseSeq ||
-		len(got.State) != 2 || got.State[0] != jobDone || len(got.Leases) != 1 || got.Leases[0].ID != "L3" {
-		t.Fatalf("snapshot round-tripped as %+v, wrote %+v", got, st)
-	}
-
-	path := filepath.Join(dir, snapshotFileName)
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corruptions := map[string][]byte{
-		"flipped byte": func() []byte {
-			c := append([]byte{}, clean...)
-			c[len(c)/2] ^= 0x01
-			return c
-		}(),
-		"truncated": clean[:len(clean)-10],
-		"garbage":   []byte("not a snapshot"),
-	}
-	for name, data := range corruptions {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readSnapshot(dir); !errors.Is(err, errCorruptSnapshot) {
-			t.Fatalf("%s: readSnapshot = %v, want errCorruptSnapshot", name, err)
-		}
-	}
-}
-
-func TestReadSnapshotMissing(t *testing.T) {
-	st, err := readSnapshot(t.TempDir())
-	if st != nil || err != nil {
-		t.Fatalf("readSnapshot(missing) = %v, %v; want nil, nil", st, err)
 	}
 }

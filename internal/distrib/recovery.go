@@ -1,23 +1,23 @@
 package distrib
 
 // recovery.go rebuilds a coordinator from a `-state` directory written
-// by journal.go. Recovery loads the newest snapshot (if any), replays
-// every journal record past it, truncates a torn tail, and reopens the
-// journal for appending — after which the coordinator is
-// indistinguishable from one that never died: open leases keep their
-// original absolute deadlines, resolved jobs stay resolved, and agent
-// re-uploads of batches completed before the crash dedup exactly as a
-// live duplicate would. ServeRecovering wraps the whole sequence behind
-// a Gate that answers 503 + Retry-After until replay finishes, so
-// agents see a clean "come back shortly" instead of half-answers.
+// by journal.go. Recovery replays every journal record, truncates a torn
+// tail, and reopens the journal for appending — after which the
+// coordinator is indistinguishable from one that never died: open leases
+// keep their original absolute deadlines, resolved jobs stay resolved,
+// and agent re-uploads of batches completed before the crash dedup
+// exactly as a live duplicate would. ServeRecovering wraps the whole
+// sequence behind a Gate that answers 503 + Retry-After until replay
+// finishes, so agents see a clean "come back shortly" instead of
+// half-answers.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/httpapi"
-	"repro/internal/results"
 )
 
 // RecoveryInfo describes what attaching a state directory found.
@@ -33,18 +32,12 @@ type RecoveryInfo struct {
 	// Resumed reports that the directory held a prior run's state (as
 	// opposed to being empty, starting a fresh journal).
 	Resumed bool `json:"resumed"`
-	// Snapshot reports that a snapshot was loaded, at SnapshotSeq.
-	Snapshot    bool   `json:"snapshot,omitempty"`
-	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
-	// Records counts journal records replayed on top of the snapshot.
+	// Records counts journal records replayed.
 	Records int `json:"records,omitempty"`
 	// DroppedBytes and TornReason describe a torn journal tail that was
 	// detected and truncated. Zero / empty for a clean journal.
 	DroppedBytes int64  `json:"dropped_bytes,omitempty"`
 	TornReason   string `json:"torn_reason,omitempty"`
-	// SnapshotLost reports that a snapshot existed but was corrupt, and
-	// the run was rebuilt from the journal's full history instead.
-	SnapshotLost bool `json:"snapshot_lost,omitempty"`
 }
 
 func (ri *RecoveryInfo) String() string {
@@ -52,12 +45,6 @@ func (ri *RecoveryInfo) String() string {
 		return "fresh state dir"
 	}
 	s := fmt.Sprintf("resumed: %d records replayed", ri.Records)
-	if ri.Snapshot {
-		s += fmt.Sprintf(" on snapshot seq %d", ri.SnapshotSeq)
-	}
-	if ri.SnapshotLost {
-		s += ", corrupt snapshot discarded"
-	}
 	if ri.DroppedBytes > 0 {
 		s += fmt.Sprintf(", torn tail dropped (%d bytes: %s)", ri.DroppedBytes, ri.TornReason)
 	}
@@ -68,45 +55,85 @@ func (ri *RecoveryInfo) String() string {
 // when the coordinator runs without one.
 func (c *Coordinator) Recovery() *RecoveryInfo { return c.recovery }
 
-// attachState wires the coordinator to a state directory: recover any
-// prior state, then open the journal for appending. Called from
-// NewCoordinator with c not yet shared, so no locking.
+// legacySnapshotFile is the full-state snapshot older builds wrote
+// beside the journal, truncating the journal behind it. Its presence
+// means wal.log no longer holds the run's whole history.
+const legacySnapshotFile = "snapshot.json"
+
+// attachState wires the coordinator to a state directory: replay any
+// prior run's journal, truncate a torn tail, then open the journal for
+// appending. Called from NewCoordinator with c not yet shared, so no
+// locking.
 func (c *Coordinator) attachState(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("distrib: creating state dir: %w", err)
 	}
-	walPath := dir + string(os.PathSeparator) + walFileName
+	refuse := func(why string) error {
+		return fmt.Errorf("distrib: state dir %s does not hold a whole journal (%s), as one written by an older, snapshotting build may not: finish that run with the build that started it, or start a fresh -state dir (a shared -cache makes the rerun warm)", dir, why)
+	}
+	if _, err := os.Stat(filepath.Join(dir, legacySnapshotFile)); err == nil {
+		return refuse("it holds " + legacySnapshotFile)
+	}
+	walPath := filepath.Join(dir, walFileName)
 	scan, err := readWAL(walPath)
 	if err != nil {
 		return err
 	}
-	snap, snapErr := readSnapshot(dir)
-	if snapErr != nil && !errors.Is(snapErr, errCorruptSnapshot) {
-		return snapErr
+	var recs []*walRecord
+	if scan != nil {
+		recs = scan.records
 	}
-	info := &RecoveryInfo{}
+	// A prior run's journal: verify it is whole and OUR run before
+	// touching it.
+	if len(recs) > 0 {
+		first := recs[0]
+		if first.Type != recBegin || first.Seq != 1 {
+			return refuse(fmt.Sprintf("the journal opens with a %s record at seq %d, not a begin record at seq 1", first.Type, first.Seq))
+		}
+		if first.PlanHash != c.planHash {
+			return fmt.Errorf("distrib: state dir %s belongs to run %s with plan hash %s, this coordinator compiled %s: same flags and code version required to resume",
+				dir, first.Run, first.PlanHash, c.planHash)
+		}
+	}
+	info := &RecoveryInfo{Resumed: len(recs) > 0}
 	c.recovery = info
-
-	if scan == nil || len(scan.records) == 0 {
-		// No usable journal. A snapshot (even a corrupt one) without a
-		// journal is not a fresh directory — refuse rather than silently
-		// restart the run from nothing.
-		if snap != nil || snapErr != nil {
-			return fmt.Errorf("distrib: state dir %s has a snapshot but no journal; refusing to guess at the run's state", dir)
+	if scan != nil && scan.dropped > 0 {
+		// A torn tail — possibly the whole file, when the crash tore
+		// the begin record itself — holds only transitions that were
+		// never acknowledged.
+		info.DroppedBytes = scan.dropped
+		info.TornReason = scan.torn
+		if err := os.Truncate(walPath, scan.goodBytes); err != nil {
+			return fmt.Errorf("distrib: truncating torn journal tail: %w", err)
 		}
-		if scan != nil && scan.dropped > 0 {
-			// The whole file is a torn first record: only an admission
-			// that was never acknowledged can be lost, so start fresh.
-			info.DroppedBytes = scan.dropped
-			info.TornReason = scan.torn
-			if err := os.Truncate(walPath, 0); err != nil {
-				return fmt.Errorf("distrib: truncating torn journal: %w", err)
-			}
-		}
-		w, err := openWAL(dir, 0)
-		if err != nil {
+	}
+	for _, rec := range recs {
+		if err := c.applyRecord(rec); err != nil {
 			return err
 		}
+		info.Records++
+	}
+
+	// Rebuild the pending FIFO as the still-open jobs in index order
+	// (replay does not track the live queue's pop/requeue interleaving).
+	// Grant order may differ from the unkilled run's — the artifact,
+	// ordered by job index over deterministic cells, cannot.
+	c.pending = c.pending[:0]
+	for i := range c.state {
+		if c.state[i] == jobPending {
+			c.pending = append(c.pending, i)
+		}
+	}
+
+	var seq uint64
+	if len(recs) > 0 {
+		seq = recs[len(recs)-1].Seq
+	}
+	w, err := openWAL(dir, seq)
+	if err != nil {
+		return err
+	}
+	if len(recs) == 0 {
 		begin := &walRecord{
 			Type:         recBegin,
 			Run:          c.run,
@@ -120,157 +147,9 @@ func (c *Coordinator) attachState(dir string) error {
 			w.close()
 			return fmt.Errorf("distrib: writing run admission record: %w", err)
 		}
-		c.wal = w
-		return nil
-	}
-
-	// A prior run's journal. Verify it is OUR run before adopting it.
-	first := scan.records[0]
-	if first.Type != recBegin {
-		return fmt.Errorf("distrib: journal %s does not start with a run record", walPath)
-	}
-	if first.PlanHash != c.planHash {
-		return fmt.Errorf("distrib: state dir %s belongs to run %s with plan hash %s, this coordinator compiled %s: same flags and code version required to resume",
-			dir, first.Run, first.PlanHash, c.planHash)
-	}
-	if snapErr != nil {
-		// Corrupt snapshot. Recoverable only if the journal still holds
-		// the run's full history.
-		if first.AfterSeq != 0 {
-			return fmt.Errorf("distrib: snapshot is unreadable (%v) and the journal was truncated past seq %d; cannot resume without silently losing state", snapErr, first.AfterSeq)
-		}
-		info.SnapshotLost = true
-		snap = nil
-	}
-	if snap != nil {
-		if snap.PlanHash != c.planHash {
-			return fmt.Errorf("distrib: snapshot in %s carries plan hash %s, this coordinator compiled %s", dir, snap.PlanHash, c.planHash)
-		}
-		if len(snap.State) != len(c.plan.Jobs) {
-			return fmt.Errorf("distrib: snapshot in %s covers %d jobs, this plan has %d", dir, len(snap.State), len(c.plan.Jobs))
-		}
-		if first.AfterSeq > snap.Seq {
-			return fmt.Errorf("distrib: journal was truncated past seq %d but the snapshot stops at seq %d; records in between are lost", first.AfterSeq, snap.Seq)
-		}
-	} else if first.AfterSeq != 0 {
-		return fmt.Errorf("distrib: journal was truncated past seq %d but no snapshot exists; records before it are lost", first.AfterSeq)
-	}
-
-	info.Resumed = true
-	var baseSeq uint64
-	if snap != nil {
-		c.loadSnapshot(snap)
-		info.Snapshot = true
-		info.SnapshotSeq = snap.Seq
-		baseSeq = snap.Seq
-	}
-	for _, rec := range scan.records {
-		if rec.Seq <= baseSeq {
-			continue
-		}
-		if err := c.applyRecord(rec); err != nil {
-			return err
-		}
-		info.Records++
-	}
-	if scan.dropped > 0 {
-		info.DroppedBytes = scan.dropped
-		info.TornReason = scan.torn
-		if err := os.Truncate(walPath, scan.goodBytes); err != nil {
-			return fmt.Errorf("distrib: truncating torn journal tail: %w", err)
-		}
-	}
-
-	// Rebuild the pending FIFO as the still-open jobs in index order
-	// (replay does not track the live queue's pop/requeue interleaving;
-	// see snapState). Grant order may differ from the unkilled run's —
-	// the artifact, ordered by job index over deterministic cells,
-	// cannot.
-	c.pending = c.pending[:0]
-	for i := range c.state {
-		if c.state[i] == jobPending {
-			c.pending = append(c.pending, i)
-		}
-	}
-	if c.unresolved == 0 {
-		select {
-		case <-c.done:
-		default:
-			close(c.done)
-		}
-	}
-
-	w, err := openWAL(dir, scan.records[len(scan.records)-1].Seq)
-	if err != nil {
-		return err
 	}
 	c.wal = w
 	return nil
-}
-
-// loadSnapshot installs a verified snapshot as the coordinator's state.
-func (c *Coordinator) loadSnapshot(snap *snapState) {
-	c.run = snap.Run
-	if snap.LeaseTimeout > 0 {
-		c.leaseTimeout = snap.LeaseTimeout
-	}
-	if snap.BatchSize > 0 {
-		c.batchSize = snap.BatchSize
-	}
-	c.start = snap.Start
-	c.leaseSeq = snap.LeaseSeq
-	c.requeues = snap.Requeues
-	copy(c.state, snap.State)
-	copy(c.owner, snap.Owner)
-	for _, sl := range snap.Leases {
-		c.leases[sl.ID] = &lease{id: sl.ID, worker: sl.Worker, jobs: sl.Jobs, deadline: sl.Deadline}
-	}
-	if snap.Workers != nil {
-		c.workers = snap.Workers
-	}
-	copy(c.cells, snap.Cells)
-	copy(c.failures, snap.Failures)
-	c.unresolved = 0
-	for _, s := range c.state {
-		if s != jobDone {
-			c.unresolved++
-		}
-	}
-}
-
-// snapshotLocked captures the coordinator's state at the journal's
-// current seq. Callers hold c.mu.
-func (c *Coordinator) snapshotLocked() *snapState {
-	st := &snapState{
-		Seq:          c.wal.seq,
-		Run:          c.run,
-		PlanHash:     c.planHash,
-		LeaseTimeout: c.leaseTimeout,
-		BatchSize:    c.batchSize,
-		Start:        c.start,
-		LeaseSeq:     c.leaseSeq,
-		Requeues:     c.requeues,
-		State:        append([]jobState(nil), c.state...),
-		Owner:        append([]string(nil), c.owner...),
-		Leases:       make([]snapLease, 0, len(c.leases)),
-		Workers:      make(map[string]*WorkerStatus, len(c.workers)),
-		Cells:        append([]*results.Cell(nil), c.cells...),
-		Failures:     append([]*results.Failure(nil), c.failures...),
-	}
-	ids := make([]string, 0, len(c.leases))
-	for id := range c.leases {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		l := c.leases[id]
-		st.Leases = append(st.Leases, snapLease{ID: l.id, Worker: l.worker, Jobs: l.jobs, Deadline: l.deadline})
-	}
-	for name, w := range c.workers {
-		cp := *w
-		st.Workers[name] = &cp
-	}
-	return st
 }
 
 // applyRecord replays one journal record. Called during recovery with

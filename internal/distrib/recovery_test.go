@@ -109,14 +109,13 @@ func frameBounds(t *testing.T, data []byte) []int64 {
 // and finish with a merged artifact byte-identical to an unkilled run's.
 func TestCrashAtEveryJournalBoundaryResumesByteIdentical(t *testing.T) {
 	golden := goldenPipelineArtifact(t)
-	opt := CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3, SnapshotEvery: -1}
+	opt := CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3}
 
-	// The clean journaled run, with snapshots disabled so wal.log keeps
-	// the run's complete record-by-record history.
+	// The clean journaled run: wal.log holds its complete
+	// record-by-record history.
 	dir := t.TempDir()
 	c, _ := testCoordinator(t, CoordinatorOptions{
-		LeaseTimeout: opt.LeaseTimeout, BatchSize: opt.BatchSize,
-		SnapshotEvery: opt.SnapshotEvery, StateDir: dir,
+		LeaseTimeout: opt.LeaseTimeout, BatchSize: opt.BatchSize, StateDir: dir,
 	})
 	drainRun(t, c, "w1")
 	if !bytes.Equal(artifactBytes(t, c), golden) {
@@ -183,15 +182,15 @@ func TestCrashAtEveryJournalBoundaryResumesByteIdentical(t *testing.T) {
 	})
 }
 
-// Snapshot + truncated-journal recovery resumes the exact pre-crash
-// state: resolved jobs stay resolved, the open lease keeps its original
-// deadline (and expires on the original schedule), worker stats survive,
-// and the finished artifact is byte-identical.
-func TestSnapshotRestoreResumesExactState(t *testing.T) {
+// A restart resumes the exact pre-crash state: resolved jobs stay
+// resolved, the open lease keeps its original deadline (and expires on
+// the original schedule), worker stats survive, and the finished
+// artifact is byte-identical.
+func TestRestartResumesExactState(t *testing.T) {
 	golden := goldenPipelineArtifact(t)
 	dir := t.TempDir()
 	c, _ := testCoordinator(t, CoordinatorOptions{
-		LeaseTimeout: time.Minute, BatchSize: 3, StateDir: dir, SnapshotEvery: 1,
+		LeaseTimeout: time.Minute, BatchSize: 3, StateDir: dir,
 	})
 	la, err := c.Lease(LeaseRequest{Worker: "a", PlanHash: c.planHash})
 	if err != nil {
@@ -205,16 +204,12 @@ func TestSnapshotRestoreResumesExactState(t *testing.T) {
 		t.Fatalf("lease b: %v", err)
 	}
 	before := c.Status()
-	if before.Checkpoints == 0 {
-		t.Fatal("SnapshotEvery=1 run took no checkpoints")
-	}
 	c.Close()
 
 	r, rnow := resumeCoordinator(t, dir, walT0,
-		CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3, SnapshotEvery: 1})
-	ri := r.Recovery()
-	if !ri.Resumed || !ri.Snapshot || ri.SnapshotSeq == 0 {
-		t.Fatalf("recovery info %+v, want a snapshot-based resume", ri)
+		CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3})
+	if ri := r.Recovery(); !ri.Resumed || ri.Records != 4 {
+		t.Fatalf("recovery info %+v, want begin, two leases and a completion replayed", ri)
 	}
 	after := r.Status()
 	if !after.Recovered {
@@ -250,7 +245,7 @@ func TestSnapshotRestoreResumesExactState(t *testing.T) {
 
 	drainRun(t, r, "c")
 	if !bytes.Equal(artifactBytes(t, r), golden) {
-		t.Fatal("snapshot-resumed artifact differs from the unkilled run")
+		t.Fatal("resumed artifact differs from the unkilled run")
 	}
 	r.Close()
 }
@@ -285,89 +280,57 @@ func TestReuploadAfterRestartDedups(t *testing.T) {
 	r.Close()
 }
 
-// A corrupt snapshot is survivable exactly when the journal still holds
-// the run's full history: recovery discards the snapshot, reports it
-// lost, and replays the journal instead.
-func TestCorruptSnapshotFallsBackToFullJournal(t *testing.T) {
-	golden := goldenPipelineArtifact(t)
+// A state dir written by an older build that snapshotted and truncated
+// its journal is refused — both a leftover snapshot.json and a journal
+// that does not open with the begin record at seq 1 — with the way out
+// named, and the directory is left untouched.
+func TestOlderBuildStateDirRefused(t *testing.T) {
 	dir := t.TempDir()
-	c, _ := testCoordinator(t, CoordinatorOptions{
-		LeaseTimeout: time.Minute, BatchSize: 3, StateDir: dir, SnapshotEvery: -1,
-	})
-	l, err := c.Lease(LeaseRequest{Worker: "w", PlanHash: c.planHash})
-	if err != nil {
+	c, _ := testCoordinator(t, CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3, StateDir: dir})
+	if _, err := c.Lease(LeaseRequest{Worker: "w", PlanHash: c.planHash}); err != nil {
 		t.Fatalf("lease: %v", err)
 	}
-	if _, err := c.Complete(completeReq(c, "w", l.Lease, l.Jobs)); err != nil {
-		t.Fatalf("complete: %v", err)
-	}
 	c.Close()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), []byte("bit rot"), 0o644); err != nil {
+	walPath := filepath.Join(dir, walFileName)
+
+	refused := func(name string) {
+		t.Helper()
+		before, _ := os.ReadFile(walPath)
+		_, err := NewCoordinator(testSpecs("pipeline"), CoordinatorOptions{StateDir: dir})
+		if err == nil || !strings.Contains(err.Error(), "older, snapshotting build") ||
+			!strings.Contains(err.Error(), "fresh -state dir") {
+			t.Fatalf("%s: NewCoordinator = %v, want the older-build refusal naming the fix", name, err)
+		}
+		if after, _ := os.ReadFile(walPath); !bytes.Equal(after, before) {
+			t.Fatalf("%s: the refused journal was modified", name)
+		}
+	}
+
+	// A leftover snapshot.json, even beside a whole journal.
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("snapshot.json")
+	if err := os.Remove(filepath.Join(dir, "snapshot.json")); err != nil {
 		t.Fatal(err)
 	}
 
-	r, _ := resumeCoordinator(t, dir, walT0.Add(time.Hour),
-		CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3, SnapshotEvery: -1})
-	ri := r.Recovery()
-	if !ri.Resumed || !ri.SnapshotLost {
-		t.Fatalf("recovery info %+v, want a journal-only resume with the snapshot reported lost", ri)
-	}
-	if st := r.Status(); st.Completed != len(l.Jobs) {
-		t.Fatalf("journal-only resume completed = %d, want %d", st.Completed, len(l.Jobs))
-	}
-	drainRun(t, r, "w2")
-	if !bytes.Equal(artifactBytes(t, r), golden) {
-		t.Fatal("journal-only resumed artifact differs from the unkilled run")
-	}
-	r.Close()
-}
-
-// Once the journal has been truncated behind a snapshot, that snapshot is
-// the only copy of the early records: if it is corrupt the coordinator
-// must refuse to start rather than silently lose state.
-func TestCorruptSnapshotWithTruncatedJournalRefuses(t *testing.T) {
-	dir := t.TempDir()
-	c, _ := testCoordinator(t, CoordinatorOptions{
-		LeaseTimeout: time.Minute, BatchSize: 3, StateDir: dir, SnapshotEvery: 1,
-	})
-	l, err := c.Lease(LeaseRequest{Worker: "w", PlanHash: c.planHash})
+	// A journal rotated behind a checkpoint: a lone begin record past
+	// seq 1.
+	scan, err := readWAL(walPath)
 	if err != nil {
-		t.Fatalf("lease: %v", err)
-	}
-	if _, err := c.Complete(completeReq(c, "w", l.Lease, l.Jobs)); err != nil {
-		t.Fatalf("complete: %v", err)
-	}
-	c.Close()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), []byte("bit rot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewCoordinator(testSpecs("pipeline"), CoordinatorOptions{StateDir: dir})
-	if err == nil || !strings.Contains(err.Error(), "snapshot") {
-		t.Fatalf("NewCoordinator = %v, want a refusal naming the unreadable snapshot", err)
-	}
-}
-
-// A snapshot without any journal is not a resumable state dir.
-func TestSnapshotWithoutJournalRefuses(t *testing.T) {
-	dir := t.TempDir()
-	c, _ := testCoordinator(t, CoordinatorOptions{
-		LeaseTimeout: time.Minute, BatchSize: 3, StateDir: dir, SnapshotEvery: 1,
-	})
-	l, err := c.Lease(LeaseRequest{Worker: "w", PlanHash: c.planHash})
+	begin := scan.records[0]
+	begin.Seq = 33
+	frame, err := encodeFrame(begin)
 	if err != nil {
-		t.Fatalf("lease: %v", err)
-	}
-	if _, err := c.Complete(completeReq(c, "w", l.Lease, l.Jobs)); err != nil {
-		t.Fatalf("complete: %v", err)
-	}
-	c.Close()
-	if err := os.Remove(filepath.Join(dir, walFileName)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewCoordinator(testSpecs("pipeline"), CoordinatorOptions{StateDir: dir})
-	if err == nil || !strings.Contains(err.Error(), "no journal") {
-		t.Fatalf("NewCoordinator = %v, want a refusal about the missing journal", err)
+	if err := os.WriteFile(walPath, frame, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	refused("begin record at seq 33")
 }
 
 // A state dir belongs to one run: a coordinator compiled from different

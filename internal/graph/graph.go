@@ -11,12 +11,12 @@
 // parallel array of edge volumes, and the same three arrays for the
 // predecessors. SuccVolumes(v)[i] is the volume of the edge
 // v -> Succs(v)[i], and PredVolumes(v)[i] that of Preds(v)[i] -> v, so
-// adjacency loops read volumes without a lookup; Volume is a degree-bounded
-// scan for one-off queries. AddEdge only appends to a pending list. The
-// first read after an insertion (or Freeze) folds the pending edges into the
-// arrays in one O(V+E) pass, merging duplicates with a stamp array: each
-// edge keeps the position of its first copy in both lists and the volume of
-// its last. A frozen graph has nothing pending.
+// adjacency loops read volumes without a lookup. AddEdge only appends to
+// a pending list. The first read after an insertion (or Freeze) folds the
+// pending edges into the arrays in one O(V+E) pass, merging duplicates
+// with a stamp array: each edge keeps the position of its first copy in
+// both lists and the volume of its last. A frozen graph has nothing
+// pending.
 //
 // The freeze is the package's key invariant: a frozen DAG is immutable and
 // carries a fixed topological order, so schedulers, simulators, and
@@ -256,39 +256,6 @@ func (g *DAG) OutDegree(v NodeID) int {
 	return g.out.off[v+1] - g.out.off[v]
 }
 
-// HasEdge reports whether the edge u -> v exists. It scans the shorter of
-// u's successor and v's predecessor lists.
-func (g *DAG) HasEdge(u, v NodeID) bool {
-	_, ok := g.lookup(u, v)
-	return ok
-}
-
-// Volume returns the data volume on edge u -> v, or 0 if the edge does not
-// exist. Like HasEdge it scans an adjacency list; loops over a node's edges
-// read SuccVolumes or PredVolumes instead.
-func (g *DAG) Volume(u, v NodeID) int64 {
-	vol, _ := g.lookup(u, v)
-	return vol
-}
-
-func (g *DAG) lookup(u, v NodeID) (int64, bool) {
-	succs, preds := g.Succs(u), g.Preds(v)
-	if len(succs) <= len(preds) {
-		for i, w := range succs {
-			if w == v {
-				return g.out.volumes(u)[i], true
-			}
-		}
-		return 0, false
-	}
-	for i, w := range preds {
-		if w == u {
-			return g.in.volumes(v)[i], true
-		}
-	}
-	return 0, false
-}
-
 // Edges returns all edges sorted by (From, To). The result is freshly
 // allocated on every call. A counting sort keeps it O(V+E): walking targets
 // in ID order and scattering each into its source's run leaves every run
@@ -301,28 +268,6 @@ func (g *DAG) Edges() []Edge {
 		for i, u := range g.in.nbrs(NodeID(v)) {
 			out[next[u]] = Edge{From: u, To: NodeID(v), Volume: g.in.volumes(NodeID(v))[i]}
 			next[u]++
-		}
-	}
-	return out
-}
-
-// Sources returns the nodes with no predecessors, in ID order.
-func (g *DAG) Sources() []NodeID {
-	var out []NodeID
-	for v := 0; v < g.n; v++ {
-		if g.InDegree(NodeID(v)) == 0 {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
-// Sinks returns the nodes with no successors, in ID order.
-func (g *DAG) Sinks() []NodeID {
-	var out []NodeID
-	for v := 0; v < g.n; v++ {
-		if g.OutDegree(NodeID(v)) == 0 {
-			out = append(out, NodeID(v))
 		}
 	}
 	return out

@@ -19,7 +19,7 @@ func randomDAG(rng *rand.Rand, n int) *DAG {
 		parents := rng.Intn(3)
 		for p := 0; p < parents; p++ {
 			u := rng.Intn(v)
-			if !g.HasEdge(NodeID(u), NodeID(v)) {
+			if !slices.Contains(g.Succs(NodeID(u)), NodeID(v)) {
 				g.MustEdge(NodeID(u), NodeID(v), int64(rng.Intn(100)+1))
 			}
 		}
@@ -42,15 +42,15 @@ func TestAddEdgeValidation(t *testing.T) {
 	if err := g.AddEdge(a, b, 5); err != nil {
 		t.Errorf("valid edge rejected: %v", err)
 	}
-	if g.Volume(a, b) != 5 {
-		t.Errorf("volume = %d, want 5", g.Volume(a, b))
+	if vols := g.SuccVolumes(a); !slices.Equal(vols, []int64{5}) {
+		t.Errorf("volumes = %v, want [5]", vols)
 	}
 	// Overwrite keeps a single edge.
 	if err := g.AddEdge(a, b, 7); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 1 || g.Volume(a, b) != 7 {
-		t.Errorf("edge overwrite failed: %d edges, volume %d", g.NumEdges(), g.Volume(a, b))
+	if vols := g.SuccVolumes(a); g.NumEdges() != 1 || !slices.Equal(vols, []int64{7}) {
+		t.Errorf("edge overwrite failed: %d edges, volumes %v", g.NumEdges(), vols)
 	}
 }
 
@@ -147,9 +147,6 @@ func TestLevelsChain(t *testing.T) {
 	if lv[a] != 1 || lv[b] != 2 || lv[c] != 3 {
 		t.Errorf("levels = %v", lv)
 	}
-	if g.NumLevels() != 3 {
-		t.Errorf("NumLevels = %d, want 3", g.NumLevels())
-	}
 }
 
 func TestLongestPathAndBottomLevels(t *testing.T) {
@@ -202,11 +199,20 @@ func TestSourcesSinks(t *testing.T) {
 	a, b, c := g.AddNode(), g.AddNode(), g.AddNode()
 	g.MustEdge(a, b, 1)
 	g.MustEdge(a, c, 1)
-	if s := g.Sources(); len(s) != 1 || s[0] != a {
-		t.Errorf("sources = %v", s)
+	var sources, sinks []NodeID
+	for v := NodeID(0); int(v) < g.Len(); v++ {
+		if len(g.Preds(v)) == 0 {
+			sources = append(sources, v)
+		}
+		if len(g.Succs(v)) == 0 {
+			sinks = append(sinks, v)
+		}
 	}
-	if s := g.Sinks(); len(s) != 2 {
-		t.Errorf("sinks = %v", s)
+	if !slices.Equal(sources, []NodeID{a}) {
+		t.Errorf("sources = %v", sources)
+	}
+	if !slices.Equal(sinks, []NodeID{b, c}) {
+		t.Errorf("sinks = %v", sinks)
 	}
 }
 
@@ -249,7 +255,7 @@ func TestDuplicateEdgesFold(t *testing.T) {
 	if got := g.Edges(); !slices.Equal(got, want) || g.NumEdges() != 4 {
 		t.Errorf("edges = %v (%d), want %v", got, g.NumEdges(), want)
 	}
-	if g.Volume(a, c) != 4 || !g.HasEdge(d, c) || g.HasEdge(c, d) {
-		t.Errorf("lookups: volume(a,c)=%d hasEdge(d,c)=%v hasEdge(c,d)=%v", g.Volume(a, c), g.HasEdge(d, c), g.HasEdge(c, d))
+	if got := g.Succs(c); len(got) != 0 {
+		t.Errorf("succs(c) = %v, want none", got)
 	}
 }

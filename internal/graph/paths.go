@@ -27,21 +27,6 @@ func (g *DAG) Levels() []int {
 	return lv
 }
 
-// NumLevels returns the maximum level over all nodes, or 0 for the empty
-// graph.
-func (g *DAG) NumLevels() int {
-	if g.n == 0 {
-		return 0
-	}
-	max := 0
-	for _, l := range g.Levels() {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // LongestPath returns the maximum total node weight along any directed path,
 // where weight[v] is the cost of node v. Edge costs are not modeled (the
 // paper's NoC is contention free). Returns 0 for the empty graph.

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,7 +135,7 @@ func TestTheoremA2Bound(t *testing.T) {
 		t1 := SequentialTime(tg)
 		n := float64(tg.Len())
 		x := float64(maxDistinctWorksPerLevel(tg))
-		l := float64(tg.G.NumLevels())
+		l := float64(slices.Max(tg.G.Levels()))
 		slack := n - 1
 		if alt := (x - 1) * (l - 1); alt < slack {
 			slack = alt

@@ -326,6 +326,33 @@ func TestResultEndpoints(t *testing.T) {
 
 // TestInlineGraphSubmission: an inline core-JSON graph schedules like a
 // workload submission.
+// TestInlineGraphInputlessSinkRejected: an inline graph whose sink has
+// no predecessor is not canonical — the simulator would wait on it
+// forever — and is answered 400 before it occupies the queue.
+func TestInlineGraphInputlessSinkRejected(t *testing.T) {
+	s := New(Options{QueueCap: 1})
+	body := `{"graph": {"nodes": [
+		{"name": "src", "kind": "source", "out": 8},
+		{"name": "a", "kind": "compute", "in": 8, "out": 8},
+		{"name": "out", "kind": "sink", "in": 8},
+		{"name": "orphan", "kind": "sink", "in": 8}
+	], "edges": [[0, 1], [1, 2]]}}`
+	req := httptest.NewRequest(http.MethodPost, "/v1/submit", strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	var rej rejection
+	if err := json.NewDecoder(rec.Body).Decode(&rej); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rej.Error, "sink 3 (orphan) has no inputs") {
+		t.Errorf("status %d, error %q; want 400 naming the input-less sink", rec.Code, rej.Error)
+	}
+	if st := s.Status(); st.Queued != 0 || st.Accepted != 0 {
+		t.Errorf("the rejected graph occupied the queue: %+v", st)
+	}
+}
+
 func TestInlineGraphSubmission(t *testing.T) {
 	tg, err := buildGraph(fftReq(5))
 	if err != nil {
