@@ -3,10 +3,13 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-diff bench-smoke fuzz-smoke scale-smoke loadtest-smoke streambench-check loc verify
+.PHONY: vet build test race bench bench-diff bench-smoke fuzz-smoke scale-smoke loadtest-smoke streambench-check loc verify
 
 build:
 	$(GO) build ./...
+
+vet:
+	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -72,4 +75,6 @@ loc:
 	@echo "non-test $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'cmd/streambench/*' -exec cat {} + | wc -l)"
 	@echo "test     $$(find internal cmd -name '*_test.go' ! -path 'cmd/streambench/*' -exec cat {} + | wc -l)"
 
-verify: build test bench-smoke streambench-check
+# verify runs what CI's test job runs first: vet, build, tests, the
+# benchmark smoke and the benchmark module's own vet and tests.
+verify: vet build test bench-smoke streambench-check

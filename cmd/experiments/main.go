@@ -3,12 +3,11 @@
 // Usage:
 //
 //	experiments [-exp all|fig10|...|placement,heft,pipeline] [-graphs N] [-seed S]
-//	            [-quick] [-full-models] [-workers N] [-shard i/n] [-out shard.json]
+//	            [-quick] [-full-models] [-workers N] [-out run.json]
 //	            [-cache dir] [-report]
 //	            [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
-//	experiments -merge a.json b.json ...
 //	experiments -serve addr [-lease-timeout d] [-batch N] [-state dir]
-//	            [-token t] [-out merged.json] [spec flags]
+//	            [-token t] [-out run.json] [spec flags]
 //	experiments -agent http://host:port [-worker-id name] [-workers N] [-cache dir] [-token t]
 //	experiments -status http://host:port [-token t]
 //	experiments -list-variants
@@ -26,11 +25,8 @@
 // Every experiment compiles to cell jobs on the concurrent engine of
 // internal/experiments, dispatching through its variant and workload
 // tables (-list-variants prints them): -workers sizes the goroutine
-// pool (default GOMAXPROCS) and -shard i/n runs only the i-th of n job
-// shards so one run can be split across processes or machines. -out writes
-// the shard's cells to a versioned JSON artifact instead of rendering
-// tables, and -merge validates and combines shard artifacts into the final
-// tables, byte-identical to an unsharded run (see docs/ARTIFACTS.md).
+// pool (default GOMAXPROCS). -out writes the run's cells to a versioned
+// JSON artifact instead of rendering tables (see docs/ARTIFACTS.md).
 // -cache points at a persistent results cache keyed by graph content, so
 // repeated runs skip already-computed cells; -cache-stats and -cache-gc
 // report and prune it. -report summarizes jobs, timings, and cache hits on
@@ -43,17 +39,17 @@
 // -cpuprofile and -memprofile write pprof profiles of the run — also with
 // -agent — so sweep hot spots can be inspected without a test harness.
 //
-// Instead of picking shards by hand, a run can self-schedule across
-// machines (see docs/DISTRIBUTED.md): -serve starts an HTTP job-queue
-// coordinator that leases job batches to pull-based workers, requeues the
-// batches of workers that die, and — once every job is resolved — writes
-// the merged artifact (-out) or renders the tables, byte-identical to an
-// unsharded local run. -agent joins a coordinator as a worker, reusing the
-// local worker pool (-workers) and the persistent results cache (-cache).
+// To split a run across processes or machines, it self-schedules (see
+// docs/DISTRIBUTED.md): -serve starts an HTTP job-queue coordinator that
+// leases job batches to pull-based workers, requeues the batches of
+// workers that die, and — once every job is resolved — writes the
+// artifact (-out) or renders the tables, byte-identical to a local run.
+// -agent joins a coordinator as a worker, reusing the local worker pool
+// (-workers) and the persistent results cache (-cache).
 // -status prints a coordinator's progress/failure report as JSON. With
-// -state the coordinator journals every state transition to a directory
+// -state the coordinator journals every accepted result to a directory
 // and a killed coordinator restarted with the same flags resumes the run
-// exactly where it crashed (docs/DISTRIBUTED.md, "Failure recovery");
+// with those results kept (docs/DISTRIBUTED.md, "Failure recovery");
 // -token requires a shared bearer token of every client.
 package main
 
@@ -65,8 +61,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -76,17 +70,17 @@ import (
 )
 
 // config is the parsed command line: every flag's value, the names of the
-// flags set explicitly, and the positional arguments.
+// flags set explicitly, and the positional arguments (none are read).
 type config struct {
 	exp                    string
 	graphs                 int
 	seed                   int64
 	quick, fullModels      bool
 	workers                int
-	shard, out, cacheDir   string
+	out, cacheDir          string
 	cacheStats             bool
 	cacheGC                time.Duration
-	merge, report, list    bool
+	report, list           bool
 	serve, agent, workerID string
 	leaseTimeout           time.Duration
 	batch                  int
@@ -105,12 +99,10 @@ func main() {
 	flag.BoolVar(&c.quick, "quick", false, "reduced graph counts and volumes")
 	flag.BoolVar(&c.fullModels, "full-models", false, "run Table 2 on full-size model graphs")
 	flag.IntVar(&c.workers, "workers", 0, "engine worker goroutines (default GOMAXPROCS)")
-	flag.StringVar(&c.shard, "shard", "", "run only shard i of n cell jobs, format i/n")
-	flag.StringVar(&c.out, "out", "", "write this run's cells to a JSON shard artifact instead of rendering tables")
+	flag.StringVar(&c.out, "out", "", "write this run's cells to a JSON artifact instead of rendering tables")
 	flag.StringVar(&c.cacheDir, "cache", "", "persistent results cache directory; computed cells are reused across runs")
 	flag.BoolVar(&c.cacheStats, "cache-stats", false, "print cache entry count, bytes, and last-run hit/miss, then exit (requires -cache)")
 	flag.DurationVar(&c.cacheGC, "cache-gc", 0, "delete cache entries older than this age (e.g. 168h), then exit (requires -cache)")
-	flag.BoolVar(&c.merge, "merge", false, "merge the shard artifacts given as arguments and render their tables")
 	flag.BoolVar(&c.report, "report", false, "print a job/timing/cache summary to stderr")
 	flag.BoolVar(&c.list, "list-variants", false, "list the experiments, variants, and workloads, then exit")
 	flag.StringVar(&c.serve, "serve", "", "serve the run as a distributed-sweep coordinator on this address (e.g. :8077), then write -out or render tables")
@@ -137,41 +129,47 @@ func main() {
 
 // modeFlags maps each exclusive mode to the flags it reads. Any other flag
 // set beside the mode would be silently ignored, so run rejects it.
-var modeFlags = map[string]struct {
-	allowed []string
-	why     string // appended to the rejection message
-}{
-	"-status": {[]string{"status", "token"}, ""},
-	"-agent": {[]string{"agent", "workers", "cache", "worker-id", "token", "cpuprofile", "memprofile"},
-		" (the coordinator defines the run)"},
-	"-serve": {[]string{"serve", "exp", "graphs", "seed", "quick", "full-models",
+var modeFlags = map[string]experiments.ModeFlags{
+	"-list-variants": {Allowed: []string{"list-variants"}},
+	"-status":        {Allowed: []string{"status", "token"}},
+	"-agent": {Allowed: []string{"agent", "workers", "cache", "worker-id", "token", "cpuprofile", "memprofile"},
+		Why: " (the coordinator defines the run)"},
+	"-serve": {Allowed: []string{"serve", "exp", "graphs", "seed", "quick", "full-models",
 		"lease-timeout", "batch", "out", "state", "token"},
-		" (workers run in -agent processes)"},
-	"-merge":                 {[]string{"merge"}, " (the artifacts' metadata defines the run)"},
-	"-cache-stats/-cache-gc": {[]string{"cache", "cache-stats", "cache-gc"}, ""},
-	"a local run": {[]string{"exp", "graphs", "seed", "quick", "full-models", "workers", "shard",
+		Why: " (workers run in -agent processes)"},
+	"-cache-stats/-cache-gc": {Allowed: []string{"cache", "cache-stats", "cache-gc"}},
+	"a local run": {Allowed: []string{"exp", "graphs", "seed", "quick", "full-models", "workers",
 		"out", "cache", "report", "cpuprofile", "memprofile"},
-		" (it applies to a coordinator or its clients)"},
+		Why: " (it applies to a coordinator or its clients)"},
 }
 
-// checkModeFlags rejects the first explicitly set flag, in name order,
-// that mode does not read.
-func checkModeFlags(mode string, explicit map[string]bool) error {
-	names := make([]string, 0, len(explicit))
-	for name := range explicit {
-		names = append(names, name)
+// mode names the mode c selects, a key of modeFlags.
+func (c *config) mode() string {
+	switch {
+	case c.list:
+		return "-list-variants"
+	case c.status != "":
+		return "-status"
+	case c.agent != "":
+		return "-agent"
+	case c.serve != "":
+		return "-serve"
+	case c.cacheStats || c.cacheGC != 0:
+		return "-cache-stats/-cache-gc"
 	}
-	sort.Strings(names)
-	m := modeFlags[mode]
-	for _, name := range names {
-		if !slices.Contains(m.allowed, name) {
-			return fmt.Errorf("-%s has no effect with %s%s", name, mode, m.why)
-		}
-	}
-	return nil
+	return "a local run"
 }
 
 func run(c config) error {
+	// Check the command line before anything acts on it: a rejected run
+	// leaves no profile file behind.
+	mode := c.mode()
+	if err := experiments.CheckModeFlags(modeFlags, mode, c.explicit); err != nil {
+		return err
+	}
+	if len(c.args) > 0 {
+		return fmt.Errorf("unexpected arguments %q", c.args)
+	}
 	if c.cpuProfile != "" {
 		f, err := os.Create(c.cpuProfile)
 		if err != nil {
@@ -198,50 +196,25 @@ func run(c config) error {
 		}()
 	}
 
-	if c.list {
+	switch mode {
+	case "-list-variants":
 		experiments.ListVariants(os.Stdout)
 		return nil
-	}
-	if c.status != "" {
-		if err := checkModeFlags("-status", c.explicit); err != nil {
-			return err
-		}
+	case "-status":
 		return runStatus(c.status, c.token)
-	}
-	if c.agent != "" {
-		if err := checkModeFlags("-agent", c.explicit); err != nil {
-			return err
-		}
+	case "-agent":
 		return runAgent(c.agent, c.workerID, c.workers, c.cacheDir, c.token)
-	}
-	if c.serve != "" {
-		if err := checkModeFlags("-serve", c.explicit); err != nil {
-			return err
-		}
+	case "-serve":
 		return runServe(c)
-	}
-	if c.merge {
-		// Merge mode takes its entire configuration from the artifacts'
-		// metadata.
-		if err := checkModeFlags("-merge", c.explicit); err != nil {
-			return err
-		}
-		return runMerge(c.args)
-	}
-	if c.cacheStats || c.cacheGC != 0 {
-		// Cache maintenance modes: no experiments run.
-		if err := checkModeFlags("-cache-stats/-cache-gc", c.explicit); err != nil {
-			return err
-		}
+	case "-cache-stats/-cache-gc":
 		return runCacheMaintenance(c.cacheDir, c.cacheStats, c.cacheGC)
 	}
-	if err := checkModeFlags("a local run", c.explicit); err != nil {
-		return err
-	}
-	if len(c.args) > 0 {
-		return fmt.Errorf("unexpected arguments %q (artifact files go with -merge)", c.args)
-	}
+	return runLocal(c)
+}
 
+// runLocal runs the selected experiments in this process and renders
+// their tables, or writes the cells to -out.
+func runLocal(c config) error {
 	specs, err := specsFromFlags(c)
 	if err != nil {
 		return err
@@ -250,12 +223,7 @@ func run(c config) error {
 	if err != nil {
 		return err
 	}
-
-	idx, count, err := experiments.ParseShard(c.shard)
-	if err != nil {
-		return err
-	}
-	runner := experiments.Runner{Workers: c.workers, ShardIndex: idx, ShardCount: count}
+	runner := experiments.Runner{Workers: c.workers}
 	var cache *results.Cache
 	if c.cacheDir != "" {
 		cache, err = results.OpenCache(c.cacheDir)
@@ -268,8 +236,8 @@ func run(c config) error {
 	set, rep := runner.RunPlan(plan)
 	experiments.ReportFailures(os.Stderr, rep)
 	if c.report {
-		fmt.Fprintf(os.Stderr, "report: %d jobs (%d skipped by shard), %d completed, %d cached, %d failed, elapsed %v, work %v\n",
-			rep.Jobs, rep.Skipped, rep.Completed, rep.CacheHits, len(rep.Failures), rep.Elapsed, rep.Work)
+		fmt.Fprintf(os.Stderr, "report: %d jobs, %d completed, %d cached, %d failed, elapsed %v, work %v\n",
+			rep.Jobs, rep.Completed, rep.CacheHits, len(rep.Failures), rep.Elapsed, rep.Work)
 	}
 	if cache != nil {
 		// Record this run's hit/miss so a later -cache-stats can report it.
@@ -281,7 +249,7 @@ func run(c config) error {
 
 	if c.out != "" {
 		art := &results.Artifact{
-			Meta:  experiments.MetaFromSpecs(specs, idx, count),
+			Meta:  experiments.MetaFromSpecs(specs, 0, 1),
 			Cells: set.Cells(),
 		}
 		for _, f := range rep.Failures {
@@ -290,13 +258,8 @@ func run(c config) error {
 		if err := art.WriteFile(c.out); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d cells to %s (shard %d/%d); combine with -merge\n",
-			set.Len(), c.out, art.Meta.ShardIndex, art.Meta.ShardCount)
+		fmt.Fprintf(os.Stderr, "wrote %d cells to %s\n", set.Len(), c.out)
 		return failedJobsError(len(rep.Failures), rep.Jobs)
-	}
-
-	if count > 1 {
-		fmt.Fprintf(os.Stderr, "note: rendering shard %d/%d only; use -out and -merge for complete tables\n", idx, count)
 	}
 	experiments.Render(os.Stdout, plan, set)
 	return failedJobsError(len(rep.Failures), rep.Jobs)
@@ -403,55 +366,10 @@ func runCacheMaintenance(cacheDir string, stats bool, gc time.Duration) error {
 	return nil
 }
 
-// runMerge combines shard artifacts from separate processes into the final
-// tables: validate that the shards belong to one run and neither overlap
-// nor miss cells, then render from the merged set.
-func runMerge(files []string) error {
-	if len(files) == 0 {
-		return fmt.Errorf("-merge needs at least one artifact file")
-	}
-	arts := make([]*results.Artifact, 0, len(files))
-	for _, f := range files {
-		a, err := results.ReadArtifactFile(f)
-		if err != nil {
-			return err
-		}
-		arts = append(arts, a)
-	}
-	set, meta, err := results.Merge(arts)
-	if err != nil {
-		return err
-	}
-	specs, err := experiments.SpecsFromMeta(meta)
-	if err != nil {
-		return err
-	}
-	plan, err := experiments.Compile(specs)
-	if err != nil {
-		return err
-	}
-	// Cells missing because their shard recorded a job failure render like
-	// the in-process path: dropped from the aggregates, reported on stderr.
-	excused := make(map[string]bool)
-	var failed []results.Failure
-	for _, a := range arts {
-		for _, f := range a.Failures {
-			excused[f.Label] = true
-			failed = append(failed, f)
-		}
-	}
-	if err := experiments.VerifySet(plan, set, excused); err != nil {
-		return err
-	}
-	experiments.ReportArtifactFailures(os.Stderr, failed)
-	experiments.Render(os.Stdout, plan, set)
-	return failedJobsError(len(failed), len(plan.Jobs))
-}
-
 // runServe compiles the selected experiments and serves them as a
 // distributed-sweep coordinator until every cell job is resolved by -agent
-// workers, then writes the merged artifact (-out) or renders the tables —
-// either way byte-identical to an unsharded local run of the same flags
+// workers, then writes the artifact (-out) or renders the tables —
+// either way byte-identical to a local run of the same flags
 // (docs/DISTRIBUTED.md). With -state the run is crash-safe: the address is
 // bound (and served 503 + Retry-After) before any journal replay, so a
 // restarted coordinator picks up a half-finished run where it left off
@@ -480,7 +398,7 @@ func runServe(c config) error {
 		if err := art.WriteFile(c.out); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d cells to %s (merged distributed run)\n", len(art.Cells), c.out)
+		fmt.Fprintf(os.Stderr, "wrote %d cells to %s (distributed run)\n", len(art.Cells), c.out)
 		return failedJobsError(len(art.Failures), len(coord.Plan().Jobs))
 	}
 	set := results.NewSet()

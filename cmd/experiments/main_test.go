@@ -1,8 +1,12 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // TestModeFlags: every exclusive mode rejects a flag it would silently
@@ -15,14 +19,14 @@ func TestModeFlags(t *testing.T) {
 		rejected []string
 		want     string // message for the first rejected flag
 	}{
-		{"-status", config{status: "http://127.0.0.1:1"}, []string{"exp", "workers", "merge"},
+		{"-list-variants", config{list: true}, []string{"exp"},
+			"-exp has no effect with -list-variants"},
+		{"-status", config{status: "http://127.0.0.1:1"}, []string{"exp", "workers", "out"},
 			"-exp has no effect with -status"},
 		{"-agent", config{agent: "http://127.0.0.1:1"}, []string{"graphs", "serve", "out"},
 			"-graphs has no effect with -agent (the coordinator defines the run)"},
-		{"-serve", config{serve: "127.0.0.1:0"}, []string{"workers", "cache", "shard"},
+		{"-serve", config{serve: "127.0.0.1:0"}, []string{"workers", "cache", "report"},
 			"-cache has no effect with -serve (workers run in -agent processes)"},
-		{"-merge", config{merge: true}, []string{"seed", "out", "quick"},
-			"-out has no effect with -merge (the artifacts' metadata defines the run)"},
 		{"-cache-stats/-cache-gc", config{cacheStats: true, cacheDir: cacheDir}, []string{"report", "exp"},
 			"-exp has no effect with -cache-stats/-cache-gc"},
 		{"-cache-stats/-cache-gc", config{cacheGC: time.Hour, cacheDir: cacheDir}, []string{"workers"},
@@ -34,11 +38,14 @@ func TestModeFlags(t *testing.T) {
 		if !ok {
 			t.Fatalf("no flag table for mode %s", tc.mode)
 		}
+		if got := tc.c.mode(); got != tc.mode {
+			t.Fatalf("%+v selects mode %s, want %s", tc.c, got, tc.mode)
+		}
 		explicit := map[string]bool{}
-		for _, name := range m.allowed {
+		for _, name := range m.Allowed {
 			explicit[name] = true
 		}
-		if err := checkModeFlags(tc.mode, explicit); err != nil {
+		if err := experiments.CheckModeFlags(modeFlags, tc.mode, explicit); err != nil {
 			t.Errorf("%s rejects its own flags: %v", tc.mode, err)
 		}
 		for _, name := range tc.rejected {
@@ -49,6 +56,19 @@ func TestModeFlags(t *testing.T) {
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s with %v: err %v, want %q", tc.mode, tc.rejected, err, tc.want)
 		}
+	}
+
+	// A rejected command line acts on nothing: not even the profile file
+	// it names is created.
+	prof := filepath.Join(t.TempDir(), "cpu.pb.gz")
+	c := config{serve: "127.0.0.1:0", cpuProfile: prof,
+		explicit: map[string]bool{"serve": true, "cpuprofile": true}}
+	want := "-cpuprofile has no effect with -serve (workers run in -agent processes)"
+	if err := run(c); err == nil || err.Error() != want {
+		t.Errorf("-serve -cpuprofile: err %v, want %q", err, want)
+	}
+	if _, err := os.Stat(prof); !os.IsNotExist(err) {
+		t.Errorf("rejected -serve -cpuprofile left %s behind (stat: %v)", prof, err)
 	}
 }
 
@@ -72,12 +92,8 @@ func TestModesAcceptTheirFlags(t *testing.T) {
 	if err := run(c); err != nil {
 		t.Errorf("-cache-stats -cache-gc: %v", err)
 	}
-	c = config{merge: true, explicit: map[string]bool{"merge": true}}
-	if err := run(c); err == nil || err.Error() != "-merge needs at least one artifact file" {
-		t.Errorf("-merge without artifacts: err %v", err)
-	}
 	c = config{args: []string{"a.json"}, explicit: map[string]bool{}}
-	if err := run(c); err == nil || err.Error() != `unexpected arguments ["a.json"] (artifact files go with -merge)` {
+	if err := run(c); err == nil || err.Error() != `unexpected arguments ["a.json"]` {
 		t.Errorf("stray arguments: err %v", err)
 	}
 }

@@ -173,17 +173,14 @@ var (
 
 // modeFlags maps each exclusive mode to the flags it reads. Any other flag
 // set beside the mode would be silently ignored, so run rejects it.
-var modeFlags = map[string]struct {
-	allowed []string
-	why     string // appended to the rejection message
-}{
-	"-list-variants": {[]string{"list-variants"}, ""},
-	"-serve":         {append([]string{"serve"}, serviceFlags...), " (submissions carry the graph and its options)"},
-	"-loadtest":      {slices.Concat([]string{"loadtest"}, serviceFlags, loadFlags), " (it submits -workload)"},
-	"-loadgen":       {append([]string{"loadgen"}, loadFlags...), " (the remote service has its own options)"},
-	"-sweep":         {append([]string{"sweep", "workers"}, graphFlags...), " (it prints one summary row per PE count)"},
-	"a batch run": {append([]string{"pes", "sim", "dot", "tasks", "gantt", "trace", "place", "pipeline"}, graphFlags...),
-		" (it schedules one graph at -pes)"},
+var modeFlags = map[string]experiments.ModeFlags{
+	"-list-variants": {Allowed: []string{"list-variants"}},
+	"-serve":         {Allowed: append([]string{"serve"}, serviceFlags...), Why: " (submissions carry the graph and its options)"},
+	"-loadtest":      {Allowed: slices.Concat([]string{"loadtest"}, serviceFlags, loadFlags), Why: " (it submits -workload)"},
+	"-loadgen":       {Allowed: append([]string{"loadgen"}, loadFlags...), Why: " (the remote service has its own options)"},
+	"-sweep":         {Allowed: append([]string{"sweep", "workers"}, graphFlags...), Why: " (it prints one summary row per PE count)"},
+	"a batch run": {Allowed: append([]string{"pes", "sim", "dot", "tasks", "gantt", "trace", "place", "pipeline"}, graphFlags...),
+		Why: " (it schedules one graph at -pes)"},
 }
 
 // mode names the mode c selects, a key of modeFlags.
@@ -203,28 +200,11 @@ func (c *config) mode() string {
 	return "a batch run"
 }
 
-// checkModeFlags rejects the first explicitly set flag, in name order,
-// that mode does not read.
-func checkModeFlags(mode string, explicit map[string]bool) error {
-	names := make([]string, 0, len(explicit))
-	for name := range explicit {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	m := modeFlags[mode]
-	for _, name := range names {
-		if !slices.Contains(m.allowed, name) {
-			return fmt.Errorf("-%s has no effect with %s%s", name, mode, m.why)
-		}
-	}
-	return nil
-}
-
 // run executes the mode c selects until it finishes or ctx is cancelled,
 // writing results to stdout and progress to stderr.
 func run(ctx context.Context, c config, stdout, stderr io.Writer) error {
 	mode := c.mode()
-	if err := checkModeFlags(mode, c.explicit); err != nil {
+	if err := experiments.CheckModeFlags(modeFlags, mode, c.explicit); err != nil {
 		return err
 	}
 	switch mode {

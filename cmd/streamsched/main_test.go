@@ -94,14 +94,14 @@ func TestModeFlags(t *testing.T) {
 			t.Fatalf("%q selects mode %s, want %s", tc.args, got, tc.mode)
 		}
 		explicit := map[string]bool{}
-		for _, name := range m.allowed {
+		for _, name := range m.Allowed {
 			explicit[name] = true
 		}
-		if err := checkModeFlags(tc.mode, explicit); err != nil {
+		if err := experiments.CheckModeFlags(modeFlags, tc.mode, explicit); err != nil {
 			t.Errorf("%s rejects its own flags: %v", tc.mode, err)
 		}
 		for _, name := range tc.rejected {
-			if slices.Contains(m.allowed, name) {
+			if slices.Contains(m.Allowed, name) {
 				t.Fatalf("%s reads -%s", tc.mode, name)
 			}
 			c.explicit[name] = true
@@ -122,7 +122,7 @@ func TestModeFlags(t *testing.T) {
 	}
 	fs.VisitAll(func(f *flag.Flag) {
 		for _, m := range modeFlags {
-			if slices.Contains(m.allowed, f.Name) {
+			if slices.Contains(m.Allowed, f.Name) {
 				return
 			}
 		}

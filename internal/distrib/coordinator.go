@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -49,11 +50,12 @@ type CoordinatorOptions struct {
 	// Run names the run in status reports and batch provenance; empty
 	// generates a random id.
 	Run string
-	// StateDir, when set, makes the coordinator crash-safe: every state
-	// transition is journaled (and fsync'd) to this directory before it
-	// is applied or acknowledged, and a restarted coordinator replays
-	// the directory back to its exact pre-crash state (recovery.go).
-	// Empty keeps the run purely in memory, as before.
+	// StateDir, when set, makes the coordinator crash-safe: every
+	// accepted completion is journaled (and fsync'd) to this directory
+	// before it is applied or acknowledged, and a restarted coordinator
+	// replays the directory, keeping every acknowledged result and
+	// requeueing every other job (recovery.go). Empty keeps the run
+	// purely in memory.
 	StateDir string
 	// Token, when set, requires `Authorization: Bearer <Token>` on every
 	// endpoint; requests without it are answered 401.
@@ -117,7 +119,7 @@ type Coordinator struct {
 
 // NewCoordinator compiles the specs and sets up the job queue. The specs
 // are the same values a local `cmd/experiments` run would compile, so the
-// final merged artifact is byte-identical to a local unsharded `-out` run.
+// final artifact is byte-identical to a local `-out` run.
 func NewCoordinator(specs []experiments.Spec, opt CoordinatorOptions) (*Coordinator, error) {
 	plan, err := experiments.Compile(specs)
 	if err != nil {
@@ -222,38 +224,32 @@ func (c *Coordinator) Info() RunInfo {
 }
 
 // expireLocked requeues the unresolved jobs of every lease whose deadline
-// has lapsed, journaling the expiry first when the run is persistent. If
-// the journal refuses the record the leases simply stay open until a
-// later scan — expiry is a clock observation, always safe to defer.
+// has lapsed, in lease id order so the requeue order is deterministic.
 // Callers hold c.mu.
 func (c *Coordinator) expireLocked(now time.Time) {
-	ids := c.sortedExpiredLocked(now)
-	if len(ids) == 0 {
-		return
-	}
-	if c.appendLocked(now, &walRecord{Type: recExpire, Leases: ids}) != nil {
-		return
-	}
-	for _, id := range ids {
-		if l := c.leases[id]; l != nil {
-			c.releaseLocked(l)
-			delete(c.leases, id)
+	var ids []string
+	for id, l := range c.leases {
+		if !l.deadline.After(now) {
+			ids = append(ids, id)
 		}
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		c.releaseLocked(c.leases[id])
+		delete(c.leases, id)
 	}
 }
 
-// appendLocked stamps and journals records ahead of applying them; a
+// appendLocked stamps and journals a record ahead of applying it; a
 // journal failure surfaces as a retryable 503. Without a StateDir it
-// only stamps. Callers hold c.mu and apply the same records afterwards —
+// only stamps. Callers hold c.mu and apply the same record afterwards —
 // journal-then-apply is the write-ahead discipline recovery relies on.
-func (c *Coordinator) appendLocked(now time.Time, recs ...*walRecord) error {
-	for _, rec := range recs {
-		rec.Time = now
-	}
+func (c *Coordinator) appendLocked(now time.Time, rec *walRecord) error {
+	rec.Time = now
 	if c.wal == nil {
 		return nil
 	}
-	if err := c.wal.append(now, recs...); err != nil {
+	if err := c.wal.append(now, rec); err != nil {
 		return httpapi.Errorf(http.StatusServiceUnavailable, "coordinator journal unavailable (%v); retry", err)
 	}
 	return nil
@@ -309,7 +305,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		return LeaseResponse{}, err
 	}
 	c.expireLocked(now)
-	c.workerLocked(req.Worker, now)
+	w := c.workerLocked(req.Worker, now)
 
 	max := req.Max
 	if max <= 0 || max > c.batchSize {
@@ -334,25 +330,18 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		}
 		return LeaseResponse{RetryAfter: c.retryAfterLocked(now)}, nil
 	}
-	if err := faultpoint.Hit("distrib.lease.grant"); err != nil {
-		return LeaseResponse{}, httpapi.Errorf(http.StatusServiceUnavailable, "%v; retry", err)
-	}
-	rec := &walRecord{
-		Type:     recLease,
-		Lease:    fmt.Sprintf("L%d", c.leaseSeq+1),
-		Worker:   req.Worker,
-		Jobs:     jobs,
-		Deadline: now.Add(c.leaseTimeout),
-	}
-	// Journal before touching any state: a refused append leaves the
-	// queue exactly as it was, so the agent's retry re-selects the same
-	// work.
-	if err := c.appendLocked(now, rec); err != nil {
-		return LeaseResponse{}, err
-	}
+	// A lease is soft state: it is not journaled, and a restart forgets
+	// it and makes its jobs pending again.
 	c.pending = c.pending[i:]
-	c.applyLeaseLocked(rec)
-	return LeaseResponse{Lease: rec.Lease, Jobs: jobs, Deadline: rec.Deadline}, nil
+	c.leaseSeq++
+	l := &lease{id: fmt.Sprintf("L%d", c.leaseSeq), worker: req.Worker, jobs: jobs, deadline: now.Add(c.leaseTimeout)}
+	for _, j := range jobs {
+		c.state[j] = jobLeased
+		c.owner[j] = l.id
+	}
+	c.leases[l.id] = l
+	w.Leases++
+	return LeaseResponse{Lease: l.id, Jobs: jobs, Deadline: l.deadline}, nil
 }
 
 // retryAfterLocked picks a polling interval for a worker that found the
@@ -425,9 +414,9 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	// Journal the validated upload verbatim, then apply it. Replay runs
 	// the identical first-write-wins dedup (applyCompleteLocked is the
 	// single implementation), so a batch the coordinator acknowledged
-	// before a crash stays resolved after recovery — and a partial batch's
-	// lease retirement (unresolved jobs straight back to the queue, no
-	// timeout wait) replays with it.
+	// before a crash stays resolved after recovery. A partial batch's
+	// unresolved jobs go straight back to the queue, with no timeout
+	// wait.
 	rec := &walRecord{
 		Type:     recComplete,
 		Lease:    req.Lease,
@@ -491,11 +480,11 @@ func (c *Coordinator) Status() Status {
 	return st
 }
 
-// Artifact assembles the merged run artifact: every collected cell and
-// failure in compiled job order, under the run's shard-0-of-1 metadata.
-// Because cells are keyed by job index and the metadata carries no
-// distributed provenance, the result is byte-identical to what a local
-// unsharded `cmd/experiments -out` run of the same specs writes. It is
+// Artifact assembles the run artifact: every collected cell and failure
+// in compiled job order, under the run's metadata. Because cells are
+// keyed by job index and the metadata carries no distributed provenance,
+// the result is byte-identical to what a local `cmd/experiments -out` run
+// of the same specs writes. It is
 // meaningful once Done() is closed; called earlier it returns the cells
 // collected so far.
 func (c *Coordinator) Artifact() *results.Artifact {

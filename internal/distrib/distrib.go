@@ -1,5 +1,5 @@
-// Package distrib turns the experiment shard pipeline into a
-// self-scheduling distributed sweep: an HTTP job-queue Coordinator that
+// Package distrib is the one way to split an experiment run across
+// processes or machines, a self-scheduling distributed sweep: an HTTP job-queue Coordinator that
 // owns a compiled experiment plan, and pull-based worker Agents that lease
 // batches of cell jobs, evaluate them on the concurrent engine of
 // internal/experiments, and upload the resulting cells.
@@ -22,16 +22,19 @@
 // experiments.PlanHash, so a bare job index means the same job on every
 // machine, and an agent built from mismatched code or flags is rejected up
 // front. And cells are order-independent: the coordinator stores them by
-// job index, so the final merged artifact is byte-identical to a local
-// unsharded `cmd/experiments -out` run no matter how work interleaved
-// across agents.
+// job index, so the final artifact is byte-identical to a local
+// `cmd/experiments -out` run no matter how work interleaved across
+// agents.
 //
 // Fault tolerance is lease-based. Every leased batch carries a deadline;
 // if a worker dies (or just stalls past the lease timeout), its unresolved
 // jobs are requeued on the next queue scan and another worker picks them
-// up. A job whose evaluation fails is recorded as a failure and not
-// retried, matching the local engine's semantics: one pathological graph
-// drops its samples from the tables instead of wedging the run.
+// up. Leases are soft state: a crash-safe coordinator journals only the
+// results it accepts, and a restarted one makes every unresolved job
+// pending again. A job whose evaluation fails is recorded as a failure
+// and not retried, matching the local engine's semantics: one
+// pathological graph drops its samples from the tables instead of
+// wedging the run.
 //
 // Entry points: ServeRecovering (or NewCoordinator + Coordinator.Handler)
 // on the serving side, Agent.Run on the worker side; `cmd/experiments
@@ -53,9 +56,8 @@ type RunInfo struct {
 	// Run identifies this coordinator run; workers echo it in the
 	// provenance of every batch they upload.
 	Run string `json:"run"`
-	// Meta is the run's artifact metadata (shard 0 of 1). Agents rebuild
-	// the specs from it with experiments.SpecsFromMeta and compile the
-	// identical plan.
+	// Meta is the run's artifact metadata. Agents rebuild the specs from
+	// it with experiments.SpecsFromMeta and compile the identical plan.
 	Meta results.Meta `json:"meta"`
 	// PlanHash is the coordinator's experiments.PlanHash; agents verify
 	// their recompiled plan hashes identically before leasing.
@@ -99,13 +101,14 @@ type LeaseResponse struct {
 }
 
 // CompleteRequest uploads one fulfilled lease. The batch travels as a
-// regular shard artifact whose meta carries results.DistribMeta provenance,
-// so the same schema, validation, and merge rules apply to distributed
-// batches as to hand-run shards (docs/ARTIFACTS.md).
+// regular v2 artifact whose meta carries results.DistribMeta provenance;
+// the coordinator validates it against the run before accepting any of it
+// (docs/ARTIFACTS.md).
 type CompleteRequest struct {
 	// Worker and Lease identify the grant being fulfilled. A completion
-	// for an expired lease is still accepted — the jobs are deterministic,
-	// so whichever result arrives first wins and the rest are duplicates.
+	// for an expired or forgotten lease is still accepted — the jobs are
+	// deterministic, so whichever result arrives first wins and the rest
+	// are duplicates. It retires the named lease only if Worker holds it.
 	Worker string `json:"worker"`
 	Lease  string `json:"lease"`
 	// PlanHash must match the coordinator's.

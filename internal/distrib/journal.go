@@ -1,22 +1,24 @@
 package distrib
 
 // journal.go is the coordinator's write-ahead persistence layer: an
-// append-only journal of state transitions (run admission, lease grant,
-// lease expiry, batch completion). Every record is framed with a length
-// and a CRC32 and fsync'd before the transition it describes is applied
-// in memory or acknowledged to a client, so a coordinator killed at any
-// instant can replay the journal back to its exact pre-crash state
-// (recovery.go). A torn tail — the half-written frame a crash mid-append
-// leaves behind — is detected by the framing and dropped, never
-// misread; dropping it is safe because an unacknowledged transition is
-// one the agents will simply retry or recompute, and jobs are
-// deterministic.
+// append-only journal of the run's admission and of every accepted batch
+// completion. Each record is framed with a length and a CRC32 and fsync'd
+// before the completion it describes is applied in memory or acknowledged
+// to an agent, so a coordinator killed at any instant can replay every
+// result it acknowledged (recovery.go). Leases are not journaled: jobs
+// are deterministic and completions first-write-wins, so a lease is soft
+// state a crash may forget — recovery simply makes every unresolved job
+// pending again. A torn tail — the half-written frame a crash mid-append
+// leaves behind — is detected by the framing and dropped, never misread;
+// dropping it is safe because an unacknowledged completion is one the
+// agent will simply retry or another agent recompute.
 //
 // A `-state` directory holds one file, wal.log: framed walRecords with
-// strictly increasing seqs, opened by the run's begin record at seq 1.
-// The journal is the whole state and is never truncated behind a
-// checkpoint: every complete record carries its batch's cells verbatim,
-// so replay costs about what loading a full-state copy would.
+// strictly increasing seqs, opened by the run's begin record at seq 1 and
+// followed by one complete record per accepted upload. It is never
+// truncated behind a checkpoint: every complete record carries its
+// batch's cells verbatim, so replay costs about what loading a full-state
+// copy would.
 //
 // Frame format: uint32 LE payload length, uint32 LE CRC32 (IEEE) of the
 // payload, then the payload — one JSON-encoded walRecord.
@@ -36,7 +38,9 @@ import (
 )
 
 const (
-	walVersion  = 1
+	// walVersion 2 journals only begin and complete records; a version 1
+	// journal also holds lease grants and expiries and is refused.
+	walVersion  = 2
 	walFileName = "wal.log"
 	// maxRecordBytes bounds a frame's declared payload length; anything
 	// larger is garbage (a torn or overwritten header), not a record.
@@ -46,44 +50,29 @@ const (
 // Record types. A begin record opens the journal at seq 1.
 const (
 	recBegin    = "begin"
-	recLease    = "lease"
-	recExpire   = "expire"
 	recComplete = "complete"
 )
 
-// walRecord is one journaled state transition. One struct covers every
-// record type; unused fields stay empty on the wire.
+// walRecord is one journaled record. One struct covers both record
+// types; unused fields stay empty on the wire.
 type walRecord struct {
 	V    int       `json:"v"`
 	Seq  uint64    `json:"seq"`
 	Type string    `json:"type"`
 	Time time.Time `json:"time"`
 
-	// begin: the run's identity and configuration, enough to refuse a
-	// state dir that belongs to a different run and to resume this one.
-	Run          string        `json:"run,omitempty"`
-	Meta         *results.Meta `json:"meta,omitempty"`
-	PlanHash     string        `json:"plan_hash,omitempty"`
-	LeaseTimeout time.Duration `json:"lease_timeout,omitempty"`
-	BatchSize    int           `json:"batch_size,omitempty"`
-	Start        time.Time     `json:"start"`
+	// begin: the run's identity, enough to refuse a state dir that
+	// belongs to a different run and to resume this one.
+	Run      string        `json:"run,omitempty"`
+	Meta     *results.Meta `json:"meta,omitempty"`
+	PlanHash string        `json:"plan_hash,omitempty"`
+	Start    time.Time     `json:"start"`
 
-	// lease and complete.
-	Lease  string `json:"lease,omitempty"`
-	Worker string `json:"worker,omitempty"`
-
-	// lease: the granted jobs and the absolute deadline. Replaying the
-	// absolute time (not a duration) is what resumes an open lease's
-	// timeout clock instead of restarting it.
-	Jobs     []int     `json:"jobs,omitempty"`
-	Deadline time.Time `json:"deadline"`
-
-	// expire: the lapsed lease ids, sorted so replay releases them in a
-	// deterministic order.
-	Leases []string `json:"leases,omitempty"`
-
-	// complete: the uploaded batch verbatim (after validation). Replay
-	// re-runs the same first-write-wins dedup the live path ran.
+	// complete: the lease the upload named, its worker, and the batch
+	// verbatim (after validation). Replay re-runs the same
+	// first-write-wins dedup the live path ran.
+	Lease    string            `json:"lease,omitempty"`
+	Worker   string            `json:"worker,omitempty"`
 	Cells    []results.Cell    `json:"cells,omitempty"`
 	Failures []results.Failure `json:"failures,omitempty"`
 }
@@ -130,32 +119,27 @@ func encodeFrame(rec *walRecord) ([]byte, error) {
 	return frame, nil
 }
 
-// append journals the records — assigning seqs and stamping now — and
+// append journals the record — assigning its seq and stamping now — and
 // fsyncs before returning. An error before any byte is written (the
 // distrib.wal.append faultpoint, an encode failure) leaves the journal
 // usable and the request retryable; an error at or after the write
 // latches broken.
-func (w *wal) append(now time.Time, recs ...*walRecord) error {
+func (w *wal) append(now time.Time, rec *walRecord) error {
 	if w.broken != nil {
 		return fmt.Errorf("journal unusable after earlier write failure: %w", w.broken)
 	}
 	if err := faultpoint.Hit("distrib.wal.append"); err != nil {
 		return err
 	}
-	var buf []byte
-	seq := w.seq
-	for _, rec := range recs {
-		seq++
-		rec.V = walVersion
-		rec.Seq = seq
-		rec.Time = now
-		frame, err := encodeFrame(rec)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, frame...)
+	seq := w.seq + 1
+	rec.V = walVersion
+	rec.Seq = seq
+	rec.Time = now
+	frame, err := encodeFrame(rec)
+	if err != nil {
+		return err
 	}
-	if _, err := w.f.Write(buf); err != nil {
+	if _, err := w.f.Write(frame); err != nil {
 		w.broken = err
 		return fmt.Errorf("journal write: %w", err)
 	}
@@ -237,7 +221,7 @@ func readWAL(path string) (*walScan, error) {
 			break
 		}
 		if rec.V != walVersion {
-			return nil, fmt.Errorf("distrib: journal %s speaks format version %d, this build speaks %d", path, rec.V, walVersion)
+			return nil, fmt.Errorf("distrib: journal %s speaks format version %d, this build speaks %d: finish that run with the build that started it, or start a fresh -state dir (a shared -cache makes the rerun warm)", path, rec.V, walVersion)
 		}
 		if rec.Seq == 0 || (prevSeq != 0 && rec.Seq != prevSeq+1) {
 			scan.torn = fmt.Sprintf("sequence gap: record %d after %d", rec.Seq, prevSeq)

@@ -2,11 +2,14 @@ package distrib
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/results"
 )
 
 // Records appended and fsync'd come back verbatim, in order, with
@@ -18,13 +21,16 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("openWAL: %v", err)
 	}
 	now := time.Unix(1_700_000_000, 0).UTC()
+	cell := results.Cell{Key: results.CellKey{Graph: "g", PEs: 2, Variant: "SB-LTS"}, Values: map[string]float64{"speedup": 1.25}}
 	recs := []*walRecord{
-		{Type: recBegin, Run: "r", PlanHash: "h", BatchSize: 3},
-		{Type: recLease, Lease: "L1", Worker: "w", Jobs: []int{0, 1, 2}, Deadline: now.Add(time.Minute)},
-		{Type: recExpire, Leases: []string{"L1"}},
+		{Type: recBegin, Run: "r", PlanHash: "h", Start: now},
+		{Type: recComplete, Lease: "L1", Worker: "w", Cells: []results.Cell{cell}},
+		{Type: recComplete, Lease: "L2", Worker: "w", Failures: []results.Failure{{Label: "g/P2", Err: "boom"}}},
 	}
-	if err := w.append(now, recs...); err != nil {
-		t.Fatalf("append: %v", err)
+	for _, rec := range recs {
+		if err := w.append(now, rec); err != nil {
+			t.Fatalf("append: %v", err)
+		}
 	}
 	if err := w.close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -48,8 +54,11 @@ func TestWALRoundTrip(t *testing.T) {
 			t.Fatalf("record %d round-tripped as %+v, wrote %+v", i, rec, recs[i])
 		}
 	}
-	if !scan.records[1].Deadline.Equal(now.Add(time.Minute)) {
-		t.Fatalf("lease deadline round-tripped as %v, want %v", scan.records[1].Deadline, now.Add(time.Minute))
+	if got := scan.records[1].Cells; len(got) != 1 || got[0].Key != cell.Key || got[0].Values["speedup"] != 1.25 {
+		t.Fatalf("cells round-tripped as %+v, wrote %+v", got, cell)
+	}
+	if got := scan.records[2].Failures; len(got) != 1 || got[0].Err != "boom" {
+		t.Fatalf("failures round-tripped as %+v", got)
 	}
 }
 
@@ -62,7 +71,7 @@ func TestReadWALMissingFile(t *testing.T) {
 	}
 }
 
-// writeTestWAL journals n lease records and returns the file path plus
+// writeTestWAL journals n complete records and returns the file path plus
 // each frame's end offset, so torn-tail tests can cut at exact record
 // boundaries.
 func writeTestWAL(t *testing.T, n int) (string, []int64) {
@@ -75,7 +84,7 @@ func writeTestWAL(t *testing.T, n int) (string, []int64) {
 	now := time.Unix(1_700_000_000, 0).UTC()
 	bounds := make([]int64, 0, n)
 	for i := 0; i < n; i++ {
-		rec := &walRecord{Type: recLease, Lease: "L1", Worker: "w", Jobs: []int{i}}
+		rec := &walRecord{Type: recComplete, Lease: fmt.Sprintf("L%d", i+1), Worker: "w"}
 		if err := w.append(now, rec); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -150,7 +159,7 @@ func TestReadWALDetectsTornTails(t *testing.T) {
 // a tear: guessing at a foreign format could misread every field.
 func TestReadWALRefusesForeignVersion(t *testing.T) {
 	dir := t.TempDir()
-	payload := []byte(`{"v":99,"seq":1,"type":"begin","time":"2023-01-01T00:00:00Z","start":"2023-01-01T00:00:00Z","deadline":"0001-01-01T00:00:00Z"}`)
+	payload := []byte(`{"v":99,"seq":1,"type":"begin","time":"2023-01-01T00:00:00Z","start":"2023-01-01T00:00:00Z"}`)
 	frame := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))

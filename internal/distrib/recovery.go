@@ -2,14 +2,16 @@ package distrib
 
 // recovery.go rebuilds a coordinator from a `-state` directory written
 // by journal.go. Recovery replays every journal record, truncates a torn
-// tail, and reopens the journal for appending — after which the
-// coordinator is indistinguishable from one that never died: open leases
-// keep their original absolute deadlines, resolved jobs stay resolved,
-// and agent re-uploads of batches completed before the crash dedup
-// exactly as a live duplicate would. ServeRecovering wraps the whole
-// sequence behind a Gate that answers 503 + Retry-After until replay
-// finishes, so agents see a clean "come back shortly" instead of
-// half-answers.
+// tail, and reopens the journal for appending. Resolved jobs stay
+// resolved; every other job is pending at once, including those of
+// leases open at the crash, which were never journaled — a grant that
+// never reached its agent costs no lease timeout. An agent that still
+// holds a pre-crash lease uploads it as usual: its cells resolve their
+// jobs if no one else did first, and re-uploads of batches completed
+// before the crash dedup exactly as a live duplicate would.
+// ServeRecovering wraps the whole sequence behind a Gate that answers
+// 503 + Retry-After until replay finishes, so agents see a clean "come
+// back shortly" instead of half-answers.
 
 import (
 	"fmt"
@@ -18,9 +20,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -114,10 +113,9 @@ func (c *Coordinator) attachState(dir string) error {
 		info.Records++
 	}
 
-	// Rebuild the pending FIFO as the still-open jobs in index order
-	// (replay does not track the live queue's pop/requeue interleaving).
-	// Grant order may differ from the unkilled run's — the artifact,
-	// ordered by job index over deterministic cells, cannot.
+	// Every unresolved job is pending, in index order. Grant order may
+	// differ from the unkilled run's — the artifact, ordered by job index
+	// over deterministic cells, cannot.
 	c.pending = c.pending[:0]
 	for i := range c.state {
 		if c.state[i] == jobPending {
@@ -135,13 +133,11 @@ func (c *Coordinator) attachState(dir string) error {
 	}
 	if len(recs) == 0 {
 		begin := &walRecord{
-			Type:         recBegin,
-			Run:          c.run,
-			Meta:         &c.meta,
-			PlanHash:     c.planHash,
-			LeaseTimeout: c.leaseTimeout,
-			BatchSize:    c.batchSize,
-			Start:        c.start,
+			Type:     recBegin,
+			Run:      c.run,
+			Meta:     &c.meta,
+			PlanHash: c.planHash,
+			Start:    c.start,
 		}
 		if err := w.append(c.now(), begin); err != nil {
 			w.close()
@@ -157,28 +153,11 @@ func (c *Coordinator) attachState(dir string) error {
 func (c *Coordinator) applyRecord(rec *walRecord) error {
 	switch rec.Type {
 	case recBegin:
-		// Adopt the journaled run identity and configuration — the
-		// journal, not this process's flags, says what the run is.
+		// Adopt the journaled run identity — the journal, not this
+		// process's flags, names the run and its start.
 		c.run = rec.Run
-		if rec.LeaseTimeout > 0 {
-			c.leaseTimeout = rec.LeaseTimeout
-		}
-		if rec.BatchSize > 0 {
-			c.batchSize = rec.BatchSize
-		}
 		if !rec.Start.IsZero() {
 			c.start = rec.Start
-		}
-		return nil
-	case recLease:
-		c.applyLeaseLocked(rec)
-		return nil
-	case recExpire:
-		for _, id := range rec.Leases {
-			if l := c.leases[id]; l != nil {
-				c.releaseLocked(l)
-				delete(c.leases, id)
-			}
 		}
 		return nil
 	case recComplete:
@@ -187,26 +166,6 @@ func (c *Coordinator) applyRecord(rec *walRecord) error {
 	default:
 		return fmt.Errorf("distrib: journal record %d has unknown type %q", rec.Seq, rec.Type)
 	}
-}
-
-// applyLeaseLocked installs a granted lease: the journaled transition
-// shared by the live Lease path and replay. Callers hold c.mu (or own
-// the coordinator exclusively during recovery).
-func (c *Coordinator) applyLeaseLocked(rec *walRecord) {
-	l := &lease{id: rec.Lease, worker: rec.Worker, jobs: rec.Jobs, deadline: rec.Deadline}
-	for _, j := range rec.Jobs {
-		if j < 0 || j >= len(c.state) {
-			continue // a foreign index cannot be installed
-		}
-		c.state[j] = jobLeased
-		c.owner[j] = l.id
-	}
-	c.leases[l.id] = l
-	if n, err := strconv.Atoi(strings.TrimPrefix(rec.Lease, "L")); err == nil && n > c.leaseSeq {
-		c.leaseSeq = n
-	}
-	w := c.workerLocked(rec.Worker, rec.Time)
-	w.Leases++
 }
 
 // applyCompleteLocked ingests a validated completion: the journaled
@@ -248,7 +207,11 @@ func (c *Coordinator) applyCompleteLocked(rec *walRecord) (CompleteResponse, err
 			w.Failed++
 		}
 	}
-	if l := c.leases[rec.Lease]; l != nil {
+	// Retire the lease only if the uploader holds it. Lease ids restart
+	// with the coordinator, so a pre-crash upload may name an id that now
+	// belongs to another worker's live lease; the uploader cannot hold it,
+	// because an agent works one lease at a time.
+	if l := c.leases[rec.Lease]; l != nil && l.worker == rec.Worker {
 		c.releaseLocked(l)
 		delete(c.leases, rec.Lease)
 	}
@@ -331,18 +294,4 @@ func ServeRecovering(addr string, logw io.Writer, build func() (*Coordinator, er
 	fmt.Fprintf(logw, "distrib: run %s complete: %d cells, %d failures, %d requeues, %d workers, elapsed %v\n",
 		c.run, st.Completed, st.Failed, st.Requeues, len(st.Workers), st.Elapsed.Round(time.Millisecond))
 	return c, nil
-}
-
-// sortedExpiredLocked returns the ids of every lapsed lease in sorted
-// order — the deterministic order the expire record carries and replay
-// releases in. Callers hold c.mu.
-func (c *Coordinator) sortedExpiredLocked(now time.Time) []string {
-	var ids []string
-	for id, l := range c.leases {
-		if !l.deadline.After(now) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // walT0 is the fake-clock epoch testCoordinator pins, shared so resumed
-// coordinators can be placed before or after the journaled deadlines.
+// coordinators can restart with the clock unchanged.
 var walT0 = time.Unix(1_700_000_000, 0)
 
 // resumeCoordinator reopens the pipeline run persisted in dir, with the
@@ -37,8 +37,8 @@ func resumeCoordinator(t *testing.T, dir string, at time.Time, opt CoordinatorOp
 }
 
 // drainRun leases and completes batches as one worker until the run is
-// done. Resumed runs whose clock sits past the journaled deadlines expire
-// any replayed open lease on the first call and requeue its jobs.
+// done. It fails if the queue runs dry before the run is done, as it
+// would if a resumed run still held leases open at the crash.
 func drainRun(t *testing.T, c *Coordinator, worker string) {
 	t.Helper()
 	for {
@@ -109,10 +109,12 @@ func frameBounds(t *testing.T, data []byte) []int64 {
 // and finish with a merged artifact byte-identical to an unkilled run's.
 func TestCrashAtEveryJournalBoundaryResumesByteIdentical(t *testing.T) {
 	golden := goldenPipelineArtifact(t)
-	opt := CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3}
+	// One job per lease journals one complete record per job, so every
+	// job's completion is a crash boundary.
+	opt := CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 1}
 
-	// The clean journaled run: wal.log holds its complete
-	// record-by-record history.
+	// The clean journaled run: wal.log holds its begin record and every
+	// completion.
 	dir := t.TempDir()
 	c, _ := testCoordinator(t, CoordinatorOptions{
 		LeaseTimeout: opt.LeaseTimeout, BatchSize: opt.BatchSize, StateDir: dir,
@@ -137,9 +139,9 @@ func TestCrashAtEveryJournalBoundaryResumesByteIdentical(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(sub, walFileName), prefix, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// An hour past every journaled deadline, so replayed open leases
-		// expire immediately and their jobs regrant.
-		r, _ := resumeCoordinator(t, sub, walT0.Add(time.Hour), opt)
+		// The clock is unchanged: leases open at the crash were never
+		// journaled, so their jobs regrant at once.
+		r, _ := resumeCoordinator(t, sub, walT0, opt)
 		defer r.Close()
 		ri := r.Recovery()
 		if ri.DroppedBytes != wantDropped {
@@ -182,11 +184,11 @@ func TestCrashAtEveryJournalBoundaryResumesByteIdentical(t *testing.T) {
 	})
 }
 
-// A restart resumes the exact pre-crash state: resolved jobs stay
-// resolved, the open lease keeps its original deadline (and expires on
-// the original schedule), worker stats survive, and the finished
-// artifact is byte-identical.
-func TestRestartResumesExactState(t *testing.T) {
+// A restart keeps every acknowledged result and forgets every lease: with
+// the clock unchanged, the jobs of the lease open at the crash are pending
+// at once (no lease-timeout wait), the journaled worker stats survive, and
+// the finished artifact is byte-identical.
+func TestRestartRequeuesOpenLeases(t *testing.T) {
 	golden := goldenPipelineArtifact(t)
 	dir := t.TempDir()
 	c, _ := testCoordinator(t, CoordinatorOptions{
@@ -203,49 +205,90 @@ func TestRestartResumesExactState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lease b: %v", err)
 	}
-	before := c.Status()
 	c.Close()
 
-	r, rnow := resumeCoordinator(t, dir, walT0,
+	r, _ := resumeCoordinator(t, dir, walT0,
 		CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3})
-	if ri := r.Recovery(); !ri.Resumed || ri.Records != 4 {
-		t.Fatalf("recovery info %+v, want begin, two leases and a completion replayed", ri)
+	if ri := r.Recovery(); !ri.Resumed || ri.Records != 2 {
+		t.Fatalf("recovery info %+v, want begin and one completion replayed", ri)
 	}
-	after := r.Status()
-	if !after.Recovered {
+	st := r.Status()
+	if !st.Recovered {
 		t.Fatal("status does not report the run as recovered")
 	}
-	if after.Completed != before.Completed || after.Leased != before.Leased ||
-		after.Pending != before.Pending || after.Requeues != before.Requeues {
-		t.Fatalf("resumed status %+v differs from pre-crash %+v", after, before)
+	if st.Leased != 0 || len(st.Leases) != 0 || st.Completed != 2 || st.Pending != st.Jobs-2 {
+		t.Fatalf("resumed status %+v, want 2 completed, nothing leased, every other job pending", st)
 	}
-	if w := after.Workers["a"]; w.Completed != 2 || w.Leases != 1 {
-		t.Fatalf("worker a stats %+v did not survive the restart", w)
-	}
-	var found bool
-	for _, ls := range after.Leases {
-		if ls.Lease == lb.Lease {
-			found = true
-			if !ls.Deadline.Equal(lb.Deadline) {
-				t.Fatalf("resumed lease deadline %v, want the original %v", ls.Deadline, lb.Deadline)
-			}
+	for _, j := range lb.Jobs {
+		if r.state[j] != jobPending {
+			t.Fatalf("job %d of the open lease %s is %v after the restart, want pending", j, lb.Lease, r.state[j])
 		}
 	}
-	if !found {
-		t.Fatalf("open lease %s lost across the restart (leases: %+v)", lb.Lease, after.Leases)
-	}
-
-	// The resumed lease runs on its original clock: one minute after the
-	// grant — not one minute after the restart — it expires and requeues.
-	*rnow = walT0.Add(time.Minute + time.Second)
-	st := r.Status()
-	if st.Leased != 0 || st.Pending != after.Pending+len(lb.Jobs) {
-		t.Fatalf("status after original deadline = %+v, want lease %s expired and requeued", st, lb.Lease)
+	if w := st.Workers["a"]; w.Completed != 2 {
+		t.Fatalf("worker a stats %+v did not survive the restart", w)
 	}
 
 	drainRun(t, r, "c")
 	if !bytes.Equal(artifactBytes(t, r), golden) {
 		t.Fatal("resumed artifact differs from the unkilled run")
+	}
+	r.Close()
+}
+
+// Lease ids restart with the coordinator, so an upload of a pre-crash
+// lease can name the id of another worker's live lease. It resolves the
+// jobs it carries but does not retire that lease: the live worker keeps
+// its remaining jobs instead of seeing them regranted.
+func TestStaleLeaseIDDoesNotRetireLiveLease(t *testing.T) {
+	golden := goldenPipelineArtifact(t)
+	dir := t.TempDir()
+	opt := CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3}
+	c, _ := testCoordinator(t, CoordinatorOptions{LeaseTimeout: opt.LeaseTimeout, BatchSize: opt.BatchSize, StateDir: dir})
+	old, err := c.Lease(LeaseRequest{Worker: "old", PlanHash: c.planHash})
+	if err != nil {
+		t.Fatalf("lease old: %v", err)
+	}
+	c.Close()
+
+	r, _ := resumeCoordinator(t, dir, walT0, opt)
+	live, err := r.Lease(LeaseRequest{Worker: "new", PlanHash: r.planHash})
+	if err != nil {
+		t.Fatalf("lease new: %v", err)
+	}
+	if live.Lease != old.Lease {
+		t.Fatalf("restarted coordinator granted %s, want the reused id %s", live.Lease, old.Lease)
+	}
+	// The old worker uploads part of its pre-crash batch.
+	ack, err := r.Complete(completeReq(r, "old", old.Lease, old.Jobs[:1]))
+	if err != nil || ack.Accepted != 1 {
+		t.Fatalf("stale upload: ack %+v, err %v; want 1 accepted", ack, err)
+	}
+	st := r.Status()
+	if st.Leased != len(live.Jobs)-1 || len(st.Leases) != 1 || st.Leases[0].Worker != "new" {
+		t.Fatalf("status after the stale upload %+v: the live lease %s of worker new was retired", st, live.Lease)
+	}
+	// Another worker finds nothing of the live lease's jobs to take.
+	other, err := r.Lease(LeaseRequest{Worker: "other", PlanHash: r.planHash})
+	if err != nil {
+		t.Fatalf("lease other: %v", err)
+	}
+	for _, j := range other.Jobs {
+		for _, lj := range live.Jobs {
+			if j == lj {
+				t.Fatalf("job %d of the live lease was regranted to another worker", j)
+			}
+		}
+	}
+	if _, err := r.Complete(completeReq(r, "other", other.Lease, other.Jobs)); err != nil {
+		t.Fatalf("complete other: %v", err)
+	}
+	ack, err = r.Complete(completeReq(r, "new", live.Lease, live.Jobs))
+	if err != nil || ack.Accepted != len(live.Jobs)-1 || ack.Duplicates != 1 {
+		t.Fatalf("live upload: ack %+v, err %v; want %d accepted and 1 duplicate", ack, err, len(live.Jobs)-1)
+	}
+	drainRun(t, r, "new")
+	if !bytes.Equal(artifactBytes(t, r), golden) {
+		t.Fatal("artifact differs after a stale-id upload")
 	}
 	r.Close()
 }
@@ -333,6 +376,37 @@ func TestOlderBuildStateDirRefused(t *testing.T) {
 	refused("begin record at seq 33")
 }
 
+// A journal written by a version 1 build, which also journaled lease
+// grants and expiries, is refused with the version error naming the way
+// out, and left untouched.
+func TestV1JournalRefused(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := testCoordinator(t, CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3})
+	var v1 []byte
+	for _, rec := range []*walRecord{
+		{V: 1, Seq: 1, Type: recBegin, Run: c.run, PlanHash: c.planHash, Start: walT0},
+		{V: 1, Seq: 2, Type: "lease", Lease: "L1", Worker: "w"},
+	} {
+		frame, err := encodeFrame(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 = append(v1, frame...)
+	}
+	walPath := filepath.Join(dir, walFileName)
+	if err := os.WriteFile(walPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewCoordinator(testSpecs("pipeline"), CoordinatorOptions{StateDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "format version 1, this build speaks 2") ||
+		!strings.Contains(err.Error(), "fresh -state dir") {
+		t.Fatalf("NewCoordinator over a v1 journal = %v, want the version refusal naming the fix", err)
+	}
+	if after, _ := os.ReadFile(walPath); !bytes.Equal(after, v1) {
+		t.Fatal("the refused v1 journal was modified")
+	}
+}
+
 // A state dir belongs to one run: a coordinator compiled from different
 // specs must refuse it instead of mixing two runs' state.
 func TestForeignStateDirRefused(t *testing.T) {
@@ -346,28 +420,28 @@ func TestForeignStateDirRefused(t *testing.T) {
 }
 
 // A fault before any journal byte is written is retryable: the refused
-// request leaves the queue untouched, and the retry re-selects the same
-// work.
+// completion applies nothing, and the agent's retried upload lands.
 func TestJournalAppendFaultIsRetryable(t *testing.T) {
 	defer faultpoint.Reset()
 	golden := goldenPipelineArtifact(t)
 	dir := t.TempDir()
 	c, _ := testCoordinator(t, CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3, StateDir: dir})
-
-	faultpoint.Set("distrib.wal.append", faultpoint.ActError, 0)
-	_, err := c.Lease(LeaseRequest{Worker: "w", PlanHash: c.planHash})
-	wantHTTPCode(t, err, http.StatusServiceUnavailable, "lease during injected append fault")
-
-	// The site fired once and is inert; the retry gets the same first batch.
 	l, err := c.Lease(LeaseRequest{Worker: "w", PlanHash: c.planHash})
 	if err != nil {
-		t.Fatalf("retried lease: %v", err)
+		t.Fatalf("lease: %v", err)
 	}
-	if len(l.Jobs) != 3 || l.Jobs[0] != 0 {
-		t.Fatalf("retried lease got %v, want the original first batch", l.Jobs)
+
+	faultpoint.Set("distrib.wal.append", faultpoint.ActError, 0)
+	_, err = c.Complete(completeReq(c, "w", l.Lease, l.Jobs))
+	wantHTTPCode(t, err, http.StatusServiceUnavailable, "complete during injected append fault")
+	if st := c.Status(); st.Completed != 0 || st.Leased != len(l.Jobs) {
+		t.Fatalf("status after the refused upload %+v, want nothing applied", st)
 	}
-	if _, err := c.Complete(completeReq(c, "w", l.Lease, l.Jobs)); err != nil {
-		t.Fatalf("complete: %v", err)
+
+	// The site fired once and is inert; the retried upload lands.
+	ack, err := c.Complete(completeReq(c, "w", l.Lease, l.Jobs))
+	if err != nil || ack.Accepted != len(l.Jobs) {
+		t.Fatalf("retried complete: ack %+v, err %v", ack, err)
 	}
 	drainRun(t, c, "w")
 	if !bytes.Equal(artifactBytes(t, c), golden) {
@@ -405,7 +479,7 @@ func TestJournalSyncFaultLatchesBrokenUntilRestart(t *testing.T) {
 
 	// The unacknowledged record may or may not have reached the disk; the
 	// restart replays whichever happened and the finished run cannot tell.
-	r, _ := resumeCoordinator(t, dir, walT0.Add(time.Hour), CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3})
+	r, _ := resumeCoordinator(t, dir, walT0, CoordinatorOptions{LeaseTimeout: time.Minute, BatchSize: 3})
 	drainRun(t, r, "w2")
 	if !bytes.Equal(artifactBytes(t, r), golden) {
 		t.Fatal("artifact differs after a sync-fault restart")

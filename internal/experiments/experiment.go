@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/results"
@@ -11,8 +13,8 @@ import (
 // Experiment is one table or figure of the evaluation, a row of the
 // experiment table: the grid its cells come from and the renderer that
 // turns the produced cells back into the experiment's tables. A row is all
-// it takes to ride the whole pipeline — worker-pool execution, process
-// sharding, artifact merging, and the persistent results cache come from
+// it takes to ride the whole pipeline — worker-pool execution, the
+// distributed sweep, artifacts, and the persistent results cache come from
 // the engine, not from the experiment.
 type Experiment struct {
 	// Name is the table key, the -exp selector, and the artifact metadata
@@ -20,8 +22,8 @@ type Experiment struct {
 	Name string
 	// Variants is the per-(instance, PE count) fan-out of the experiment's
 	// grid, in job order; every name is a row of the variant table.
-	// Artifact metadata records their declared metric keys so merges can
-	// validate cells (docs/ARTIFACTS.md).
+	// Artifact metadata records their declared metric keys so a
+	// coordinator can validate uploaded cells (docs/ARTIFACTS.md).
 	Variants []string
 	// Simulates marks experiments that run element-level simulation; a
 	// full-size run scales their volumes down to the quick config
@@ -42,7 +44,7 @@ type Experiment struct {
 }
 
 // jobs expands one spec into the experiment's cell jobs, in the
-// deterministic order every process of a sharded run agrees on.
+// deterministic order every process of a distributed run agrees on.
 func (e *Experiment) jobs(s Spec) []CellJob {
 	pes := e.pes
 	if pes == nil {
@@ -153,4 +155,29 @@ func ListVariants(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  %-18s %-26s PEs %s\n", name, wl.Family(), strings.Join(pes, ","))
 	}
+}
+
+// ModeFlags is one row of a command's mode table: the flags a mode reads,
+// and a note its rejection message ends with.
+type ModeFlags struct {
+	Allowed []string
+	Why     string
+}
+
+// CheckModeFlags rejects the first explicitly set flag, in name order,
+// that mode's row of table does not read: set beside that mode it would be
+// silently ignored. Both commands check their flags with it.
+func CheckModeFlags(table map[string]ModeFlags, mode string, explicit map[string]bool) error {
+	names := make([]string, 0, len(explicit))
+	for name := range explicit {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	m := table[mode]
+	for _, name := range names {
+		if !slices.Contains(m.Allowed, name) {
+			return fmt.Errorf("-%s has no effect with %s%s", name, mode, m.Why)
+		}
+	}
+	return nil
 }

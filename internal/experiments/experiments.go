@@ -23,19 +23,18 @@
 // (workload × instance × PE count × variant), into cell jobs: one job
 // evaluates one (graph, PE count, variant) combination and emits a
 // results.Cell, addressed by the one key function the renderers also look
-// cells up with. Jobs shard across worker goroutines and across processes
-// (Runner.ShardIndex/ShardCount), shards serialize to versioned JSON
-// artifacts that results.Merge recombines deterministically, and a
-// persistent results.Cache keyed by graph content lets repeated runs skip
-// already-computed cells. Tables render (Render) from the merged cell set
-// and are byte-identical however the cells were produced. Randomness is
-// seeded, so every run is reproducible; box-plot summaries stand in for
-// the paper's plots.
+// cells up with. Jobs spread across worker goroutines, a run's cells
+// serialize to a versioned JSON artifact, and a persistent results.Cache
+// keyed by graph content lets repeated runs skip already-computed cells.
+// Tables render (Render) from the cell set and are byte-identical however
+// the cells were produced. Randomness is seeded, so every run is
+// reproducible; box-plot summaries stand in for the paper's plots.
 //
-// Two hooks exist for the distributed layer (internal/distrib): PlanHash
-// fingerprints a compiled plan so separate processes can prove they agree
-// on the job list, and Runner.Only executes an explicit set of job indices
-// (the batches a coordinator leases) instead of a modulo shard.
+// Two hooks exist for the distributed layer (internal/distrib), the one
+// way to split a run across processes: PlanHash fingerprints a compiled
+// plan so separate processes can prove they agree on the job list, and
+// Runner.Only executes an explicit set of job indices (the batches a
+// coordinator leases).
 package experiments
 
 import (

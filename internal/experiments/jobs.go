@@ -51,7 +51,7 @@ type Plan struct {
 
 // Compile expands the specs into their cell jobs through the experiment
 // table, deduplicating by cell key, in a deterministic order every
-// process of a sharded run agrees on.
+// process of a distributed run agrees on.
 func Compile(specs []Spec) (*Plan, error) {
 	p := &Plan{Specs: specs, graphs: NewGraphCache()}
 	seen := make(map[results.CellKey]bool)
@@ -71,54 +71,11 @@ func Compile(specs []Spec) (*Plan, error) {
 	return p, nil
 }
 
-// VerifySet checks a cell set against the plan: every compiled job must
-// have produced its cell (a merge with a missing shard fails here) and no
-// cell may be foreign to the plan. A missing cell whose job label appears
-// in excused — the failures recorded by the shard that owned it — is
-// tolerated, mirroring the in-process behavior where a failed job drops
-// its samples from the tables instead of sinking the run.
-func VerifySet(p *Plan, set *results.Set, excused map[string]bool) error {
-	planned := make(map[results.CellKey]bool, len(p.Jobs))
-	var missing []string
-	for _, j := range p.Jobs {
-		planned[j.Key] = true
-		if !set.Has(j.Key) && !excused[j.Job.String()] {
-			missing = append(missing, j.Key.String())
-		}
-	}
-	var unexpected []string
-	for _, c := range set.Cells() {
-		if !planned[c.Key] {
-			unexpected = append(unexpected, c.Key.String())
-		}
-	}
-	if len(missing) == 0 && len(unexpected) == 0 {
-		return nil
-	}
-	const show = 5
-	msg := fmt.Sprintf("cell set does not match the run configuration: %d missing, %d unexpected",
-		len(missing), len(unexpected))
-	for i, k := range missing {
-		if i == show {
-			msg += fmt.Sprintf("\n  ... and %d more missing", len(missing)-i)
-			break
-		}
-		msg += "\n  missing " + k
-	}
-	for i, k := range unexpected {
-		if i == show {
-			msg += fmt.Sprintf("\n  ... and %d more unexpected", len(unexpected)-i)
-			break
-		}
-		msg += "\n  unexpected " + k
-	}
-	return fmt.Errorf("%s", msg)
-}
-
-// MetaFromSpecs records a run's specs and shard position as artifact
-// metadata, enough for SpecsFromMeta to recompile the identical plan in a
-// reader process, plus the metric keys each variant of the run declares so
-// a merge can validate foreign cells.
+// MetaFromSpecs records a run's specs as artifact metadata, enough for
+// SpecsFromMeta to recompile the identical plan in a reader process, plus
+// the metric keys each variant of the run declares so a coordinator can
+// validate uploaded cells. Every artifact written today is shard 0 of 1;
+// the shard fields stay in the v2 schema so its bytes do not move.
 func MetaFromSpecs(specs []Spec, shardIndex, shardCount int) results.Meta {
 	if shardCount < 1 {
 		shardIndex, shardCount = 0, 1

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -208,92 +208,55 @@ func TestEngineMatchesSequentialReferences(t *testing.T) {
 	}
 }
 
-// TestShardMergeByteIdentical is the acceptance criterion: every
-// experiment run as two separate sharded "processes", serialized through
-// artifacts, merged, and rendered must be byte-identical to a plain
-// single-process run.
-func TestShardMergeByteIdentical(t *testing.T) {
+// TestOnlyBatchesRenderByteIdentical is the cell-level half of the
+// distributed sweep's contract: every experiment run as two disjoint Only
+// batches in separate "processes" (a fresh plan each, as two agents
+// compile), serialized through JSON, collected in job order, and rendered
+// must be byte-identical to a plain single-process run.
+func TestOnlyBatchesRenderByteIdentical(t *testing.T) {
 	specs := allSpecs(3)
 	want, _ := renderSpecs(t, specs, Runner{Workers: 4, measureFn: fixedMeasure})
 
-	const shards = 2
-	arts := make([]*results.Artifact, shards)
-	for i := 0; i < shards; i++ {
-		// A fresh plan per shard mimics a separate process.
+	plan, err := Compile(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := make(map[results.CellKey]results.Cell, len(plan.Jobs))
+	for agent := 0; agent < 2; agent++ {
+		var only []int
+		for i := agent; i < len(plan.Jobs); i += 2 {
+			only = append(only, i)
+		}
 		p, err := Compile(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, rep := Runner{Workers: 2, ShardIndex: i, ShardCount: shards, measureFn: fixedMeasure}.RunPlan(p)
-		if len(rep.Failures) != 0 {
-			t.Fatalf("shard %d: %d failures", i, len(rep.Failures))
+		set, rep := Runner{Workers: 2, Only: only, measureFn: fixedMeasure}.RunPlan(p)
+		if len(rep.Failures) != 0 || rep.Jobs != len(only) {
+			t.Fatalf("agent %d: ran %d of %d jobs, %d failures", agent, rep.Jobs, len(only), len(rep.Failures))
 		}
-		if rep.Skipped == 0 {
-			t.Fatalf("shard %d ran every job; sharding is not partitioning", i)
+		data, err := json.Marshal(set.Cells())
+		if err != nil {
+			t.Fatal(err)
 		}
-		arts[i] = &results.Artifact{Meta: MetaFromSpecs(specs, i, shards), Cells: set.Cells()}
+		var cells []results.Cell
+		if err := json.Unmarshal(data, &cells); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			byKey[c.Key] = c
+		}
 	}
-
-	merged, meta, err := results.Merge(arts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mergedSpecs, err := SpecsFromMeta(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Compile(mergedSpecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySet(plan, merged, nil); err != nil {
-		t.Fatal(err)
+	collected := results.NewSet()
+	for _, j := range plan.Jobs {
+		if err := collected.Add(byKey[j.Key]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
-	Render(&buf, plan, merged)
+	Render(&buf, plan, collected)
 	if buf.String() != want {
-		t.Error("merged-shard tables differ from the single-process run")
-	}
-}
-
-// TestVerifySetCatchesMissingAndForeignCells: a merge that passes the
-// shard-level checks but lost (or gained) cells is rejected against the
-// recompiled plan.
-func TestVerifySetCatchesMissingAndForeignCells(t *testing.T) {
-	specs := []Spec{{Name: "ablation", Opt: func() Options { o := Quick(); o.Graphs = 2; return o }()}}
-	p, err := Compile(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, _ := Runner{Workers: 2}.RunPlan(p)
-	if err := VerifySet(p, set, nil); err != nil {
-		t.Fatalf("complete set rejected: %v", err)
-	}
-
-	incomplete := results.NewSet()
-	for i, c := range set.Cells() {
-		if i == 0 {
-			continue
-		}
-		if err := incomplete.Add(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := VerifySet(p, incomplete, nil); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Errorf("missing cell accepted: %v", err)
-	}
-
-	foreign := results.NewSet()
-	for _, c := range set.Cells() {
-		if err := foreign.Add(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := foreign.Add(results.Cell{Key: results.CellKey{Graph: "alien", PEs: 1, Variant: "v"}, Values: map[string]float64{}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySet(p, foreign, nil); err == nil || !strings.Contains(err.Error(), "unexpected") {
-		t.Errorf("foreign cell accepted: %v", err)
+		t.Error("tables rendered from the two batches differ from the single-process run")
 	}
 }
 
@@ -432,37 +395,5 @@ func TestCacheSharesCellsAcrossSeeds(t *testing.T) {
 	plainOut, _ := renderSpecs(t, []Spec{{Name: "fig10", Opt: big}}, Runner{Workers: 2})
 	if cachedOut != plainOut {
 		t.Error("cache substituted a foreign cell: cached render differs from a plain run")
-	}
-}
-
-// TestVerifySetExcusesRecordedFailures: one pathological graph must not
-// sink a merge — a cell missing because its shard recorded the job's
-// failure is tolerated, while the same absence without a failure record
-// still rejects.
-func TestVerifySetExcusesRecordedFailures(t *testing.T) {
-	opt := Quick()
-	opt.Graphs = 2
-	p, err := Compile([]Spec{{Name: "ablation", Opt: opt}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := p.Jobs[0].Job
-	injected := fmt.Errorf("injected pathological graph")
-	r := Runner{Workers: 2, failHook: func(j Job) error {
-		if j == victim {
-			return injected
-		}
-		return nil
-	}}
-	set, rep := r.RunPlan(p)
-	if len(rep.Failures) != 1 || rep.Failures[0].Job != victim {
-		t.Fatalf("failures = %v, want exactly the victim", rep.Failures)
-	}
-	if err := VerifySet(p, set, nil); err == nil {
-		t.Error("unexplained missing cell accepted")
-	}
-	excused := map[string]bool{victim.String(): true}
-	if err := VerifySet(p, set, excused); err != nil {
-		t.Errorf("failure-explained missing cell rejected: %v", err)
 	}
 }

@@ -9,11 +9,10 @@ import (
 )
 
 // Render prints the tables of every experiment in the plan, in spec order,
-// from a cell set — whether the cells were computed in-process, merged
-// from shard artifacts, or replayed from the results cache, the bytes are
-// identical. Cells missing from the set (failed jobs, or a partial shard
-// rendered directly) are left out of the aggregates, exactly as the
-// sequential reference would have dropped them. Each experiment's renderer
+// from a cell set — whether the cells were computed in-process, uploaded
+// by sweep agents, or replayed from the results cache, the bytes are
+// identical. Cells missing from the set (failed jobs) are left out of the
+// aggregates, exactly as the sequential reference would have dropped them. Each experiment's renderer
 // is resolved through the experiment table; specs whose experiment is
 // unknown (impossible for a compiled plan) are skipped.
 func Render(w io.Writer, p *Plan, set *results.Set) {
@@ -39,10 +38,10 @@ func ReportFailures(w io.Writer, rep Report) {
 		len(fails), rep.Jobs), fails)
 }
 
-// ReportArtifactFailures prints the job failures recorded in merged shard
-// artifacts, capped like ReportFailures.
+// ReportArtifactFailures prints the job failures recorded in a run's
+// artifact (a distributed run's), capped like ReportFailures.
 func ReportArtifactFailures(w io.Writer, fails []results.Failure) {
-	printFailures(w, fmt.Sprintf("experiments: %d jobs failed in the merged shards, their cells are missing from the tables",
+	printFailures(w, fmt.Sprintf("experiments: %d jobs failed in the distributed run, their cells are missing from the tables",
 		len(fails)), fails)
 }
 
@@ -164,8 +163,8 @@ func renderTable2(w io.Writer, p *Plan, set *results.Set, spec Spec) {
 	fmt.Fprintf(w, "== Table 2: ML inference workloads (full=%v) ==\n\n", spec.Full)
 	for _, m := range table2Workloads(spec) {
 		gid, pes := m.GraphID(Options{}, 0), m.PEs()
-		// The streaming cells carry the graph shape, so rendering merged
-		// shards does not rebuild the model; only a set with no streaming
+		// The streaming cells carry the graph shape, so rendering uploaded
+		// cells does not rebuild the model; only a set with no streaming
 		// row at all (every str job failed) falls back to building it.
 		nodes, bufs, haveShape := 0, 0, false
 		for _, pe := range pes {

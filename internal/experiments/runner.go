@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -62,9 +60,8 @@ func (f JobFailure) Error() string { return fmt.Sprintf("%s: %v", f.Job, f.Err) 
 // Report summarizes one engine run: job counts, per-job timings in job
 // enumeration order, cache hits, and every failure.
 type Report struct {
-	Jobs      int           // jobs eligible for this shard
+	Jobs      int           // jobs this run executed
 	Completed int           // jobs that produced a cell
-	Skipped   int           // jobs excluded by the shard filter
 	CacheHits int           // completed jobs served by the results cache
 	Elapsed   time.Duration // wall-clock time of the whole run
 	Work      time.Duration // sum of per-job durations (CPU-side work)
@@ -72,7 +69,7 @@ type Report struct {
 	Failures  []JobFailure
 }
 
-// Runner is the concurrent experiment engine: it shards cell jobs across a
+// Runner is the concurrent experiment engine: it spreads cell jobs across a
 // pool of worker goroutines, streams results over a channel into a
 // deterministic, order-stable collection, and memoizes graph construction
 // behind a thread-safe cache. Every experiment of the paper — the
@@ -83,12 +80,8 @@ type Report struct {
 type Runner struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// ShardIndex/ShardCount select a subset of jobs (job i runs when
-	// i % ShardCount == ShardIndex), so a run can be split across
-	// processes or machines and recombined with results.Merge.
-	ShardIndex, ShardCount int
-	// Only, when non-nil, runs exactly the listed job indices and ignores
-	// the shard settings. This is how a distributed-sweep agent
+	// Only, when non-nil, runs exactly the listed job indices instead of
+	// the whole plan. This is how a distributed-sweep agent
 	// (internal/distrib) executes the job batches its coordinator leases to
 	// it: the coordinator picks indices into the shared compiled plan, and
 	// the agent runs just those. Out-of-range indices are skipped.
@@ -119,13 +112,6 @@ func (r Runner) workers() int {
 		return r.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (r Runner) inShard(i int) bool {
-	if r.ShardCount <= 1 {
-		return true
-	}
-	return i%r.ShardCount == r.ShardIndex%r.ShardCount
 }
 
 // GraphCache memoizes graph constructions so that concurrent jobs touching
@@ -192,11 +178,11 @@ func (c *GraphCache) Builds() int {
 	return c.builds
 }
 
-// RunPlan executes the shard-eligible jobs of a compiled plan on the worker
-// pool, memoizing graphs in the plan's cache (shared with table
+// RunPlan executes a compiled plan's jobs (all of them, or Only's) on the
+// worker pool, memoizing graphs in the plan's cache (shared with table
 // rendering), and collects the produced cells into a set ready for
-// rendering, artifact writing, or merging, plus the run report. It is the
-// one engine path.
+// rendering or artifact writing, plus the run report. It is the one engine
+// path.
 func (r Runner) RunPlan(p *Plan) (*results.Set, Report) {
 	start := time.Now()
 	jobs, graphs := p.Jobs, p.graphs
@@ -240,9 +226,7 @@ func (r Runner) RunPlan(p *Plan) (*results.Set, Report) {
 			}
 		} else {
 			for i := range jobs {
-				if r.inShard(i) {
-					idxCh <- i
-				}
+				idxCh <- i
 			}
 		}
 		close(idxCh)
@@ -286,7 +270,6 @@ func (r Runner) RunPlan(p *Plan) (*results.Set, Report) {
 			panic(err)
 		}
 	}
-	rep.Skipped = len(jobs) - rep.Jobs
 	rep.Elapsed = time.Since(start)
 	return set, rep
 }
@@ -327,8 +310,7 @@ func (r Runner) runCellJob(job CellJob, graphs *GraphCache, ws *EvalContext) (*r
 
 // sweepPointsFromSet folds one sweep family's cells into SweepPoints in
 // the sequential loop's enumeration order (graphs outermost, then PEs,
-// then LTS/RLX/NSTR), skipping cells that failed or fell outside the
-// shard. The append order — and therefore the rendered table — matches
+// then LTS/RLX/NSTR), skipping cells that failed or were not run. The append order — and therefore the rendered table — matches
 // the sequential reference bit for bit.
 func sweepPointsFromSet(set *results.Set, f *synthWorkload, opt Options, simulate bool) []SweepPoint {
 	pes := f.topo.PEs
@@ -367,31 +349,6 @@ func sweepPointsFromSet(set *results.Set, f *synthWorkload, opt Options, simulat
 		}
 	}
 	return points
-}
-
-// ParseShard parses the "i/n" syntax of the -shard flags strictly: both
-// fields must be integers with nothing trailing, and 0 <= i < n. The empty
-// string means no sharding and yields (0, 0, nil).
-func ParseShard(s string) (index, count int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	is, ns, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad shard %q (want i/n)", s)
-	}
-	index, err = strconv.Atoi(is)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard %q (want i/n): %v", s, err)
-	}
-	count, err = strconv.Atoi(ns)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard %q (want i/n): %v", s, err)
-	}
-	if count < 1 || index < 0 || index >= count {
-		return 0, 0, fmt.Errorf("bad shard %q: need 0 <= i < n", s)
-	}
-	return index, count, nil
 }
 
 // RunIndexed runs fn(0) .. fn(n-1) on a pool of workers and returns the

@@ -145,37 +145,6 @@ func TestSeededFailureCollection(t *testing.T) {
 	}
 }
 
-// TestShardedSweepPartitionsJobs: shards are disjoint, cover every job, and
-// their sample counts sum to the full sweep's.
-func TestShardedSweepPartitionsJobs(t *testing.T) {
-	f := sweepFamilies[0]
-	opt := sweepOpt(5)
-	full, _ := runSweep(Runner{Workers: 2}, f, opt, false, nil)
-
-	const shards = 3
-	totalJobs, totalLTS := 0, 0
-	for idx := 0; idx < shards; idx++ {
-		points, rep := runSweep(Runner{Workers: 2, ShardIndex: idx, ShardCount: shards}, f, opt, false, nil)
-		totalJobs += rep.Jobs
-		if rep.Jobs+rep.Skipped != opt.Graphs*len(f.topo.PEs)*len(sweepVariants) {
-			t.Errorf("shard %d: jobs %d + skipped %d != total", idx, rep.Jobs, rep.Skipped)
-		}
-		for _, pt := range points {
-			totalLTS += len(pt.SpeedupLTS)
-		}
-	}
-	if want := opt.Graphs * len(f.topo.PEs) * len(sweepVariants); totalJobs != want {
-		t.Errorf("shards ran %d jobs total, want %d", totalJobs, want)
-	}
-	wantLTS := 0
-	for _, pt := range full {
-		wantLTS += len(pt.SpeedupLTS)
-	}
-	if totalLTS != wantLTS {
-		t.Errorf("shards produced %d LTS samples total, want %d", totalLTS, wantLTS)
-	}
-}
-
 // TestGraphCacheMemoizes: one build per graph index regardless of how many
 // (PE, variant) jobs touch it, and shared caches survive across sweeps.
 func TestGraphCacheMemoizes(t *testing.T) {
@@ -214,26 +183,6 @@ func TestRunIndexed(t *testing.T) {
 				t.Errorf("workers=%d: results[%d] = %d, %v; want %d, nil",
 					workers, i, results[i], errs[i], i*i)
 			}
-		}
-	}
-}
-
-// TestParseShardStrict: the i/n parser rejects trailing garbage (a typo'd
-// "1/2/4" must not silently run as shard 1 of 2) and out-of-range indices.
-func TestParseShardStrict(t *testing.T) {
-	for _, good := range []struct {
-		in         string
-		idx, count int
-	}{{"", 0, 0}, {"0/1", 0, 1}, {"2/5", 2, 5}} {
-		idx, count, err := ParseShard(good.in)
-		if err != nil || idx != good.idx || count != good.count {
-			t.Errorf("ParseShard(%q) = %d, %d, %v; want %d, %d, nil",
-				good.in, idx, count, err, good.idx, good.count)
-		}
-	}
-	for _, bad := range []string{"1/2/4", "a/b", "1/", "/2", "2/2", "-1/3", "1 /2", "1/2 "} {
-		if _, _, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) accepted", bad)
 		}
 	}
 }

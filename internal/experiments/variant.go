@@ -115,8 +115,8 @@ type EvalParams struct {
 
 // Variant is one evaluation procedure, a row of the variant table: given a
 // frozen task graph and parameters, Eval produces the named float64 values
-// of a results.Cell. A variant's name addresses its cells in shard
-// artifacts and the results cache, so evaluation arithmetic must never
+// of a results.Cell. A variant's name addresses its cells in artifacts
+// and the results cache, so evaluation arithmetic must never
 // change under a fixed name — changing it requires a new name (and a
 // results.SchemaVersion bump, see docs/ARTIFACTS.md).
 //
@@ -127,7 +127,7 @@ type Variant struct {
 	Name string
 	// Metrics declares every value name cells of this variant may carry.
 	// Cells may carry a subset (e.g. simulation errors only when Simulate),
-	// never a value outside this list — merges validate against it.
+	// never a value outside this list — coordinators validate against it.
 	Metrics []string
 	// Eval runs the procedure on one graph.
 	Eval func(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error)

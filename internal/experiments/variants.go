@@ -11,7 +11,7 @@ import (
 
 // Variant names identify the evaluation procedure of a cell; together with
 // the graph and PE count they address one unit of experiment output in
-// shard artifacts and the results cache (see docs/ARTIFACTS.md for the
+// artifacts and the results cache (see docs/ARTIFACTS.md for the
 // values each variant produces). Every name here is a row of the
 // variant table below.
 const (
@@ -140,7 +140,7 @@ func evalFig12CSDF(ctx *EvalContext, tg *core.TaskGraph, _ EvalParams) (map[stri
 }
 
 // evalTable2Str is the Table 2 streaming row: SB-LTS at the model's PE
-// count. The graph shape rides along so a -merge can print the model
+// count. The graph shape rides along so a coordinator can print the model
 // header without rebuilding the (possibly huge) graph.
 func evalTable2Str(ctx *EvalContext, tg *core.TaskGraph, p EvalParams) (map[string]float64, error) {
 	ev, err := ctx.Evaluate(tg, p.PEs, schedule.SBLTS, false)

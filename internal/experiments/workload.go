@@ -12,10 +12,10 @@ import (
 // Workload is one named source of task graphs: a synthetic random family
 // (internal/synth), a static ONNX model graph (internal/onnx), or any future
 // scenario. Workloads feed the same Spec → Plan → CellJob pipeline: their
-// GraphIDs address cells in shard artifacts, their builders are memoized by
+// GraphIDs address cells in artifacts, their builders are memoized by
 // the GraphCache, and the content fingerprint of the built graph keys the
-// persistent results cache — so a new workload inherits sharding, merging,
-// and caching for free.
+// persistent results cache — so a new workload inherits parallel and
+// distributed runs and caching for free.
 type Workload interface {
 	// Name is the workload table key, e.g. "synth:fft" or "onnx:resnet".
 	Name() string

@@ -1,7 +1,7 @@
 package results
 
 import (
-	"fmt"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,17 +10,13 @@ import (
 	"repro/internal/synth"
 )
 
-func testMeta(shardIndex, shardCount int) Meta {
+func testArtifact(cells ...Cell) *Artifact {
 	cfg := synth.SmallConfig()
-	return Meta{
+	meta := Meta{
 		Experiments: []ExpMeta{{Name: "fig10", Graphs: 2, Seed: 1, Config: &cfg}},
-		ShardIndex:  shardIndex,
-		ShardCount:  shardCount,
+		ShardCount:  1,
 	}
-}
-
-func testArtifact(shardIndex, shardCount int, cells ...Cell) *Artifact {
-	return &Artifact{Meta: testMeta(shardIndex, shardCount), Cells: cells}
+	return &Artifact{Meta: meta, Cells: cells}
 }
 
 func cell(graph string, pes int) Cell {
@@ -33,14 +29,18 @@ func cell(graph string, pes int) Cell {
 // TestArtifactRoundTrip: write, read back, and keep every cell value
 // bit-exact.
 func TestArtifactRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard.json")
-	a := testArtifact(0, 2, cell("g0", 2), cell("g1", 4))
+	path := filepath.Join(t.TempDir(), "artifact.json")
+	a := testArtifact(cell("g0", 2), cell("g1", 4))
 	a.Failures = []Failure{{Label: "g2/P8", Err: "boom"}}
 	if err := a.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadArtifactFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got Artifact
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Schema != SchemaVersion {
@@ -57,111 +57,25 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadArtifactRejects: corruption, version skew, and malformed shard
-// metadata are errors, not silently empty merges.
-func TestReadArtifactRejects(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
+// TestValidateCellMetrics: against a run's variant declarations, a cell
+// carrying an undeclared value name or a variant absent from the
+// declaration is rejected; declaration-free metadata skips the check.
+func TestValidateCellMetrics(t *testing.T) {
+	declared := map[string][]string{"SB-LTS": {"speedup", "sslr", "util"}}
+	if err := ValidateCellMetrics(declared, cell("g0", 2)); err != nil {
+		t.Fatalf("declared cell rejected: %v", err)
 	}
-	if _, err := ReadArtifactFile(filepath.Join(dir, "absent.json")); err == nil {
-		t.Error("missing file accepted")
+	bad := cell("g1", 4)
+	bad.Values["rogue"] = 1
+	if err := ValidateCellMetrics(declared, bad); err == nil || !strings.Contains(err.Error(), "outside variant") {
+		t.Errorf("undeclared value accepted: %v", err)
 	}
-	v := fmt.Sprint(SchemaVersion)
-	if _, err := ReadArtifactFile(write("corrupt.json", `{"schema": `+v+`, "cells": [`)); err == nil {
-		t.Error("corrupt JSON accepted")
+	foreign := Cell{Key: CellKey{Graph: "g2", PEs: 2, Variant: "mystery"}, Values: map[string]float64{"x": 1}}
+	if err := ValidateCellMetrics(declared, foreign); err == nil || !strings.Contains(err.Error(), "does not declare") {
+		t.Errorf("undeclared variant accepted: %v", err)
 	}
-	if _, err := ReadArtifactFile(write("vers.json", `{"schema": 99, "meta": {"experiments": [{"name": "fig10"}], "shard_index": 0, "shard_count": 1}}`)); err == nil || !strings.Contains(err.Error(), "schema version") {
-		t.Errorf("foreign schema accepted: %v", err)
+	// No declarations (a hand-rolled artifact): the check is skipped.
+	if err := ValidateCellMetrics(nil, foreign); err != nil {
+		t.Errorf("declaration-free metadata rejected a cell: %v", err)
 	}
-	if _, err := ReadArtifactFile(write("shard.json", `{"schema": `+v+`, "meta": {"experiments": [{"name": "fig10"}], "shard_index": 3, "shard_count": 2}}`)); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-	if _, err := ReadArtifactFile(write("noexp.json", `{"schema": `+v+`, "meta": {"experiments": [], "shard_index": 0, "shard_count": 1}}`)); err == nil {
-		t.Error("experiment-less artifact accepted")
-	}
-}
-
-// TestMergeCombinesDisjointShards: a 2-shard merge holds every cell once
-// and normalizes the metadata to an unsharded run.
-func TestMergeCombinesDisjointShards(t *testing.T) {
-	// Shard order on the command line must not matter.
-	set, meta, err := Merge([]*Artifact{
-		testArtifact(1, 2, cell("g1", 4)),
-		testArtifact(0, 2, cell("g0", 2), cell("g2", 8)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Len() != 3 {
-		t.Fatalf("merged %d cells, want 3", set.Len())
-	}
-	for _, g := range []string{"g0", "g1", "g2"} {
-		found := false
-		for _, c := range set.Cells() {
-			if c.Key.Graph == g {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("cell %s missing after merge", g)
-		}
-	}
-	if meta.ShardIndex != 0 || meta.ShardCount != 1 {
-		t.Errorf("merged meta is still sharded: %d/%d", meta.ShardIndex, meta.ShardCount)
-	}
-}
-
-// TestMergeRejections: overlapping cells, missing or duplicated shards,
-// wrong artifact counts, and mismatched run configurations all fail.
-func TestMergeRejections(t *testing.T) {
-	t.Run("overlapping cells", func(t *testing.T) {
-		_, _, err := Merge([]*Artifact{
-			testArtifact(0, 2, cell("g0", 2)),
-			testArtifact(1, 2, cell("g0", 2)),
-		})
-		if err == nil || !strings.Contains(err.Error(), "overlapping") {
-			t.Errorf("overlap accepted: %v", err)
-		}
-	})
-	t.Run("missing shard", func(t *testing.T) {
-		if _, _, err := Merge([]*Artifact{testArtifact(0, 2, cell("g0", 2))}); err == nil {
-			t.Error("1 of 2 shards accepted")
-		}
-	})
-	t.Run("duplicated shard index", func(t *testing.T) {
-		_, _, err := Merge([]*Artifact{
-			testArtifact(0, 2, cell("g0", 2)),
-			testArtifact(0, 2, cell("g1", 2)),
-		})
-		if err == nil {
-			t.Error("duplicate shard index accepted")
-		}
-	})
-	t.Run("mismatched run config", func(t *testing.T) {
-		b := testArtifact(1, 2, cell("g1", 2))
-		b.Meta.Experiments[0].Graphs = 99
-		_, _, err := Merge([]*Artifact{testArtifact(0, 2, cell("g0", 2)), b})
-		if err == nil || !strings.Contains(err.Error(), "different run configuration") {
-			t.Errorf("mismatched metadata accepted: %v", err)
-		}
-	})
-	t.Run("mismatched shard count", func(t *testing.T) {
-		_, _, err := Merge([]*Artifact{
-			testArtifact(0, 2, cell("g0", 2)),
-			testArtifact(1, 3, cell("g1", 2)),
-		})
-		if err == nil {
-			t.Error("mixed shard counts accepted")
-		}
-	})
-	t.Run("nothing", func(t *testing.T) {
-		if _, _, err := Merge(nil); err == nil {
-			t.Error("empty merge accepted")
-		}
-	})
 }

@@ -2,7 +2,6 @@ package results
 
 import (
 	"os"
-	"strings"
 	"testing"
 	"time"
 )
@@ -98,51 +97,5 @@ func TestCacheGC(t *testing.T) {
 	}
 	if _, ok := cache.Get(CellKey{Graph: "fp", PEs: 3, Variant: "v"}); !ok {
 		t.Error("fresh entry was collected")
-	}
-}
-
-// TestMergeValidatesDeclaredMetrics: a merge whose metadata declares the
-// run's variants rejects cells carrying undeclared value names or variants
-// entirely absent from the declaration; declaration-free metadata skips the
-// check.
-func TestMergeValidatesDeclaredMetrics(t *testing.T) {
-	withVariants := func(a *Artifact) *Artifact {
-		a.Meta.Variants = map[string][]string{"SB-LTS": {"speedup", "sslr", "util"}}
-		return a
-	}
-	// Well-formed: every value declared.
-	if _, _, err := Merge([]*Artifact{
-		withVariants(testArtifact(0, 2, cell("g0", 2))),
-		withVariants(testArtifact(1, 2, cell("g1", 4))),
-	}); err != nil {
-		t.Fatalf("declared cells rejected: %v", err)
-	}
-
-	// A value outside the declaration fails.
-	bad := cell("g1", 4)
-	bad.Values["rogue"] = 1
-	if _, _, err := Merge([]*Artifact{
-		withVariants(testArtifact(0, 2, cell("g0", 2))),
-		withVariants(testArtifact(1, 2, bad)),
-	}); err == nil || !strings.Contains(err.Error(), "outside variant") {
-		t.Errorf("undeclared value accepted: %v", err)
-	}
-
-	// A variant absent from the declaration fails.
-	foreign := Cell{Key: CellKey{Graph: "g2", PEs: 2, Variant: "mystery"}, Values: map[string]float64{"x": 1}}
-	if _, _, err := Merge([]*Artifact{
-		withVariants(testArtifact(0, 2, cell("g0", 2))),
-		withVariants(testArtifact(1, 2, foreign)),
-	}); err == nil || !strings.Contains(err.Error(), "does not declare") {
-		t.Errorf("undeclared variant accepted: %v", err)
-	}
-
-	// No declarations: the check is skipped (old-style or hand-rolled
-	// artifacts).
-	if _, _, err := Merge([]*Artifact{
-		testArtifact(0, 2, foreign),
-		testArtifact(1, 2, cell("g1", 4)),
-	}); err != nil {
-		t.Errorf("declaration-free artifact rejected: %v", err)
 	}
 }

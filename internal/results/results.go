@@ -1,33 +1,35 @@
 // Package results defines the on-disk artifacts of the experiment
-// pipeline: the Cell unit of computed data, the versioned JSON shard
-// artifact written by `cmd/experiments -out` and combined by `-merge`, and
-// the content-addressed results cache that lets repeated runs skip
-// already-computed cells.
+// pipeline: the Cell unit of computed data, the versioned JSON artifact
+// written by `cmd/experiments -out` (a local run or a distributed-sweep
+// coordinator, byte-identical either way) and uploaded batch by batch by
+// sweep agents, and the content-addressed results cache that lets repeated
+// runs skip already-computed cells.
 //
 // A Cell is one (graph, PE count, variant, simulate) unit of experiment
 // output — a few named float64 values such as a speedup or a measured
 // scheduling time. Experiments compile to cell-producing jobs
-// (internal/experiments), shards of those jobs run in separate processes,
-// and the tables of the paper are rendered from the merged cell set. Two
-// identities address a cell:
+// (internal/experiments), which run in one process or are leased out to
+// agents by a coordinator (internal/distrib), and the tables of the paper
+// are rendered from the collected cell set. Two identities address a
+// cell:
 //
 //   - the semantic key used inside artifacts, whose Graph field names the
-//     generated instance ("FFT/s1/c<cfg>/g3"), so shards of one run can be
-//     validated for overlap and completeness without rebuilding graphs; and
+//     generated instance ("FFT/s1/c<cfg>/g3"), so a coordinator can map an
+//     uploaded cell to its job without rebuilding graphs; and
 //   - the content key used by the cache, whose Graph field is the
 //     Fingerprint of the built task graph, so any two runs that schedule
 //     the same graph the same way share cache entries.
 //
 // The artifact schema is documented field by field in docs/ARTIFACTS.md.
 //
-// Entry points: Artifact.WriteFile / ReadArtifactFile / Merge for shards,
-// OpenCache for the persistent cache, NewSet for in-process collection.
-// Invariants the rest of the pipeline leans on: Set preserves insertion
-// order and rejects duplicate keys; Merge is deterministic and validates
-// shard metadata with MetaCompatible (which ignores shard position and the
-// distributed-run provenance in Meta.Distrib) plus per-cell metric
-// declarations (ValidateCellMetrics); float64 values round-trip JSON
-// exactly, so rendered tables never depend on where cells were computed.
+// Entry points: Artifact.WriteFile for artifacts, OpenCache for the
+// persistent cache, NewSet for in-process collection. Invariants the rest
+// of the pipeline leans on: Set preserves insertion order and rejects
+// duplicate keys; a coordinator validates every uploaded batch with
+// MetaCompatible (which ignores the shard position and the distributed-run
+// provenance in Meta.Distrib) plus per-cell metric declarations
+// (ValidateCellMetrics); float64 values round-trip JSON exactly, so
+// rendered tables never depend on where cells were computed.
 package results
 
 import (
@@ -76,8 +78,8 @@ func (k CellKey) String() string {
 // named values the experiment's renderer aggregates into table rows.
 // float64 values survive the JSON round trip exactly (encoding/json emits
 // the shortest representation that parses back to the same float), so
-// tables rendered from merged shards are byte-identical to an in-process
-// run.
+// tables rendered from a coordinator's uploaded cells are byte-identical to
+// an in-process run.
 type Cell struct {
 	Key    CellKey            `json:"key"`
 	Label  string             `json:"label,omitempty"`
@@ -96,8 +98,7 @@ func NewSet() *Set {
 }
 
 // Add appends a cell, rejecting a key that is already present: inside one
-// run that would be a compiler bug, across merged shards it means two
-// shards overlap.
+// run that would be a compiler bug.
 func (s *Set) Add(c Cell) error {
 	if i, ok := s.index[c.Key]; ok {
 		return fmt.Errorf("results: overlapping cell %s (already present as %q)", c.Key, s.cells[i].Label)
@@ -115,9 +116,6 @@ func (s *Set) Get(k CellKey) (Cell, bool) {
 	}
 	return s.cells[i], true
 }
-
-// Has reports whether k is present.
-func (s *Set) Has(k CellKey) bool { _, ok := s.index[k]; return ok }
 
 // Cells returns the cells in insertion order.
 func (s *Set) Cells() []Cell { return s.cells }

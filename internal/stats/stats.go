@@ -4,8 +4,8 @@
 //
 // The entry point, Summarize, folds a sample slice into a five-number
 // Summary with Tukey whiskers. It is a pure function of its input, total
-// (it accepts empty and partially filled sample sets, which sharded runs
-// produce), and never reorders the caller's slice, so the rendered tables
+// (it accepts empty and partially filled sample sets, which runs with
+// failed jobs produce), and never reorders the caller's slice, so the rendered tables
 // are byte-identical however the samples were computed.
 package stats
 
@@ -26,8 +26,8 @@ type Summary struct {
 }
 
 // Summarize computes the box-plot summary of xs. An empty sample — which a
-// sharded sweep can legitimately produce for a cell whose jobs all belong to
-// other shards — yields N = 0 with every statistic NaN.
+// sweep can legitimately produce for a cell whose jobs all failed — yields
+// N = 0 with every statistic NaN.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		nan := math.NaN()
