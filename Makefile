@@ -39,13 +39,17 @@ bench-smoke:
 # fuzz-smoke briefly cross-checks the differential fast-vs-reference pairs:
 # the desim leap engine against the unit-stepping reference loop, the
 # incremental Algorithm 1 partitioner against its executable specification,
-# the hand-written graph decoder and encoder against encoding/json, and the
-# slice-backed Equation 5 sizer against its map-based peeling specification.
+# the hand-written graph decoder and encoder and the service's /v1 submit,
+# result and client codecs against encoding/json, and the slice-backed
+# Equation 5 sizer against its map-based peeling specification.
 fuzz-smoke:
 	$(GO) test ./internal/desim -run '^$$' -fuzz FuzzDesimLeapVsReference -fuzztime 20s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzAlgorithm1FastVsReference -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeJSONVsReference -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEncodeJSONVsReference -fuzztime 20s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzSubmitEnvelopeVsReference -fuzztime 20s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzReportWriterVsMarshalIndent -fuzztime 20s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzClientCodecVsReference -fuzztime 20s
 	$(GO) test ./internal/buffers -run '^$$' -fuzz FuzzSizesVsReference -fuzztime 20s
 
 # scale-smoke drives the 10^5-task pipeline (partition, schedule, leap-engine

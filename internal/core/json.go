@@ -2,27 +2,14 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
 
 	"repro/internal/graph"
+	"repro/internal/jsonscan"
 )
-
-// jsonGraph is the on-disk representation of a canonical task graph.
-type jsonGraph struct {
-	Nodes []jsonNode `json:"nodes"`
-	Edges [][2]int   `json:"edges"`
-}
-
-type jsonNode struct {
-	Name string `json:"name,omitempty"`
-	Kind string `json:"kind"`
-	In   int64  `json:"in,omitempty"`
-	Out  int64  `json:"out,omitempty"`
-}
 
 func kindFromString(s string) (Kind, error) {
 	switch s {
@@ -41,7 +28,8 @@ func kindFromString(s string) (Kind, error) {
 // EncodeJSON writes the task graph as canonical JSON, the bytes
 // results.Fingerprint hashes. Node order defines IDs; edges reference node
 // indices, sorted by (from, to). The bytes are those of encoding/json's
-// indented Encoder on jsonGraph (EncodeJSONReference, the test oracle),
+// indented Encoder on the document struct of DecodeJSON's comment
+// (EncodeJSONReference, the test oracle),
 // written through one fixed buffer by walking the successor arrays in
 // place; only a node whose successors were added out of order has them
 // copied, into one scratch slice, to be sorted.
@@ -148,21 +136,10 @@ func (e *encoder) int(v int64) {
 	e.buf = strconv.AppendInt(e.buf, v, 10)
 }
 
-// quote writes s as a JSON string. Printable ASCII other than the
-// characters encoding/json escapes (", \ and, by default, <, > and &) is
-// written as is; any other string goes through encoding/json, which
-// escapes control bytes, U+2028 and U+2029 and replaces invalid UTF-8.
+// quote writes s as json.Marshal writes a string.
 func (e *encoder) quote(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			e.str(string(q))
-			return
-		}
-	}
-	e.str(`"`)
-	e.str(s)
-	e.str(`"`)
+	e.room(len(s) + 2)
+	e.buf = jsonscan.AppendString(e.buf, s)
 }
 
 // DecodeJSON reads a task graph written by EncodeJSON (or authored by hand)
@@ -188,7 +165,7 @@ func (e *encoder) quote(s string) {
 // bytes after the first value are ignored (r is still read to EOF). A
 // test-only decoder that calls encoding/json is the differential oracle
 // for all of this (FuzzDecodeJSONVsReference). The decoder itself is one
-// pass over the bytes without reflection.
+// pass over the bytes without reflection (DecodeJSONBytes).
 func DecodeJSON(r io.Reader) (*TaskGraph, error) {
 	// bytes.Buffer doubles where io.ReadAll grows by a quarter, which
 	// copies a large document several times over.
@@ -199,35 +176,26 @@ func DecodeJSON(r io.Reader) (*TaskGraph, error) {
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("core: decoding task graph: %w", err)
 	}
-	var jg jsonGraph
-	d := decoder{data: buf.Bytes()}
-	if err := d.graph(&jg); err != nil {
-		return nil, fmt.Errorf("core: decoding task graph: %w", err)
-	}
-	return jg.build()
+	return DecodeJSONBytes(buf.Bytes())
 }
 
-// build turns the decoded document into a frozen task graph.
-func (jg *jsonGraph) build() (*TaskGraph, error) {
-	n := len(jg.Nodes)
-	t := &TaskGraph{G: graph.NewWithCapacity(len(jg.Edges)), Nodes: make([]Node, 0, n)}
-	for i, jn := range jg.Nodes {
-		k, err := kindFromString(jn.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("core: node %d: %w", i, err)
-		}
-		t.add(Node{Kind: k, In: jn.In, Out: jn.Out, Name: jn.Name})
+// DecodeJSONBytes is DecodeJSON on a document already in memory, decoded
+// in place. The graph keeps no reference to data: every node name is a
+// substring of one string copied out of it.
+func DecodeJSONBytes(data []byte) (*TaskGraph, error) {
+	return DecodeJSONAt(&jsonscan.Scanner{Data: data}, 0)
+}
+
+// DecodeJSONAt decodes the graph value at s's offset, a value nested in
+// depth arrays and objects of an enclosing document, and leaves s just
+// past it (or where the value failed to decode). It accepts what
+// DecodeJSON accepts of the value's bytes alone, wherever encoding/json
+// accepts the enclosing document.
+func DecodeJSONAt(s *jsonscan.Scanner, depth int) (*TaskGraph, error) {
+	var doc document
+	d := decoder{Scanner: s}
+	if err := d.graph(&doc, depth); err != nil {
+		return nil, fmt.Errorf("core: decoding task graph: %w", err)
 	}
-	for i, e := range jg.Edges {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return nil, fmt.Errorf("core: edge %d references unknown node", i)
-		}
-		if err := t.Connect(graph.NodeID(e[0]), graph.NodeID(e[1])); err != nil {
-			return nil, fmt.Errorf("core: edge %d: %w", i, err)
-		}
-	}
-	if err := t.Freeze(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return doc.build(s.Data)
 }

@@ -8,6 +8,20 @@ import (
 	"repro/internal/graph"
 )
 
+// jsonGraph is the on-disk representation of a canonical task graph, the
+// struct encoding/json decodes and encodes in the references.
+type jsonGraph struct {
+	Nodes []jsonNode `json:"nodes"`
+	Edges [][2]int   `json:"edges"`
+}
+
+type jsonNode struct {
+	Name string `json:"name,omitempty"`
+	Kind string `json:"kind"`
+	In   int64  `json:"in,omitempty"`
+	Out  int64  `json:"out,omitempty"`
+}
+
 // DecodeJSONReference is the encoding/json decoder DecodeJSON replaced,
 // kept as the differential oracle: DecodeJSON must accept exactly the
 // inputs it accepts and build exactly the graph it builds.

@@ -73,9 +73,14 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 		Reject(w, err)
 		return
 	}
+	WriteBody(w, code, append(data, '\n'))
+}
+
+// WriteBody answers code with body, a JSON document written by hand.
+func WriteBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(data, '\n')) //nolint:errcheck // the client is gone if this fails
+	w.Write(body) //nolint:errcheck // the client is gone if this fails
 }
 
 // Reject answers err with the shared error body. An *Error keeps its
@@ -116,6 +121,42 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) err
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) error {
+	if err := checkPost(w, r, maxBytes); err != nil {
+		return err
+	}
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return bodyErr(err, maxBytes)
+	}
+	return nil
+}
+
+// ReadBody reads a whole POST body under ReadJSON's rules, for a handler
+// that decodes it by hand. A request that breaks a rule is answered here
+// and the error returned.
+func ReadBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
+	body, err := readBody(w, r, maxBytes)
+	if err != nil {
+		Reject(w, err)
+	}
+	return body, err
+}
+
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, error) {
+	if err := checkPost(w, r, maxBytes); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		return nil, bodyErr(err, maxBytes)
+	}
+	return buf.Bytes(), nil
+}
+
+// checkPost enforces the method and media type and bounds the body.
+func checkPost(w http.ResponseWriter, r *http.Request, maxBytes int64) error {
 	if r.Method != http.MethodPost {
 		return Errorf(http.StatusMethodNotAllowed, "POST only")
 	}
@@ -124,14 +165,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, maxBytes int64) e
 		return Errorf(http.StatusUnsupportedMediaType, "Content-Type %q: POST bodies must be application/json", ct)
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return Errorf(http.StatusRequestEntityTooLarge, "request body exceeds the %d byte limit for this endpoint", maxBytes)
-		}
-		return Errorf(http.StatusBadRequest, "bad request body: %v", err)
-	}
 	return nil
+}
+
+// bodyErr is the answer to a body that failed to read or decode.
+func bodyErr(err error, maxBytes int64) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return Errorf(http.StatusRequestEntityTooLarge, "request body exceeds the %d byte limit for this endpoint", maxBytes)
+	}
+	return Errorf(http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // Get serves a GET endpoint answering f's value; other methods get 405.
@@ -213,9 +256,10 @@ type Client struct {
 }
 
 // Call sends one request and decodes a 2xx JSON answer into out (nil
-// skips decoding). A non-nil body is sent as application/json. Any other
-// status comes back as an *Error whose message carries the method, path,
-// status, and the body's "error" field (or its leading text).
+// skips decoding; a *[]byte receives the body undecoded). A non-nil body
+// is sent as application/json. Any other status comes back as an *Error
+// whose message carries the method, path, status, and the body's "error"
+// field (or its leading text).
 func (c Client) Call(ctx context.Context, method, path string, body []byte, out any) error {
 	if c.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -248,8 +292,14 @@ func (c Client) Call(ctx context.Context, method, path string, body []byte, out 
 	if resp.StatusCode/100 != 2 {
 		return responseError(req, resp)
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *[]byte:
+		var buf bytes.Buffer
+		_, err := buf.ReadFrom(resp.Body)
+		*out = buf.Bytes()
+		return err
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

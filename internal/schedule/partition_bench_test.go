@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/results"
 	"repro/internal/schedule"
+	"repro/internal/service"
 	"repro/internal/synth"
 )
 
@@ -91,7 +92,12 @@ func BenchmarkPartitionReferenceManyBlocks(b *testing.B) {
 // fingerprint (results.Fingerprint, the service's cache and coalescing
 // key), partition (a reused Partitioner), schedule (a reused Scheduler)
 // and sizes (Equation 5 on a reused buffers.Sizer), each its own row, so a
-// regression is pinned on the stage that caused it.
+// regression is pinned on the stage that caused it. Three rows time the
+// served path's codecs around them: submit (a /v1/submit body to its task
+// graph through the handler's one-pass ingest, service.ReadSubmit),
+// report (the /v1/result body of the graph's report, service.AppendStatus)
+// and client (Client.Submit's body write plus Client.Result's read of
+// that report, service.AppendSubmit and service.ReadStatus).
 func BenchmarkScaleLadder(b *testing.B) {
 	for _, target := range []int{1_000, 10_000, 100_000} {
 		m := synth.GaussianFor(target)
@@ -109,6 +115,44 @@ func BenchmarkScaleLadder(b *testing.B) {
 		b.Run(fmt.Sprintf("gaussian-%d/decode", target), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.DecodeJSON(bytes.NewReader(doc.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		req := service.SubmitRequest{Tenant: "bulk", Graph: doc.Bytes(), PEs: p}
+		body, err := service.AppendSubmit(nil, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := service.BuildReport(tg, p, opt.Variant, "lts", false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := service.JobStatus{ID: "j1", State: service.StateDone, Schedule: rep}
+		result, err := service.AppendStatus(nil, st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("gaussian-%d/submit", target), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, tg, err := service.ReadSubmit(body); err != nil || tg == nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("gaussian-%d/report", target), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := service.AppendStatus(nil, st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("gaussian-%d/client", target), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := service.AppendSubmit(make([]byte, 0, len(req.Graph)+256), req); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := service.ReadStatus(result); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -65,7 +65,7 @@ func retryableSubmit(err error) bool {
 // rejection's queue depth and no error; other non-2xx statuses are
 // errors. See RetryWait for which failures are retried.
 func (c *Client) Submit(ctx context.Context, req SubmitRequest) (resp SubmitResponse, depth int, accepted bool, err error) {
-	body, err := json.Marshal(req)
+	body, err := AppendSubmit(make([]byte, 0, len(req.Graph)+256), req)
 	if err != nil {
 		return SubmitResponse{}, 0, false, err
 	}
@@ -90,9 +90,13 @@ func (c *Client) Result(ctx context.Context, id string, wait time.Duration) (Job
 	if wait > 0 {
 		path += "?wait=" + wait.String()
 	}
-	var st JobStatus
-	if err := c.call(ctx, retryableGet, http.MethodGet, path, nil, &st); err != nil {
+	var body []byte
+	if err := c.call(ctx, retryableGet, http.MethodGet, path, nil, &body); err != nil {
 		return JobStatus{}, err
+	}
+	st, err := ReadStatus(body)
+	if err != nil {
+		return JobStatus{}, fmt.Errorf("GET %s: %w", path, err)
 	}
 	return st, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -340,12 +341,25 @@ func fetchScheduleBytes(ctx context.Context, base, id string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("status %s", resp.Status)
 	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	// The hand-written result writer must write what WriteJSON wrote:
+	// json.MarshalIndent of the status it decodes to, and a newline.
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, err
+	}
+	if want, err := json.MarshalIndent(st, "", "  "); err != nil || !bytes.Equal(data, append(want, '\n')) {
+		return nil, fmt.Errorf("result body is not json.MarshalIndent's (%v):\n%s", err, data)
+	}
 	var body struct {
 		State    string          `json:"state"`
 		Error    string          `json:"error"`
 		Schedule json.RawMessage `json:"schedule"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := json.Unmarshal(data, &body); err != nil {
 		return nil, err
 	}
 	if body.State != StateDone {

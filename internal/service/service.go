@@ -47,7 +47,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -534,7 +533,7 @@ func (s *Service) run(j *job, ec *experiments.EvalContext) {
 			if s.opt.Cache != nil {
 				// Best effort: a failed write only costs a future
 				// re-evaluation.
-				if data, mErr := json.Marshal(rep); mErr == nil {
+				if data, mErr := appendReport(nil, rep); mErr == nil {
 					s.opt.Cache.PutBlob(reportBlobNS, j.cacheKey, data) //nolint:errcheck
 				}
 			}
@@ -551,6 +550,7 @@ func (s *Service) run(j *job, ec *experiments.EvalContext) {
 	}
 	for _, x := range append([]*job{j}, j.followers...) {
 		x.report, x.err = rep, err
+		x.tg = nil // nothing reads it again; a served 10^4-node graph holds ~1.5 MB
 		t := s.tenantLocked(x.tenant)
 		if err != nil {
 			x.state = StateFailed
@@ -589,8 +589,8 @@ func (s *Service) lookupCached(j *job) (*ScheduleReport, error, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	var rep ScheduleReport
-	if err := json.Unmarshal(data, &rep); err != nil {
+	rep, err := readReport(data)
+	if err != nil || rep == nil {
 		return nil, nil, false
 	}
 	// Integrity guard: a parseable-but-wrong entry (hand-edited,
@@ -602,7 +602,7 @@ func (s *Service) lookupCached(j *job) (*ScheduleReport, error, bool) {
 		len(rep.BlockOf) != n || len(rep.PE) != n || len(rep.ST) != n || len(rep.FO) != n || len(rep.LO) != n {
 		return nil, nil, false
 	}
-	return &rep, nil, true
+	return rep, nil, true
 }
 
 // Submit admits one request. The graph is built and validated before
@@ -611,7 +611,17 @@ func (s *Service) lookupCached(j *job) (*ScheduleReport, error, bool) {
 // its say, a full queue — rejects with 429 and a Retry-After hint; a
 // draining service rejects with 503.
 func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
-	tg, err := buildGraph(req)
+	return s.submit(req, nil)
+}
+
+// submit is Submit given tg, the task graph the HTTP handler decoded from
+// req.Graph while it read the body, or nil. Any request it does not
+// settle goes through buildGraph.
+func (s *Service) submit(req SubmitRequest, tg *core.TaskGraph) (SubmitResponse, error) {
+	var err error
+	if tg == nil || req.Workload != "" {
+		tg, err = buildGraph(req)
+	}
 	if err != nil {
 		return SubmitResponse{}, httpapi.Errorf(http.StatusBadRequest, "bad submission: %v", err)
 	}
@@ -789,6 +799,7 @@ func (s *Service) shedForLocked(tenant string, tasks int) bool {
 	}
 	s.queue = rest
 	victim.state = StateShed
+	victim.tg = nil
 	victim.err = fmt.Errorf("shed by %s policy under queue pressure", s.opt.ShedPolicy)
 	vt := s.tenantLocked(victim.tenant)
 	vt.open--
@@ -906,7 +917,7 @@ func buildGraph(req SubmitRequest) (*core.TaskGraph, error) {
 			Graphs: 1, Seed: seed, Config: synth.DefaultConfig(),
 		}, 0)
 	case len(req.Graph) > 0:
-		return core.DecodeJSON(bytes.NewReader(req.Graph))
+		return core.DecodeJSONBytes(req.Graph)
 	}
 	return nil, fmt.Errorf("choose exactly one of workload and graph")
 }
@@ -951,14 +962,19 @@ const maxSubmitBody = 8 << 20
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/submit", func(w http.ResponseWriter, r *http.Request) {
-		var req SubmitRequest
-		if err := httpapi.ReadJSON(w, r, &req, maxSubmitBody); err != nil {
+		body, err := httpapi.ReadBody(w, r, maxSubmitBody)
+		if err != nil {
+			return
+		}
+		req, tg, err := ReadSubmit(body)
+		if err != nil {
+			reject(w, httpapi.Errorf(http.StatusBadRequest, "bad request body: %v", err))
 			return
 		}
 		if req.Tenant == "" {
 			req.Tenant = r.Header.Get("X-Tenant")
 		}
-		resp, err := s.Submit(req)
+		resp, err := s.submit(req, tg)
 		if err != nil {
 			reject(w, err)
 			return
@@ -984,11 +1000,14 @@ func (s *Service) Handler() http.Handler {
 			wait = d
 		}
 		st, err := s.Wait(r.Context(), id, wait)
-		if err != nil {
-			reject(w, err)
-			return
+		if err == nil {
+			var body []byte
+			if body, err = AppendStatus(nil, st); err == nil {
+				httpapi.WriteBody(w, http.StatusOK, body)
+				return
+			}
 		}
-		httpapi.WriteJSON(w, http.StatusOK, st)
+		reject(w, err)
 	})
 	mux.Handle("/v1/statusz", httpapi.Get(s.Status))
 	return mux
