@@ -143,7 +143,7 @@ func BenchmarkFig13Simulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		caps := buffers.SizeMap(tg, res)
+		caps := buffers.Sizes(tg, res)
 		for _, eng := range []struct {
 			name   string
 			engine desim.Engine

@@ -391,9 +391,9 @@ func runSweep(w io.Writer, tg *core.TaskGraph, v schedule.Variant, list string, 
 		pes = append(pes, p)
 	}
 
-	rows, errs := experiments.RunIndexed(workers, len(pes), func(i int) (string, error) {
+	rows, errs := experiments.RunIndexed(workers, len(pes), experiments.NewEvalContext, func(ctx *experiments.EvalContext, i int) (string, error) {
 		p := pes[i]
-		ev, err := experiments.NewEvalContext().Evaluate(tg, p, v, false)
+		ev, err := ctx.Evaluate(tg, p, v, false)
 		if err != nil {
 			return "", err
 		}

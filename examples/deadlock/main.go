@@ -8,11 +8,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/buffers"
 	"repro/internal/core"
 	"repro/internal/desim"
-	"repro/internal/graph"
 	"repro/internal/schedule"
 )
 
@@ -46,10 +46,11 @@ func main() {
 
 	// Equation 5 sizes the (t0, t4) channel to absorb the left path's
 	// pipeline fill delay.
-	sized := buffers.SizeMap(tg, res)
-	fmt.Printf("\ncomputed FIFO space on (t0,t4): %d elements\n", sized[[2]graph.NodeID{t0, t4}])
+	sized := buffers.Sizes(tg, res)
+	t0t4 := slices.IndexFunc(sized, func(e buffers.EdgeSpace) bool { return e.From == t0 && e.To == t4 })
+	fmt.Printf("\ncomputed FIFO space on (t0,t4): %d elements\n", sized[t0t4].Space)
 
-	run := func(label string, caps map[[2]graph.NodeID]int64) {
+	run := func(label string, caps []buffers.EdgeSpace) {
 		st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: caps})
 		if err != nil {
 			log.Fatal(err)
@@ -64,7 +65,6 @@ func main() {
 	fmt.Println()
 	run("with Equation 5 sizes:", sized)
 
-	undersized := buffers.SizeMap(tg, res)
-	undersized[[2]graph.NodeID{t0, t4}] = 8
-	run("with an 8-slot (t0,t4) FIFO:", undersized)
+	sized[t0t4].Space = 8
+	run("with an 8-slot (t0,t4) FIFO:", sized)
 }

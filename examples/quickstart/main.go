@@ -74,8 +74,7 @@ func main() {
 	}
 
 	// FIFO sizes for deadlock freedom (Section 6) and validation.
-	caps := buffers.SizeMap(tg, res)
-	st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: caps})
+	st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.Sizes(tg, res)})
 	if err != nil {
 		log.Fatal(err)
 	}

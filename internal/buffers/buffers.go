@@ -12,9 +12,9 @@
 // path, divided by the production interval of u (Equation 5), capped by the
 // edge's total data volume.
 //
-// Entry points: Sizes derives the per-edge FIFO depths of a schedule;
-// FIFOCaps (or SizeMap, which does both) keys them the way desim.Config
-// consumes them, and CycleSpace sums the deadlock-freedom budget. Sizing
+// Entry points: Sizes derives the per-edge FIFO depths of a schedule, a
+// slice sorted by (From, To) that desim.Config.FIFOCap reads as is, and
+// CycleSpace sums the deadlock-freedom budget. Sizing
 // is a pure function of the frozen graph and its schedule — no
 // randomness, no state — so sized simulations are reproducible and
 // cacheable.
@@ -58,27 +58,14 @@ type EdgeSpace struct {
 const MinDepth = 1
 
 // Sizes computes the buffer space of every streaming edge of the scheduled
-// graph. The result is keyed by edge and sorted by
-// (From, To). It allocates fresh scratch state; hot loops should prefer
-// Sizer.Sizes.
+// graph, sorted by (From, To). It allocates fresh scratch state; hot loops
+// should prefer Sizer.Sizes.
 func Sizes(t *core.TaskGraph, r *schedule.Result) []EdgeSpace {
 	return new(Sizer).Sizes(t, r)
 }
 
-// SizeMap returns Sizes as a map keyed by [from, to].
-func SizeMap(t *core.TaskGraph, r *schedule.Result) map[[2]graph.NodeID]int64 {
-	return FIFOCaps(Sizes(t, r))
-}
-
-// FIFOCaps keys already computed sizes by [from, to], the form
-// desim.Config.FIFOCap consumes.
-func FIFOCaps(sizes []EdgeSpace) map[[2]graph.NodeID]int64 {
-	m := make(map[[2]graph.NodeID]int64, len(sizes))
-	for _, e := range sizes {
-		m[[2]graph.NodeID{e.From, e.To}] = e.Space
-	}
-	return m
-}
+// Deprecated: SizeMap is Sizes, kept only for the benchmark module.
+func SizeMap(t *core.TaskGraph, r *schedule.Result) []EdgeSpace { return Sizes(t, r) }
 
 // CycleSpace sums the Equation 5 requirement over sizes: the number of
 // edges whose head lies on an undirected cycle, and their total FIFO

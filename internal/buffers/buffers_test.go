@@ -21,6 +21,17 @@ func scheduleAll(t *testing.T, tg *core.TaskGraph) *schedule.Result {
 	return r
 }
 
+// space returns the FIFO depth sizes gives the streaming edge (from, to),
+// or 0 when sizes has no entry for it.
+func space(sizes []EdgeSpace, from, to graph.NodeID) int64 {
+	for _, e := range sizes {
+		if e.From == from && e.To == to {
+			return e.Space
+		}
+	}
+	return 0
+}
+
 // TestBufferSpaceFig9Graph1 reproduces the Section 6 result: the FIFO on
 // edge (0,4) of Figure 9 graph 1 needs 18 slots.
 func TestBufferSpaceFig9Graph1(t *testing.T) {
@@ -36,11 +47,11 @@ func TestBufferSpaceFig9Graph1(t *testing.T) {
 	tg.MustConnect(n3, n4)
 	tg.MustConnect(n0, n4)
 	r := scheduleAll(t, tg)
-	m := SizeMap(tg, r)
-	if got := m[[2]graph.NodeID{n0, n4}]; got != 18 {
+	sizes := Sizes(tg, r)
+	if got := space(sizes, n0, n4); got != 18 {
 		t.Errorf("B(0,4) = %d, want 18", got)
 	}
-	if got := m[[2]graph.NodeID{n3, n4}]; got != MinDepth {
+	if got := space(sizes, n3, n4); got != MinDepth {
 		t.Errorf("B(3,4) = %d, want %d (aligned path)", got, MinDepth)
 	}
 }
@@ -61,11 +72,11 @@ func TestBufferSpaceFig9Graph2(t *testing.T) {
 	tg.MustConnect(n3, n4)
 	tg.MustConnect(n4, n5)
 	r := scheduleAll(t, tg)
-	m := SizeMap(tg, r)
-	if got := m[[2]graph.NodeID{n4, n5}]; got != 32 {
+	sizes := Sizes(tg, r)
+	if got := space(sizes, n4, n5); got != 32 {
 		t.Errorf("B(4,5) = %d, want 32", got)
 	}
-	if got := m[[2]graph.NodeID{n2, n5}]; got != MinDepth {
+	if got := space(sizes, n2, n5); got != MinDepth {
 		t.Errorf("B(2,5) = %d, want %d", got, MinDepth)
 	}
 }
@@ -85,8 +96,8 @@ func TestBufferSpaceCappedByVolume(t *testing.T) {
 	tg.MustConnect(src, join)
 	tg.MustConnect(slow2, join)
 	r := scheduleAll(t, tg)
-	m := SizeMap(tg, r)
-	if got := m[[2]graph.NodeID{src, join}]; got != 64 {
+	sizes := Sizes(tg, r)
+	if got := space(sizes, src, join); got != 64 {
 		t.Errorf("B(src,join) = %d, want capped at 64", got)
 	}
 }

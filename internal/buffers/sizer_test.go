@@ -231,7 +231,7 @@ func TestBufferSpaceOverflowClamped(t *testing.T) {
 	tg.MustConnect(n0, n5)
 	r := scheduleAll(t, tg)
 	for name, sizes := range map[string][]EdgeSpace{"Sizes": Sizes(tg, r), "reference": sizesReference(tg, r)} {
-		if got := FIFOCaps(sizes)[[2]graph.NodeID{n0, n5}]; got != vol {
+		if got := space(sizes, n0, n5); got != vol {
 			t.Errorf("%s: B(0,5) = %d, want the edge volume %d", name, got, int64(vol))
 		}
 	}

@@ -62,9 +62,13 @@
 package desim
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/buffers"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/schedule"
@@ -98,11 +102,13 @@ func (e Engine) String() string {
 
 // Config controls the simulation.
 type Config struct {
-	// FIFOCap is the per-streaming-edge capacity, usually the output of
-	// buffers.Sizes. Edges not present fall back to DefaultCap.
-	FIFOCap map[[2]graph.NodeID]int64
-	// DefaultCap is the capacity of streaming edges missing from FIFOCap.
-	// Zero means 1.
+	// FIFOCap is the per-streaming-edge capacity: the slice buffers.Sizes
+	// returns, sorted by From, read as is. A streaming edge gets the Space
+	// of its last entry with Space > 0, or DefaultCap when it has none;
+	// entries naming no streaming edge are ignored.
+	FIFOCap []buffers.EdgeSpace
+	// DefaultCap is the capacity of streaming edges that FIFOCap does not
+	// size. Zero means 1.
 	DefaultCap int64
 	// MaxCycles aborts runaway simulations. Zero means 100 million.
 	MaxCycles int64
@@ -216,6 +222,10 @@ type Scratch struct {
 	bufs     []*taskState
 	blkEdges []*edgeState
 	inBlk    []bool
+	// succPos[w] is 1 + the index of the last edge built into w. A stale
+	// value points outside the current producer's edges or at an edge into
+	// another node, so it is never cleared.
+	succPos  []int32
 	wantStep []bool  // leap engine: tasks marked for re-examination
 	wakeAt   []int64 // leap engine: pending timed-wake cycle per task (0 = none)
 	events   []timedEvent
@@ -254,27 +264,44 @@ func (s *Scratch) Simulate(t *core.TaskGraph, r *schedule.Result, cfg Config) (*
 	stats := &s.stats
 
 	// Build edge states in deterministic (producer, successor-order) order.
+	// FIFOCap is grouped by producer like the edges, so one cursor walks it
+	// alongside; succPos finds an entry's edge among the producer's own.
+	caps := cfg.FIFOCap
+	if !slices.IsSortedFunc(caps, func(a, b buffers.EdgeSpace) int { return cmp.Compare(a.From, b.From) }) {
+		return stats, errors.New("desim: FIFOCap is not sorted by From, as buffers.Sizes returns it")
+	}
 	if cap(s.edges) < ne {
 		s.edges = make([]edgeState, ne)
 	}
 	s.edges = s.edges[:ne]
-	ei := 0
+	if len(s.succPos) < n {
+		s.succPos = make([]int32, n)
+	}
+	ci, ei := 0, 0
 	for v := 0; v < n; v++ {
 		id := graph.NodeID(v)
 		vols := t.G.SuccVolumes(id)
+		base := ei
 		for i, w := range t.G.Succs(id) {
 			es := &s.edges[ei]
 			*es = edgeState{from: id, to: w, vol: vols[i], ready: -1}
 			if r.Partition.Streaming(t, id, w) {
 				es.kind = fifoEdge
 				es.cap = cfg.DefaultCap
-				if c, ok := cfg.FIFOCap[[2]graph.NodeID{id, w}]; ok && c > 0 {
-					es.cap = c
-				}
 			} else {
 				es.kind = memoryEdge
 			}
 			ei++
+			s.succPos[w] = int32(ei)
+		}
+		for ; ci < len(caps) && caps[ci].From <= id; ci++ {
+			c := caps[ci]
+			if c.From != id || c.Space <= 0 || c.To < 0 || int(c.To) >= n {
+				continue
+			}
+			if p := int(s.succPos[c.To]); p > base && p <= ei && s.edges[p-1].to == c.To && s.edges[p-1].kind == fifoEdge {
+				s.edges[p-1].cap = c.Space
+			}
 		}
 	}
 

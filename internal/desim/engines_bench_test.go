@@ -43,7 +43,7 @@ func BenchmarkDesimEngines(b *testing.B) {
 	}
 	for _, tc := range cases {
 		tg, res := benchCase(b, tc.graph, tc.variant, tc.p)
-		caps := buffers.SizeMap(tg, res)
+		caps := buffers.Sizes(tg, res)
 		for _, eng := range []struct {
 			name   string
 			engine desim.Engine
@@ -91,7 +91,7 @@ func BenchmarkDesimLongMakespan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	caps := buffers.SizeMap(tg, res)
+	caps := buffers.Sizes(tg, res)
 	for _, eng := range []struct {
 		name   string
 		engine desim.Engine

@@ -95,7 +95,7 @@ func TestGoldenSimulations(t *testing.T) {
 			t.Errorf("%s/%s/P=%d: buffers %d edges/%d on-cycle/%d slots, want %d/%d/%d",
 				tc.graph, tc.variant, tc.p, len(sizes), cyc, slots, tc.edges, tc.cycleEdges, tc.slots)
 		}
-		st, err := scratch.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
+		st, err := scratch.Simulate(tg, res, desim.Config{FIFOCap: buffers.Sizes(tg, res)})
 		if err != nil {
 			t.Fatalf("%s/%s: simulate: %v", tc.graph, tc.variant, err)
 		}
@@ -109,7 +109,7 @@ func TestGoldenSimulations(t *testing.T) {
 		}
 
 		// The scratch path must agree exactly with a fresh simulation.
-		fresh, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
+		fresh, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.Sizes(tg, res)})
 		if err != nil {
 			t.Fatalf("%s/%s: fresh simulate: %v", tc.graph, tc.variant, err)
 		}

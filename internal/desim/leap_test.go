@@ -51,14 +51,14 @@ func diffGraph(family int, seed int64) *core.TaskGraph {
 // diffCaps derives the FIFO capacities for one differential case: the
 // Equation 5 sizes, a uniformly shrunken variant (which provokes the
 // deadlock paths), or unit capacities.
-func diffCaps(tg *core.TaskGraph, res *schedule.Result, mode int) (map[[2]graph.NodeID]int64, int64) {
+func diffCaps(tg *core.TaskGraph, res *schedule.Result, mode int) ([]buffers.EdgeSpace, int64) {
 	switch ((mode % 3) + 3) % 3 {
 	case 0:
-		return buffers.SizeMap(tg, res), 0
+		return buffers.Sizes(tg, res), 0
 	case 1:
-		caps := buffers.SizeMap(tg, res)
-		for k, v := range caps {
-			caps[k] = max(1, v/4)
+		caps := buffers.Sizes(tg, res)
+		for i := range caps {
+			caps[i].Space = max(1, caps[i].Space/4)
 		}
 		return caps, 0
 	default:
@@ -69,9 +69,10 @@ func diffCaps(tg *core.TaskGraph, res *schedule.Result, mode int) (map[[2]graph.
 // runBoth simulates one scheduled graph with the reference loop as the
 // oracle and requires the default configuration — the leap engine — to
 // produce identical semantic Stats, the Finish vector and the deadlock
-// cycle included.
+// cycle included. It returns the reference Stats, or nil when both engines
+// failed alike.
 func runBoth(t testing.TB, tg *core.TaskGraph, res *schedule.Result,
-	caps map[[2]graph.NodeID]int64, defaultCap, maxCycles int64) {
+	caps []buffers.EdgeSpace, defaultCap, maxCycles int64) *Stats {
 	t.Helper()
 	ref, refErr := NewScratch().Simulate(tg, res, Config{
 		FIFOCap: caps, DefaultCap: defaultCap, MaxCycles: maxCycles, Engine: EngineReference,
@@ -86,7 +87,7 @@ func runBoth(t testing.TB, tg *core.TaskGraph, res *schedule.Result,
 		if refErr.Error() != lpErr.Error() {
 			t.Fatalf("engines disagree on error text: reference=%v default=%v", refErr, lpErr)
 		}
-		return
+		return nil
 	}
 	if ref.Makespan != lp.Makespan || ref.Deadlocked != lp.Deadlocked ||
 		ref.DeadlockCycle != lp.DeadlockCycle || ref.Cycles != lp.Cycles {
@@ -99,24 +100,32 @@ func runBoth(t testing.TB, tg *core.TaskGraph, res *schedule.Result,
 			t.Fatalf("Finish[%d] diverges: reference %g, default %g", v, ref.Finish[v], lp.Finish[v])
 		}
 	}
+	return ref
 }
 
-// diffCase schedules one differential configuration and cross-checks the
-// engines; it reports false when the configuration is unschedulable (the
-// fuzzer may propose one) rather than failing.
-func diffCase(t testing.TB, family int, seed int64, pes int, variant schedule.Variant, capMode int, maxCycles int64) bool {
+// diffCase schedules one differential configuration, cross-checks the
+// engines and returns the reference Stats (nil when both engines failed
+// alike); ok is false when the configuration is unschedulable (the fuzzer
+// may propose one) rather than failing. With the Equation 5 sizes (cap mode
+// 0) and no cycle budget it also requires that the run does not deadlock:
+// Section 6 sizes the FIFOs of Algorithm 1's partitions for exactly that.
+func diffCase(t testing.TB, family int, seed int64, pes int, variant schedule.Variant, capMode int, maxCycles int64) (st *Stats, ok bool) {
 	tg := diffGraph(family, seed)
 	part, err := schedule.Algorithm1(tg, pes, schedule.Options{Variant: variant})
 	if err != nil {
-		return false
+		return nil, false
 	}
 	res, err := schedule.Schedule(tg, part, pes)
 	if err != nil {
-		return false
+		return nil, false
 	}
 	caps, defaultCap := diffCaps(tg, res, capMode)
-	runBoth(t, tg, res, caps, defaultCap, maxCycles)
-	return true
+	st = runBoth(t, tg, res, caps, defaultCap, maxCycles)
+	if ((capMode%3)+3)%3 == 0 && maxCycles == 0 && st != nil && st.Deadlocked {
+		t.Fatalf("Equation 5 sizes deadlock at cycle %d (family %d, seed %d, P=%d, %v)",
+			st.DeadlockCycle, family, seed, pes, variant)
+	}
+	return st, true
 }
 
 // TestLeapMatchesReference sweeps random graphs, partition variants, PE
@@ -131,16 +140,12 @@ func TestLeapMatchesReference(t *testing.T) {
 			for _, pes := range []int{2, 8, 32} {
 				for capMode := 0; capMode < 3; capMode++ {
 					v := variants[(family+int(seed)+capMode)%2]
-					if !diffCase(t, family, seed, pes, v, capMode, 0) {
+					st, ok := diffCase(t, family, seed, pes, v, capMode, 0)
+					if !ok {
 						continue
 					}
 					cases++
-					tg := diffGraph(family, seed)
-					part, _ := schedule.Algorithm1(tg, pes, schedule.Options{Variant: v})
-					res, _ := schedule.Schedule(tg, part, pes)
-					caps, defCap := diffCaps(tg, res, capMode)
-					st, err := Simulate(tg, res, Config{FIFOCap: caps, DefaultCap: defCap})
-					if err == nil && st.Deadlocked {
+					if st != nil && st.Deadlocked {
 						deadlocks++
 					}
 				}
@@ -162,11 +167,11 @@ func TestLeapMatchesReference(t *testing.T) {
 func TestLeapMatchesReferenceWorkedExamples(t *testing.T) {
 	tg := fig9Graph1()
 	res := schedAll(t, tg)
-	runBoth(t, tg, res, buffers.SizeMap(tg, res), 0, 0)
+	runBoth(t, tg, res, buffers.Sizes(tg, res), 0, 0)
 
 	// Undersized (0,4) channel: both engines must wedge at the same cycle.
-	caps := buffers.SizeMap(tg, res)
-	caps[[2]graph.NodeID{0, 4}] = 8
+	caps := buffers.Sizes(tg, res)
+	setSpace(t, caps, 0, 4, 8)
 	runBoth(t, tg, res, caps, 0, 0)
 
 	// Buffer in the middle of a chain: memory-edge readiness and the
@@ -179,7 +184,7 @@ func TestLeapMatchesReferenceWorkedExamples(t *testing.T) {
 	tg2.MustConnect(a, b)
 	tg2.MustConnect(b, c)
 	res2 := schedAll(t, tg2)
-	runBoth(t, tg2, res2, buffers.SizeMap(tg2, res2), 0, 0)
+	runBoth(t, tg2, res2, buffers.Sizes(tg2, res2), 0, 0)
 
 	// Two blocks back to back: cross-block memory drains must leap too.
 	tg3 := core.New()
@@ -204,7 +209,7 @@ func TestLeapMatchesReferenceWorkedExamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runBoth(t, tg3, res3, buffers.SizeMap(tg3, res3), 0, 0)
+	runBoth(t, tg3, res3, buffers.Sizes(tg3, res3), 0, 0)
 }
 
 // TestLeapMatchesReferenceMaxCycles forces the cycle-budget overrun on both
@@ -214,7 +219,7 @@ func TestLeapMatchesReferenceMaxCycles(t *testing.T) {
 	tg := fig9Graph1()
 	res := schedAll(t, tg)
 	for _, budget := range []int64{1, 3, 10, 17, 40} {
-		runBoth(t, tg, res, buffers.SizeMap(tg, res), 0, budget)
+		runBoth(t, tg, res, buffers.Sizes(tg, res), 0, budget)
 	}
 }
 
@@ -235,7 +240,7 @@ func TestLeapActuallyLeaps(t *testing.T) {
 		prev = cur
 	}
 	res := schedAll(t, tg)
-	st, err := NewScratch().Simulate(tg, res, Config{FIFOCap: buffers.SizeMap(tg, res), Engine: EngineLeap})
+	st, err := NewScratch().Simulate(tg, res, Config{FIFOCap: buffers.Sizes(tg, res), Engine: EngineLeap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +267,7 @@ func TestLeapActuallyLeaps(t *testing.T) {
 func TestSimulateAllocFree(t *testing.T) {
 	tg := fig9Graph1()
 	res := schedAll(t, tg)
-	caps := buffers.SizeMap(tg, res)
+	caps := buffers.Sizes(tg, res)
 	for _, engine := range []Engine{EngineLeap, EngineReference} {
 		t.Run(engine.String(), func(t *testing.T) {
 			s := NewScratch()

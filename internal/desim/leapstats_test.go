@@ -54,7 +54,7 @@ func TestLeapEngagesOnGoldenGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := NewScratch().Simulate(tg, res, Config{FIFOCap: buffers.SizeMap(tg, res)})
+		st, err := NewScratch().Simulate(tg, res, Config{FIFOCap: buffers.Sizes(tg, res)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestLeapEngagesOnGoldenGraphs(t *testing.T) {
 func TestReferenceLeavesLeapStatsEmpty(t *testing.T) {
 	tg := goldenFamily("chain")
 	res := schedAll(t, tg)
-	st, err := NewScratch().Simulate(tg, res, Config{FIFOCap: buffers.SizeMap(tg, res), Engine: EngineReference})
+	st, err := NewScratch().Simulate(tg, res, Config{FIFOCap: buffers.Sizes(tg, res), Engine: EngineReference})
 	if err != nil {
 		t.Fatal(err)
 	}

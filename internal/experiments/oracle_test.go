@@ -44,7 +44,7 @@ func RunSweepSequential(topo Topology, opt Options, simulate bool) []SweepPoint 
 				sp, sslr, util := res.Speedup(tg), res.Makespan/depth, res.Utilization(tg, p)
 				var simErr float64
 				if simulate {
-					st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
+					st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.Sizes(tg, res)})
 					if err != nil {
 						panic(err)
 					}

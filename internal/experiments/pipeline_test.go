@@ -16,6 +16,7 @@ import (
 	"repro/internal/results"
 	"repro/internal/schedule"
 	"repro/internal/stats"
+	"repro/internal/synth"
 )
 
 // fixedMeasure stands in for the wall clock of the timed experiment
@@ -155,7 +156,7 @@ func ablationSequentialRef(w io.Writer, opt Options) {
 			if err != nil {
 				panic(err)
 			}
-			sized, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
+			sized, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.Sizes(tg, res)})
 			if err != nil {
 				panic(err)
 			}
@@ -395,5 +396,37 @@ func TestCacheSharesCellsAcrossSeeds(t *testing.T) {
 	plainOut, _ := renderSpecs(t, []Spec{{Name: "fig10", Opt: big}}, Runner{Workers: 2})
 	if cachedOut != plainOut {
 		t.Error("cache substituted a foreign cell: cached render differs from a plain run")
+	}
+}
+
+// TestEvaluateAllocFree pins the allocations of a reused context's
+// Evaluate on Gaussian graphs at 10^3 and 10^4 nodes: the same count at
+// both sizes, so no stage allocates per node, per edge or per block. The
+// ten left without simulation are the returned schedule (the Result and its
+// slices); simulating adds one, the returned Equation 5 sizes, which desim
+// reads as they are.
+func TestEvaluateAllocFree(t *testing.T) {
+	const p = 256
+	for _, target := range []int{1_000, 10_000} {
+		tg := synth.Gaussian(synth.GaussianFor(target), rand.New(rand.NewSource(1)), synth.DefaultConfig())
+		ctx := NewEvalContext()
+		for _, simulate := range []bool{false, true} {
+			if _, err := ctx.Evaluate(tg, p, schedule.SBLTS, simulate); err != nil { // grow the scratch
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(2, func() {
+				if _, err := ctx.Evaluate(tg, p, schedule.SBLTS, simulate); err != nil {
+					t.Fatal(err)
+				}
+			})
+			want := 10.0
+			if simulate {
+				want = 11
+			}
+			if allocs != want {
+				t.Errorf("%d nodes, simulate=%v: Evaluate allocates %.0f times per call, want %.0f",
+					tg.Len(), simulate, allocs, want)
+			}
+		}
 	}
 }

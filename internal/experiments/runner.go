@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -69,14 +70,13 @@ type Report struct {
 	Failures  []JobFailure
 }
 
-// Runner is the concurrent experiment engine: it spreads cell jobs across a
-// pool of worker goroutines, streams results over a channel into a
-// deterministic, order-stable collection, and memoizes graph construction
-// behind a thread-safe cache. Every experiment of the paper — the
-// Fig10/11/13 sweeps, the Fig12 CSDF comparison, the Table 2 model rows,
-// and the buffer ablation — compiles to jobs on this engine (Compile), and
-// the aggregate it produces is byte-identical to the sequential reference
-// regardless of worker count.
+// Runner is the concurrent experiment engine: it spreads cell jobs across
+// RunIndexed's pool of worker goroutines, collects their results in job
+// order, and memoizes graph construction behind a thread-safe cache.
+// Every experiment of the paper — the Fig10/11/13 sweeps, the Fig12 CSDF
+// comparison, the Table 2 model rows, and the buffer ablation — compiles
+// to jobs on this engine (Compile), and the aggregate it produces is
+// byte-identical to the sequential reference regardless of worker count.
 type Runner struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
@@ -84,7 +84,8 @@ type Runner struct {
 	// the whole plan. This is how a distributed-sweep agent
 	// (internal/distrib) executes the job batches its coordinator leases to
 	// it: the coordinator picks indices into the shared compiled plan, and
-	// the agent runs just those. Out-of-range indices are skipped.
+	// the agent runs just those. Order and repeats do not matter, and
+	// out-of-range indices are skipped.
 	Only []int
 	// SimEngine selects the desim engine every worker uses. The zero value
 	// is desim.EngineLeap; desim.EngineReference is the engine-equivalence
@@ -178,93 +179,52 @@ func (c *GraphCache) Builds() int {
 	return c.builds
 }
 
-// RunPlan executes a compiled plan's jobs (all of them, or Only's) on the
-// worker pool, memoizing graphs in the plan's cache (shared with table
-// rendering), and collects the produced cells into a set ready for
-// rendering or artifact writing, plus the run report. It is the one engine
-// path.
+// RunPlan executes a compiled plan's jobs (all of them, or Only's, sorted
+// and deduplicated) on RunIndexed's pool, memoizing graphs in the plan's
+// cache (shared with table rendering), and collects the produced cells in
+// job order into a set ready for rendering or artifact writing, plus the
+// run report. It is the one engine path.
 func (r Runner) RunPlan(p *Plan) (*results.Set, Report) {
 	start := time.Now()
 	jobs, graphs := p.Jobs, p.graphs
 
-	type outMsg struct {
-		idx    int
+	idx := slices.Clone(r.Only)
+	if r.Only == nil {
+		idx = make([]int, len(jobs))
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	idx = slices.DeleteFunc(idx, func(i int) bool { return i < 0 || i >= len(jobs) })
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+
+	type jobOut struct {
 		cell   *results.Cell
 		cached bool
 		dur    time.Duration
-		err    error
 	}
-	idxCh := make(chan int)
-	outCh := make(chan outMsg, r.workers())
-
-	var wg sync.WaitGroup
-	for w := 0; w < r.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := NewEvalContext()
-			ws.SimEngine = r.SimEngine
-			if r.measureFn != nil {
-				ws.measure = r.measureFn
-			}
-			for i := range idxCh {
-				t0 := time.Now()
-				cell, cached, err := r.runCellJob(jobs[i], graphs, ws)
-				outCh <- outMsg{idx: i, cell: cell, cached: cached, dur: time.Since(t0), err: err}
-			}
-		}()
-	}
-
-	go func() {
-		if r.Only != nil {
-			seen := make(map[int]bool, len(r.Only))
-			for _, i := range r.Only {
-				if i >= 0 && i < len(jobs) && !seen[i] {
-					seen[i] = true
-					idxCh <- i
-				}
-			}
-		} else {
-			for i := range jobs {
-				idxCh <- i
-			}
-		}
-		close(idxCh)
-		wg.Wait()
-		close(outCh)
-	}()
-
-	// Results stream in completion order; store them by job index so the
-	// report and the set below are independent of scheduling
-	// interleavings.
-	cells := make([]*results.Cell, len(jobs))
-	durs := make([]time.Duration, len(jobs))
-	errs := make([]error, len(jobs))
-	cached := make([]bool, len(jobs))
-	ran := make([]bool, len(jobs))
-	for m := range outCh {
-		cells[m.idx] = m.cell
-		durs[m.idx], errs[m.idx], cached[m.idx], ran[m.idx] = m.dur, m.err, m.cached, true
-	}
+	outs, errs := RunIndexed(r.workers(), len(idx), r.newContext, func(ws *EvalContext, k int) (jobOut, error) {
+		t0 := time.Now()
+		cell, cached, err := r.runCellJob(jobs[idx[k]], graphs, ws)
+		return jobOut{cell: cell, cached: cached, dur: time.Since(t0)}, err
+	})
 
 	set := results.NewSet()
-	rep := Report{}
-	for i := range jobs {
-		if !ran[i] {
-			continue
-		}
-		rep.Jobs++
-		rep.Work += durs[i]
-		rep.Timings = append(rep.Timings, JobTiming{Job: jobs[i].Job, Duration: durs[i], Cached: cached[i]})
-		if errs[i] != nil {
-			rep.Failures = append(rep.Failures, JobFailure{Job: jobs[i].Job, Err: errs[i]})
+	rep := Report{Jobs: len(idx)}
+	for k, out := range outs {
+		job := jobs[idx[k]].Job
+		rep.Work += out.dur
+		rep.Timings = append(rep.Timings, JobTiming{Job: job, Duration: out.dur, Cached: out.cached})
+		if errs[k] != nil {
+			rep.Failures = append(rep.Failures, JobFailure{Job: job, Err: errs[k]})
 			continue
 		}
 		rep.Completed++
-		if cached[i] {
+		if out.cached {
 			rep.CacheHits++
 		}
-		if err := set.Add(*cells[i]); err != nil {
+		if err := set.Add(*out.cell); err != nil {
 			// Compile deduplicates keys, so a collision here is a bug in
 			// the job grid.
 			panic(err)
@@ -272,6 +232,17 @@ func (r Runner) RunPlan(p *Plan) (*results.Set, Report) {
 	}
 	rep.Elapsed = time.Since(start)
 	return set, rep
+}
+
+// newContext returns one worker's evaluation context, with the run's
+// simulation engine and, in tests, its fixed clock.
+func (r Runner) newContext() *EvalContext {
+	ws := NewEvalContext()
+	ws.SimEngine = r.SimEngine
+	if r.measureFn != nil {
+		ws.measure = r.measureFn
+	}
+	return ws
 }
 
 // runCellJob executes one job: fetch (or build) the graph, consult the
@@ -351,11 +322,12 @@ func sweepPointsFromSet(set *results.Set, f *synthWorkload, opt Options, simulat
 	return points
 }
 
-// RunIndexed runs fn(0) .. fn(n-1) on a pool of workers and returns the
-// results in index order, with per-index errors (nil on success). It is the
-// generic worker-pool primitive behind Runner, exported so commands can
-// parallelize their own sweeps (e.g. streamsched's multi-P sweep).
-func RunIndexed[T any](workers, n int, fn func(int) (T, error)) ([]T, []error) {
+// RunIndexed runs fn(ctx, 0) .. fn(ctx, n-1) on a pool of workers and
+// returns the results in index order, with per-index errors (nil on
+// success). Each worker builds one context with newContext and passes it
+// to all its fn calls. It is the one worker pool, behind Runner.RunPlan and
+// commands' own sweeps (e.g. streamsched's multi-P sweep).
+func RunIndexed[T any](workers, n int, newContext func() *EvalContext, fn func(ctx *EvalContext, i int) (T, error)) ([]T, []error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -370,8 +342,9 @@ func RunIndexed[T any](workers, n int, fn func(int) (T, error)) ([]T, []error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ctx := newContext()
 			for i := range idxCh {
-				results[i], errs[i] = fn(i)
+				results[i], errs[i] = fn(ctx, i)
 			}
 		}()
 	}

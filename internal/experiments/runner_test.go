@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/desim"
@@ -163,10 +164,19 @@ func TestGraphCacheMemoizes(t *testing.T) {
 }
 
 // TestRunIndexed: results come back in index order with per-index errors,
-// at any worker count (including workers > n and workers <= 0).
+// at any worker count (including workers > n and workers <= 0), and every
+// call runs on a context its worker built, at most one per worker.
 func TestRunIndexed(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 32} {
-		results, errs := RunIndexed(workers, 10, func(i int) (int, error) {
+		var built atomic.Int32
+		newContext := func() *EvalContext {
+			built.Add(1)
+			return NewEvalContext()
+		}
+		results, errs := RunIndexed(workers, 10, newContext, func(ctx *EvalContext, i int) (int, error) {
+			if ctx == nil {
+				return 0, fmt.Errorf("no context at %d", i)
+			}
 			if i == 7 {
 				return 0, fmt.Errorf("boom %d", i)
 			}
@@ -184,6 +194,25 @@ func TestRunIndexed(t *testing.T) {
 					workers, i, results[i], errs[i], i*i)
 			}
 		}
+		if limit := min(10, Runner{Workers: workers}.workers()); int(built.Load()) > limit {
+			t.Errorf("workers=%d: built %d contexts, want at most %d", workers, built.Load(), limit)
+		}
+	}
+}
+
+// TestRunPlanOnlyNormalized: each of Only's in-range indices runs once, and
+// the report lists them in job order, whatever their order or repetition.
+func TestRunPlanOnlyNormalized(t *testing.T) {
+	p := sweepPlan(sweepFamilies[0], sweepOpt(1), false, nil)
+	n := len(p.Jobs)
+	set, rep := Runner{Workers: 3, Only: []int{n - 1, 2, -1, n, 2, 0}}.RunPlan(p)
+	want := []Job{p.Jobs[0].Job, p.Jobs[2].Job, p.Jobs[n-1].Job}
+	var got []Job
+	for _, tm := range rep.Timings {
+		got = append(got, tm.Job)
+	}
+	if !reflect.DeepEqual(got, want) || rep.Jobs != 3 || rep.Completed != 3 || len(set.Cells()) != 3 {
+		t.Errorf("ran %v (%d jobs, %d completed, %d cells), want %v", got, rep.Jobs, rep.Completed, len(set.Cells()), want)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/buffers"
 	"repro/internal/core"
 	"repro/internal/desim"
-	"repro/internal/graph"
 	"repro/internal/schedule"
 )
 
@@ -40,7 +39,7 @@ type EvalContext struct {
 
 // SimConfig returns the desim configuration variants must use: the given
 // FIFO capacities plus this worker's engine selection.
-func (c *EvalContext) SimConfig(caps map[[2]graph.NodeID]int64) desim.Config {
+func (c *EvalContext) SimConfig(caps []buffers.EdgeSpace) desim.Config {
 	return desim.Config{FIFOCap: caps, Engine: c.SimEngine}
 }
 
@@ -95,7 +94,7 @@ func (c *EvalContext) Evaluate(tg *core.TaskGraph, pes int, v schedule.Variant, 
 		return ev, nil
 	}
 	ev.Sizes = c.Sizer.Sizes(tg, res)
-	if ev.Sim, err = c.Sim.Simulate(tg, res, c.SimConfig(buffers.FIFOCaps(ev.Sizes))); err != nil {
+	if ev.Sim, err = c.Sim.Simulate(tg, res, c.SimConfig(ev.Sizes)); err != nil {
 		return Evaluation{}, err
 	}
 	return ev, nil

@@ -162,7 +162,7 @@ func TestOuterProductVariantsStreamAsClaimed(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := scheduleAll(t, tg)
-		st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
+		st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.Sizes(tg, res)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,11 +220,11 @@ func TestVectorNormStreamedNeedsBuffer(t *testing.T) {
 
 	// With Equation 5 sizes: completes, and the tee->div edge holds the
 	// full vector.
-	caps := buffers.SizeMap(tg, res)
+	caps := buffers.Sizes(tg, res)
 	var teeDiv int64
-	for key, space := range caps {
-		if tg.Nodes[key[0]].Name == "tee" && tg.Nodes[key[1]].Name == "div" {
-			teeDiv = space
+	for _, e := range caps {
+		if tg.Nodes[e.From].Name == "tee" && tg.Nodes[e.To].Name == "div" {
+			teeDiv = e.Space
 		}
 	}
 	if teeDiv < n {

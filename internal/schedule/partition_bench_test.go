@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/buffers"
 	"repro/internal/core"
+	"repro/internal/desim"
 	"repro/internal/results"
 	"repro/internal/schedule"
 	"repro/internal/service"
@@ -92,7 +93,9 @@ func BenchmarkPartitionReferenceManyBlocks(b *testing.B) {
 // fingerprint (results.Fingerprint, the service's cache and coalescing
 // key), partition (a reused Partitioner), schedule (a reused Scheduler)
 // and sizes (Equation 5 on a reused buffers.Sizer), each its own row, so a
-// regression is pinned on the stage that caused it. Three rows time the
+// regression is pinned on the stage that caused it; up to 10^4 nodes, desim
+// adds the Appendix B simulation with those sizes (a reused Sizer and
+// desim.Scratch). Three rows time the
 // served path's codecs around them: submit (a /v1/submit body to its task
 // graph through the handler's one-pass ingest, service.ReadSubmit),
 // report (the /v1/result body of the graph's report, service.AppendStatus)
@@ -196,6 +199,26 @@ func BenchmarkScaleLadder(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sz.Sizes(tg, res)
+			}
+		})
+		if target > 10_000 {
+			continue // ~0.8 s a call at 10^5: beyond the ladder's budget
+		}
+		b.Run(fmt.Sprintf("gaussian-%d/desim", target), func(b *testing.B) {
+			res, err := schedule.Schedule(tg, part, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sz buffers.Sizer
+			sim := desim.NewScratch()
+			if _, err := sim.Simulate(tg, res, desim.Config{FIFOCap: sz.Sizes(tg, res)}); err != nil { // grow the scratch
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Simulate(tg, res, desim.Config{FIFOCap: sz.Sizes(tg, res)}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

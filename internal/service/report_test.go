@@ -54,7 +54,7 @@ func TestBuildReportMatchesScheduleCall(t *testing.T) {
 			slots += e.Space
 		}
 	}
-	st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
+	st, err := desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.Sizes(tg, res)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestScaleSmokePipeline(t *testing.T) {
 	}
 	var st *desim.Stats
 	stage(t, "desim 100k (leap)", 120*time.Second, func() {
-		st, err = desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.SizeMap(tg, res)})
+		st, err = desim.Simulate(tg, res, desim.Config{FIFOCap: buffers.Sizes(tg, res)})
 	})
 	if err != nil {
 		t.Fatal(err)
