@@ -28,8 +28,9 @@
 // -serve runs the always-on scheduling service of internal/service:
 // streaming JSON submissions on POST /v1/submit, long-pollable results on
 // GET /v1/result/{id}, health on GET /v1/statusz, admission control
-// (-queue-cap, 429 + Retry-After past the cap), and batched scheduling
-// ticks (-tick). SIGINT/SIGTERM drains in-flight jobs before exiting.
+// (-queue-cap, 429 + Retry-After past the cap), and -workers workers that
+// each take the next job in weighted fair order the moment they are free.
+// SIGINT/SIGTERM drains in-flight jobs before exiting.
 // docs/SERVICE.md documents the protocol and the load-test workflow.
 //
 // Each mode reads its own flags (modeFlags); setting a flag the selected
@@ -87,8 +88,7 @@ type config struct {
 
 	// Service mode.
 	serve                string
-	queueCap, batchCap   int
-	tick                 time.Duration
+	queueCap             int
 	tenants, shed, cache string
 
 	// Load-test modes.
@@ -125,9 +125,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 
 	fs.StringVar(&c.serve, "serve", "", "run as an always-on scheduling service on this address (e.g. :8080)")
 	fs.IntVar(&c.queueCap, "queue-cap", service.DefaultQueueCap, "admission cap on queued+running jobs; past it submissions get 429 + Retry-After")
-	fs.DurationVar(&c.tick, "tick", service.DefaultTick, "scheduling-tick period: submissions arriving within one tick are batched")
 	fs.StringVar(&c.tenants, "tenants", "", "tenant contract for -serve/-loadtest: a JSON file path or inline JSON object (weights, max_open quotas, slo_ms; SIGHUP reloads a file)")
-	fs.IntVar(&c.batchCap, "batch-cap", 0, "max jobs dispatched per scheduling tick (0 = whole queue); a positive cap makes weighted fair queueing bite under backlog")
 	fs.StringVar(&c.shed, "shed", "", "load-shed policy at a full queue: tail-drop (default), largest-graph-first, or over-quota-first")
 	fs.StringVar(&c.cache, "cache", "", "persistent result-cache directory: schedule reports are reused across submissions and service restarts")
 
@@ -167,7 +165,7 @@ func main() {
 // Flag groups that more than one mode reads.
 var (
 	graphFlags   = []string{"graph", "synth", "model", "size", "seed", "variant"}
-	serviceFlags = []string{"pes", "workers", "queue-cap", "tick", "tenants", "batch-cap", "shed", "cache"}
+	serviceFlags = []string{"pes", "workers", "queue-cap", "tenants", "shed", "cache"}
 	loadFlags    = []string{"pes", "variant", "sim", "seed", "workload", "rate", "requests", "dist", "tenant-mix", "load-out"}
 )
 
@@ -462,10 +460,8 @@ func (c *config) serviceOptions(defaultPEs int) (service.Options, error) {
 	opt := service.Options{
 		QueueCap:   c.queueCap,
 		Workers:    c.workers,
-		Tick:       c.tick,
 		DefaultPEs: defaultPEs,
 		Tenants:    tenants,
-		BatchCap:   c.batchCap,
 		ShedPolicy: policy,
 	}
 	if c.cache != "" {
@@ -505,8 +501,8 @@ func runServe(ctx context.Context, addr string, opt service.Options, tenantsPath
 		}()
 	}
 
-	fmt.Fprintf(stderr, "streamsched: serving on %s (queue cap %d, batch cap %d, tick %s, shed %s)\n",
-		addr, opt.QueueCap, opt.BatchCap, opt.Tick, opt.ShedPolicy)
+	fmt.Fprintf(stderr, "streamsched: serving on %s (queue cap %d, workers %d, shed %s)\n",
+		addr, opt.QueueCap, s.Status().Workers, opt.ShedPolicy)
 
 	// Stop accepting connections first, then drain the job queue.
 	err = httpapi.Serve(ln, s.Handler(), ctx.Done(), 30*time.Second)

@@ -103,8 +103,13 @@ func (a *Agent) Run(ctx context.Context) (AgentReport, error) {
 	worker := a.worker()
 	var rep AgentReport
 
-	info, err := a.fetchRunInfo(ctx)
+	info, reached, err := a.fetchRunInfo(ctx)
 	if err != nil {
+		if reached && ctx.Err() == nil {
+			// The coordinator answered, then went away before the join
+			// completed: it most likely finished the run and exited.
+			return a.sessionEnd(rep, start, err)
+		}
 		return rep, err
 	}
 	specs, err := experiments.SpecsFromMeta(info.Meta)
@@ -226,21 +231,24 @@ func (a *Agent) connectWait() time.Duration {
 // ConnectWait alone govern how long joining may take. A 503 is retried
 // like a transport failure — that is the recovery gate saying the
 // coordinator is up but still replaying its journal; any other rejection
-// is fatal.
-func (a *Agent) fetchRunInfo(ctx context.Context) (RunInfo, error) {
+// is fatal. reached reports whether any attempt got an HTTP answer.
+func (a *Agent) fetchRunInfo(ctx context.Context) (info RunInfo, reached bool, err error) {
 	wait := a.connectWait()
-	var info RunInfo
 	policy := httpapi.Retry{Budget: wait, Base: 150 * time.Millisecond, Cap: 2 * time.Second, Seed: a.RetrySeed, Retryable: retryableErr}
-	err := policy.Do(ctx, func() error { return a.once(ctx, http.MethodGet, "/v1/run", nil, &info) })
+	err = policy.Do(ctx, func() error {
+		err := a.once(ctx, http.MethodGet, "/v1/run", nil, &info)
+		reached = reached || err == nil || httpapi.Code(err) != 0
+		return err
+	})
 	switch {
 	case err == nil:
-		return info, nil
+		return info, true, nil
 	case ctx.Err() != nil:
-		return RunInfo{}, ctx.Err()
+		return RunInfo{}, reached, ctx.Err()
 	case !retryableErr(err):
-		return RunInfo{}, fmt.Errorf("distrib: agent: joining run: %w", err)
+		return RunInfo{}, reached, fmt.Errorf("distrib: agent: joining run: %w", err)
 	}
-	return RunInfo{}, fmt.Errorf("distrib: agent: coordinator at %s unreachable after %v: %w", a.URL, wait, err)
+	return RunInfo{}, reached, fmt.Errorf("distrib: agent: coordinator at %s unreachable after %v: %w", a.URL, wait, err)
 }
 
 // postJSON issues one logical POST, retrying transient failures —

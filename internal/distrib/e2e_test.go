@@ -11,11 +11,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/httpapi"
 	"repro/internal/results"
 )
 
@@ -358,6 +360,45 @@ func TestAgentRidesCoordinatorRestart(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatalf("artifact after the restart differs from the local unsharded run\nlocal:    %d bytes\nrestarted: %d bytes", len(want), len(got))
+	}
+}
+
+// TestAgentJoinRaceEndsCleanly: an agent whose join reached the
+// coordinator — here, one 503 from the recovery gate — and then saw only
+// refused dials ends the way a mid-session refusal does, assuming the run
+// ended, while an agent that never reached anything still errors.
+func TestAgentJoinRaceEndsCleanly(t *testing.T) {
+	answered := make(chan struct{})
+	var once sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(answered) })
+		httpapi.Reject(w, httpapi.Errorf(http.StatusServiceUnavailable, "recovering"))
+	}))
+	var log bytes.Buffer
+	a := &Agent{URL: srv.URL, Worker: "late", Log: &log, ConnectWait: 300 * time.Millisecond, RetrySeed: 1}
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Run(context.Background())
+		done <- err
+	}()
+	<-answered
+	srv.Close()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("agent that reached the coordinator: %v, want a clean end", err)
+		}
+		if !strings.Contains(log.String(), "assuming the run ended") {
+			t.Errorf("log %q does not say the run ended", log.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("agent still retrying 10s after the coordinator went away")
+	}
+
+	// The same closed address, never reached: joining fails.
+	never := &Agent{URL: srv.URL, Worker: "never", Log: io.Discard, ConnectWait: 300 * time.Millisecond, RetrySeed: 1}
+	if _, err := never.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "unreachable") {
+		t.Fatalf("agent that never reached the coordinator: %v, want an unreachable error", err)
 	}
 }
 

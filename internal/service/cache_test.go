@@ -27,7 +27,7 @@ func openTestCache(t *testing.T, dir string) *results.Cache {
 
 func newCachedService(t *testing.T, dir string) *Service {
 	t.Helper()
-	s := New(Options{QueueCap: 32, Workers: 2, Tick: time.Millisecond, Cache: openTestCache(t, dir)})
+	s := New(Options{QueueCap: 32, Workers: 2, Cache: openTestCache(t, dir)})
 	s.Start()
 	return s
 }

@@ -15,19 +15,56 @@ import (
 	"repro/internal/schedule"
 )
 
-// batchHistory records the per-batch served/backlog snapshots the
-// testHookBatch hook emits, for fairness analysis after the run.
-type batchHistory struct {
-	mu    sync.Mutex
-	ticks []map[string]int64
-	backl []map[string]bool
+// pickHistory records the per-pick served/backlog snapshots the
+// testHookPick hook emits, for fairness analysis after the run.
+type pickHistory struct {
+	mu     sync.Mutex
+	served []map[string]int64
+	backl  []map[string]bool
 }
 
-func (h *batchHistory) record(served map[string]int64, backlogged map[string]bool) {
+func (h *pickHistory) record(served map[string]int64, backlogged map[string]bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.ticks = append(h.ticks, served)
+	h.served = append(h.served, served)
 	h.backl = append(h.backl, backlogged)
+}
+
+// checkWindows checks every window of n consecutive picks in the leading
+// stretch of picks that each left every tenant of want backlogged: each
+// tenant's picks in the window must be its share in want within one job,
+// and the shares must add up to n. It returns the number of windows.
+func (h *pickHistory) checkWindows(t *testing.T, n int, want map[string]int64) int {
+	t.Helper()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	series := []map[string]int64{{}}
+	for i := range h.backl {
+		all := true
+		for name := range want {
+			all = all && h.backl[i][name]
+		}
+		if !all {
+			break
+		}
+		series = append(series, h.served[i])
+	}
+	windows := 0
+	for lo := 0; lo+n < len(series); lo++ {
+		var total int64
+		for name, w := range want {
+			d := series[lo+n][name] - series[lo][name]
+			total += d
+			if d < w-1 || d > w+1 {
+				t.Errorf("picks [%d,%d): tenant %s served %d, want %d±1", lo, lo+n, name, d, w)
+			}
+		}
+		if total != int64(n) {
+			t.Errorf("picks [%d,%d): tenants served %d, want %d", lo, lo+n, total, n)
+		}
+		windows++
+	}
+	return windows
 }
 
 // referenceBytes computes the batch-mode reference report bytes for a
@@ -65,18 +102,17 @@ func referenceBytes(t *testing.T, req SubmitRequest) []byte {
 // schedule.Schedule call sequence, via BuildReport) of the same
 // submission. Concurrency, tenancy, fair-queueing order, batching, and
 // coalescing must not be observable in the results — and while all three
-// tenants are backlogged, each batch serves them in proportion to their
-// weights within one job. Run with -race in CI.
+// tenants are backlogged, every six consecutive picks serve them in
+// proportion to their weights within one job. Run with -race in CI.
 func TestConcurrentSubmittersByteIdentical(t *testing.T) {
 	cfg, err := ParseTenantsConfig([]byte(
 		`{"default":{"weight":1},"tenants":{"gold":{"weight":3},"silver":{"weight":2},"bronze":{"weight":1}}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batchCap = 6
-	s := New(Options{QueueCap: 256, Workers: 4, Tick: time.Millisecond, Tenants: cfg, BatchCap: batchCap})
-	var hist batchHistory
-	s.testHookBatch = hist.record
+	s := New(Options{QueueCap: 256, Workers: 4, Tenants: cfg})
+	var hist pickHistory
+	s.testHookPick = hist.record
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -105,7 +141,7 @@ func TestConcurrentSubmittersByteIdentical(t *testing.T) {
 	tenantOf := []string{"gold", "gold", "gold", "silver", "silver", "bronze"}
 	const perSubmitter = 12
 	// Phase 1: every submitter races its full stream in while the service
-	// is accepting but not yet ticking, so dispatch runs against a real
+	// is accepting but has no workers yet, so dispatch runs against a real
 	// sustained backlog. Per-tenant demand stays proportional to weight
 	// (36:24:12 at weights 3:2:1), so all three tenants drain together.
 	ids := make([][]string, len(tenantOf))
@@ -131,7 +167,7 @@ func TestConcurrentSubmittersByteIdentical(t *testing.T) {
 	}
 	wg.Wait()
 	s.Start()
-	// Phase 2: fetch every result (racing the ticks) and compare against
+	// Phase 2: fetch every result (racing the workers) and compare against
 	// batch mode.
 	for w := range tenantOf {
 		wg.Add(1)
@@ -169,52 +205,28 @@ func TestConcurrentSubmittersByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fairness: in every full batch dispatched while all three tenants
-	// were backlogged (per the previous batch's snapshot), the served
-	// shares match the 3:2:1 weights within one job.
-	weights := map[string]int64{"gold": 3, "silver": 2, "bronze": 1}
-	checked := 0
-	for i := 1; i < len(hist.ticks); i++ {
-		all := true
-		for name := range weights {
-			all = all && hist.backl[i-1][name]
-		}
-		var total int64
-		for name := range weights {
-			total += hist.ticks[i][name] - hist.ticks[i-1][name]
-		}
-		if !all || total != batchCap {
-			continue
-		}
-		checked++
-		for name, w := range weights {
-			d := hist.ticks[i][name] - hist.ticks[i-1][name]
-			if d < w-1 || d > w+1 {
-				t.Errorf("batch %d: tenant %s served %d, want %d±1", i, name, d, w)
-			}
-		}
-	}
-	if checked == 0 {
-		t.Error("no fully-backlogged batches observed; fairness property unexercised")
+	// Fairness: every six consecutive picks made while all three tenants
+	// were backlogged serve them 3:2:1, each within one job.
+	if hist.checkWindows(t, 6, map[string]int64{"gold": 3, "silver": 2, "bronze": 1}) == 0 {
+		t.Error("no fully-backlogged pick windows observed; fairness property unexercised")
 	}
 }
 
 // TestFairShareWindowsE2E is the fairness acceptance e2e: two tenants at
 // weights 3:1 submit identical sustained load over HTTP (racing
-// goroutines; run with -race in CI), and over any 10-tick window of the
-// backlogged stretch the served shares are 3:1 within one job — while
-// every served schedule stays byte-identical to batch mode.
+// goroutines; run with -race in CI), and over any window of 40 picks of
+// the backlogged stretch the served shares are 30:10 within one job —
+// while every served schedule stays byte-identical to batch mode.
 func TestFairShareWindowsE2E(t *testing.T) {
 	cfg, err := ParseTenantsConfig([]byte(
 		`{"default":{"weight":1},"tenants":{"gold":{"weight":3},"econ":{"weight":1}}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batchCap = 4
 	const perTenant = 160
-	s := New(Options{QueueCap: 2 * perTenant, Workers: 4, Tick: time.Millisecond, Tenants: cfg, BatchCap: batchCap})
-	var hist batchHistory
-	s.testHookBatch = hist.record
+	s := New(Options{QueueCap: 2 * perTenant, Workers: 4, Tenants: cfg})
+	var hist pickHistory
+	s.testHookPick = hist.record
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -230,7 +242,7 @@ func TestFairShareWindowsE2E(t *testing.T) {
 	}
 
 	// Preload racing over HTTP: both tenants' submitters run concurrently
-	// while the service is accepting but not yet ticking, so the whole
+	// while the service is accepting but has no workers yet, so the whole
 	// run is a sustained-backlog regime with exact window accounting.
 	type jobRef struct {
 		id   string
@@ -264,7 +276,7 @@ func TestFairShareWindowsE2E(t *testing.T) {
 	}
 	s.Start()
 
-	// Fetch every result (racing the ticks) and verify byte-identity.
+	// Fetch every result (racing the workers) and verify byte-identity.
 	errs = make(chan error, 2*perTenant)
 	for w := range refs {
 		wg.Add(1)
@@ -293,35 +305,11 @@ func TestFairShareWindowsE2E(t *testing.T) {
 	}
 
 	// Window analysis over the stretch where both tenants stayed
-	// backlogged: every 10-tick window serves 40 jobs split 30:10 ±1.
-	hist.mu.Lock()
-	defer hist.mu.Unlock()
-	bothBacklogged := 0
-	for i := 0; i < len(hist.backl); i++ {
-		if hist.backl[i]["gold"] && hist.backl[i]["econ"] {
-			bothBacklogged = i + 1
-		} else {
-			break
-		}
-	}
-	type point struct{ gold, econ int64 }
-	series := []point{{0, 0}}
-	for i := 0; i < bothBacklogged; i++ {
-		series = append(series, point{hist.ticks[i]["gold"], hist.ticks[i]["econ"]})
-	}
-	windows := 0
-	for lo := 0; lo+10 < len(series); lo++ {
-		dg := series[lo+10].gold - series[lo].gold
-		de := series[lo+10].econ - series[lo].econ
-		if dg < 29 || dg > 31 || de < 9 || de > 11 || dg+de != 10*batchCap {
-			t.Errorf("window [%d,%d): gold %d econ %d, want 30:10 within 1", lo, lo+10, dg, de)
-		}
-		windows++
-	}
-	// gold's 160 jobs at 3/tick last ~53 backlogged ticks: the analysis
-	// must have had a real sustained stretch to chew on.
-	if windows < 20 {
-		t.Errorf("only %d 10-tick windows under full backlog (%d backlogged ticks); load did not sustain", windows, bothBacklogged)
+	// backlogged: every 40 picks split 30:10 ±1. gold's 160 jobs at three
+	// picks in four last ~213 backlogged picks: the analysis must have had
+	// a real sustained stretch to chew on.
+	if windows := hist.checkWindows(t, 40, map[string]int64{"gold": 30, "econ": 10}); windows < 100 {
+		t.Errorf("only %d 40-pick windows under full backlog; load did not sustain", windows)
 	}
 }
 

@@ -368,7 +368,7 @@ func TestRunLoadRejectsBadMix(t *testing.T) {
 // service under a short open-loop run at a sustainable rate completes
 // every accepted job with zero drops.
 func TestLoadAgainstLiveService(t *testing.T) {
-	s := New(Options{QueueCap: 64, Workers: 4, Tick: time.Millisecond})
+	s := New(Options{QueueCap: 64, Workers: 4})
 	s.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

@@ -16,15 +16,16 @@
 //	                      report; ?wait=<dur> long-polls until completion
 //	GET  /v1/statusz      queue depth, worker pool, admission counters
 //
-// Scheduling is batched: submissions accumulate in an admission-bounded
-// queue and a periodic scheduling tick serves it with deterministic
-// weighted fair queueing across tenants (tenants.go): up to BatchCap
-// jobs per tick, backlogged tenants served in proportion to their
-// configured weights, jobs within a tenant ordered closest to completion
-// first (fewest compute tasks — the same finish-what-is-nearly-done
-// policy as dplutils' StreamingGraphExecutor), and compatible
-// submissions — identical (graph fingerprint, PEs, variant, simulate) —
-// coalesced into one evaluation whose report every submitter receives.
+// Scheduling is pull-based: submissions wait in an admission-bounded
+// queue, and each of Workers workers takes the next job the moment it is
+// free, in deterministic weighted fair order across tenants (tenants.go):
+// backlogged tenants are served in proportion to their configured
+// weights, jobs within a tenant closest to completion first (fewest
+// compute tasks — the same finish-what-is-nearly-done policy as dplutils'
+// StreamingGraphExecutor). A job identical to one a worker has picked —
+// same (graph fingerprint, PEs, variant, simulate) — costs no evaluation
+// of its own: picked while that evaluation runs, it joins it; picked
+// after it, while copies were still queued, it takes its report.
 // The same (fingerprint, PEs, variant, simulate) key addresses the
 // optional persistent result cache (results.Cache), so repeated
 // submissions are served without re-evaluation, across restarts too.
@@ -34,16 +35,16 @@
 // (experiments.EvalContext.Evaluate on a pooled per-worker context, with
 // BuildReport's packaging), so a service response is byte-identical to a
 // direct schedule.Schedule run of the same submission no matter how
-// requests interleave, batch, coalesce, or hit the cache — the race e2e
-// test enforces this. Dispatch order is likewise a pure function of the
+// requests interleave, coalesce, or hit the cache — the race e2e test
+// enforces this. Dispatch order is likewise a pure function of the
 // queued submissions, the tenant config, and the fair-queue progress
 // counters, never of arrival interleaving.
 //
 // Shutdown is a drain: Close stops admission (503 for new submissions),
-// flushes the queue, and completes every accepted job before returning,
-// bounded by the caller's context. The open-loop load generator for this
-// service lives in loadgen.go; cmd/streamsched wires both (-serve,
-// -loadgen, -loadtest; see docs/SERVICE.md).
+// lets the workers empty the queue, and completes every accepted job
+// before returning, bounded by the caller's context. The open-loop load
+// generator for this service lives in loadgen.go; cmd/streamsched wires
+// both (-serve, -loadgen, -loadtest; see docs/SERVICE.md).
 package service
 
 import (
@@ -71,10 +72,6 @@ const (
 	// schedule in milliseconds, so 64 queued jobs is well under a second
 	// of backlog on one core while still absorbing arrival bursts.
 	DefaultQueueCap = 64
-	// DefaultTick is the scheduling-tick period: long enough that a burst
-	// coalesces into one batch, short enough to add negligible latency
-	// next to a schedule evaluation.
-	DefaultTick = 2 * time.Millisecond
 	// DefaultPEs is the device model submissions are scheduled onto when
 	// a request does not name a PE count.
 	DefaultPEs = 4
@@ -90,9 +87,6 @@ type Options struct {
 	QueueCap int
 	// Workers is the scheduling worker-pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// Tick is the batching period of the scheduling loop; 0 means
-	// DefaultTick.
-	Tick time.Duration
 	// DefaultPEs is the PE count of submissions that leave pes unset;
 	// 0 means DefaultPEs.
 	DefaultPEs int
@@ -103,10 +97,7 @@ type Options struct {
 	// weight-1 default tenant). It must Validate; use ParseTenantsConfig
 	// or LoadTenantsFile for external input.
 	Tenants TenantsConfig
-	// BatchCap bounds jobs dispatched per scheduling tick. 0 means the
-	// whole queue is dispatched every tick (the legacy drain-all
-	// behavior); a positive cap is what makes weighted fair queueing
-	// bite under backlog.
+	// Deprecated: BatchCap is ignored; workers take one job at a time.
 	BatchCap int
 	// ShedPolicy selects what a full queue does to new submissions:
 	// ShedTailDrop (default), ShedLargestGraphFirst, or
@@ -186,13 +177,12 @@ type JobStatus struct {
 	Schedule *ScheduleReport `json:"schedule,omitempty"`
 }
 
-// Statusz is the service health report on GET /v1/statusz.
+// Statusz is the service health report on GET /v1/statusz. Running counts
+// the jobs on a worker and those joined to a job that is.
 type Statusz struct {
 	UptimeMs   float64 `json:"uptime_ms"`
 	QueueCap   int     `json:"queue_cap"`
-	BatchCap   int     `json:"batch_cap,omitempty"`
 	Workers    int     `json:"workers"`
-	TickMs     float64 `json:"tick_ms"`
 	DefaultPEs int     `json:"default_pes"`
 	ShedPolicy string  `json:"shed_policy"`
 	Queued     int     `json:"queued"`
@@ -207,8 +197,8 @@ type Statusz struct {
 	// Close flush), per submission like every other counter here.
 	Shed    int64 `json:"shed"`
 	Drained int64 `json:"drained"`
-	// Batches counts scheduling ticks that dispatched at least one job;
-	// Coalesced counts submissions that shared another job's evaluation.
+	// Batches counts leaders dispatched to a worker; Coalesced counts
+	// submissions served by another's evaluation, joined or finished.
 	Batches   int64 `json:"batches"`
 	Coalesced int64 `json:"coalesced"`
 	// Evaluations counts actual report evaluations; CacheHits/CacheMisses
@@ -255,50 +245,50 @@ type job struct {
 }
 
 // Service is the always-on scheduler. New constructs it accepting
-// submissions, Start launches the scheduling loop, Close drains it.
+// submissions, Start launches the workers, Close drains them.
 type Service struct {
 	opt Options
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	queue     []*job // admitted, not yet dispatched
-	tenants   map[string]*tenantState
-	tenantCfg TenantsConfig
-	vtime     float64 // fair-queue virtual clock (see fairPick)
-	seq       int64
-	open      int // queued + running
-	running   int
-	accepted  int64
-	rejected  int64
-	completed int64
-	failed    int64
-	shed      int64
-	drained   int64
-	batches   int64
-	coalesced int64
-	evals     int64
-	cacheHit  int64
-	cacheMiss int64
-	draining  bool
-	started   bool
+	mu sync.Mutex
+	// work wakes idle workers: a job was queued, or draining began.
+	work  *sync.Cond
+	jobs  map[string]*job
+	queue []*job // admitted, not yet picked
+	// leaders maps a coalescing key to the job whose evaluation serves
+	// it: running, or resolved while copies of it are still queued.
+	leaders map[string]*job
+	// queuedKeys counts the queued jobs of each coalescing key.
+	queuedKeys map[string]int
+	tenants    map[string]*tenantState
+	tenantCfg  TenantsConfig
+	vtime      float64 // fair-queue virtual clock (see fairPick)
+	seq        int64
+	open       int // queued + running
+	running    int
+	accepted   int64
+	rejected   int64
+	completed  int64
+	failed     int64
+	shed       int64
+	drained    int64
+	batches    int64
+	coalesced  int64
+	evals      int64
+	cacheHit   int64
+	cacheMiss  int64
+	draining   bool
+	started    bool
 
-	start    time.Time
-	stop     chan struct{}
-	stopOnce sync.Once
-	loopDone chan struct{}
-	// evalCtxs holds one experiments.EvalContext per worker: a job
-	// takes one to evaluate and returns it, which both bounds the
-	// concurrent evaluations at Workers and reuses their scratch.
-	evalCtxs chan *experiments.EvalContext
-	wg       sync.WaitGroup
+	start   time.Time
+	workers sync.WaitGroup
 
 	// testHookRun, when set, runs at the start of every job evaluation;
 	// shutdown tests block it to hold jobs in flight deterministically.
 	testHookRun func()
-	// testHookBatch, when set, runs under mu at the end of every non-empty
-	// dispatch with a snapshot of per-tenant served counts and backlog
-	// flags; fairness tests reconstruct the per-tick share series from it.
-	testHookBatch func(served map[string]int64, backlogged map[string]bool)
+	// testHookPick, when set, runs under mu after every pick with a
+	// snapshot of per-tenant served counts and backlog flags; fairness
+	// tests reconstruct the per-pick share series from it.
+	testHookPick func(served map[string]int64, backlogged map[string]bool)
 }
 
 // New builds a service. It accepts submissions immediately; nothing is
@@ -311,9 +301,6 @@ func New(opt Options) *Service {
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Tick <= 0 {
-		opt.Tick = DefaultTick
 	}
 	if opt.DefaultPEs <= 0 {
 		opt.DefaultPEs = DefaultPEs
@@ -331,24 +318,21 @@ func New(opt Options) *Service {
 	}
 	opt.ShedPolicy = policy
 	s := &Service{
-		opt:       opt,
-		jobs:      make(map[string]*job),
-		tenants:   make(map[string]*tenantState),
-		tenantCfg: opt.Tenants,
-		stop:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
-		evalCtxs:  make(chan *experiments.EvalContext, opt.Workers),
+		opt:        opt,
+		jobs:       make(map[string]*job),
+		leaders:    make(map[string]*job),
+		queuedKeys: make(map[string]int),
+		tenants:    make(map[string]*tenantState),
+		tenantCfg:  opt.Tenants,
 	}
-	for i := 0; i < opt.Workers; i++ {
-		s.evalCtxs <- experiments.NewEvalContext()
-	}
+	s.work = sync.NewCond(&s.mu)
 	s.start = opt.now()
 	return s
 }
 
 // ReloadTenants swaps the tenant contract at runtime: existing tenants
 // are re-bound to their new config (quotas and weights apply from the
-// next admission and tick), accounting is preserved. An invalid config
+// next admission and pick), accounting is preserved. An invalid config
 // is rejected and the old contract stays in force.
 func (s *Service) ReloadTenants(cfg TenantsConfig) error {
 	cfg = cfg.normalize()
@@ -387,43 +371,41 @@ func (s *Service) tenantLocked(name string) *tenantState {
 	return t
 }
 
-// Start launches the scheduling loop. It must be called at most once.
+// Start launches the Workers workers. It must be called at most once,
+// and not after Close.
 func (s *Service) Start() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.started {
-		s.mu.Unlock()
 		panic("service: Start called twice")
 	}
+	s.startLocked()
+}
+
+func (s *Service) startLocked() {
 	s.started = true
-	s.mu.Unlock()
-	go s.loop()
+	s.workers.Add(s.opt.Workers)
+	for i := 0; i < s.opt.Workers; i++ {
+		go s.worker()
+	}
 }
 
 // Close drains the service: admission stops (new submissions get 503),
-// the queue is flushed to the worker pool, and every accepted job runs to
-// completion. It returns ctx.Err if the context expires first; calling it
-// again waits for the same drain.
+// the workers empty the queue — Close starts them if Start never ran —
+// and every accepted job runs to completion. It returns ctx.Err if the
+// context expires first; calling it again waits for the same drain.
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
-	started := s.started
+	if !s.started {
+		s.startLocked()
+	}
+	s.work.Broadcast()
 	s.mu.Unlock()
 
-	if started {
-		s.stopOnce.Do(func() { close(s.stop) })
-		select {
-		case <-s.loopDone:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	} else {
-		// The loop never ran; flush the queue directly so accepted jobs
-		// still complete.
-		s.flushQueue()
-	}
 	done := make(chan struct{})
 	go func() {
-		s.wg.Wait()
+		s.workers.Wait()
 		close(done)
 	}()
 	select {
@@ -434,84 +416,90 @@ func (s *Service) Close(ctx context.Context) error {
 	}
 }
 
-// loop is the scheduling tick: every Tick it serves the admission queue
-// as one fair, prioritized, coalesced batch (up to BatchCap jobs).
-func (s *Service) loop() {
-	defer close(s.loopDone)
-	ticker := time.NewTicker(s.opt.Tick)
-	defer ticker.Stop()
+// worker evaluates one leader at a time on its own EvalContext, whose
+// scratch every evaluation reuses, until the service drains.
+func (s *Service) worker() {
+	defer s.workers.Done()
+	ec := experiments.NewEvalContext()
 	for {
-		select {
-		case <-s.stop:
-			s.flushQueue() // flush every remaining batch before draining
+		j := s.next()
+		if j == nil {
 			return
-		case <-ticker.C:
-			s.dispatch()
 		}
+		s.run(j, ec)
 	}
 }
 
-// flushQueue dispatches until the queue is empty — the drain path.
-// Admission is already closed (draining), so this terminates; BatchCap
-// still shapes each flush batch, preserving fair dispatch order.
-func (s *Service) flushQueue() {
-	for {
-		s.mu.Lock()
-		n := len(s.queue)
-		s.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		s.dispatch()
-	}
-}
-
-// dispatch serves one scheduling tick: pick up to BatchCap jobs in
-// deterministic weighted-fair order (fairPick), leave the rest queued,
-// coalesce identical evaluations within the batch, and hand each leader
-// to the worker pool.
-func (s *Service) dispatch() {
+// next blocks until a job is queued and takes the jobs of the queue in
+// fair order until one of them leads an evaluation, which it returns; it
+// returns nil once the service is draining and the queue is empty.
+func (s *Service) next() *job {
 	s.mu.Lock()
-	if len(s.queue) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	batch, rest := fairPick(s.queue, s.tenantLocked, s.opt.BatchCap, &s.vtime)
-	s.queue = rest
-	leaders := make([]*job, 0, len(batch))
-	byKey := make(map[string]*job, len(batch))
-	for _, j := range batch {
-		j.state = StateRunning
-		s.tenantLocked(j.tenant).served++
-		if lead, ok := byKey[j.key]; ok {
-			lead.followers = append(lead.followers, j)
-			s.coalesced++
-			continue
+	defer s.mu.Unlock()
+	for {
+		for len(s.queue) == 0 && !s.draining {
+			s.work.Wait()
 		}
-		byKey[j.key] = j
-		leaders = append(leaders, j)
+		if len(s.queue) == 0 {
+			return nil
+		}
+		if j := s.pickLocked(); j != nil {
+			return j
+		}
 	}
-	s.batches++
-	s.running += len(batch)
-	if s.testHookBatch != nil {
+}
+
+// pickLocked takes the next job in deterministic weighted-fair order
+// (fairPick). A job whose key a worker is already evaluating joins that
+// evaluation as a follower, one whose key's evaluation has finished
+// takes its report at once, and in both cases pickLocked returns nil;
+// otherwise the job leads, marked running, and the caller evaluates it.
+func (s *Service) pickLocked() *job {
+	picked, rest := fairPick(s.queue, s.tenantLocked, 1, &s.vtime)
+	s.queue = rest
+	j := picked[0]
+	s.tenantLocked(j.tenant).served++
+	lead := s.leaders[j.key]
+	switch {
+	case lead == nil:
+		j.state = StateRunning
+		s.running++
+		s.leaders[j.key] = j
+		s.batches++
+	case lead.state == StateRunning:
+		j.state = StateRunning
+		s.running++
+		lead.followers = append(lead.followers, j)
+		s.coalesced++
+	default:
+		s.coalesced++
+		s.resolveLocked(j, lead.report, lead.err, s.opt.now())
+	}
+	s.unqueueLocked(j)
+	if s.testHookPick != nil {
 		served := make(map[string]int64, len(s.tenants))
 		backlogged := make(map[string]bool, len(s.tenants))
 		for name, t := range s.tenants {
 			served[name] = t.served
 			backlogged[name] = t.backlogged
 		}
-		s.testHookBatch(served, backlogged)
+		s.testHookPick(served, backlogged)
 	}
-	s.mu.Unlock()
+	if lead != nil {
+		return nil
+	}
+	return j
+}
 
-	for _, j := range leaders {
-		s.wg.Add(1)
-		go func(j *job) {
-			defer s.wg.Done()
-			ec := <-s.evalCtxs
-			defer func() { s.evalCtxs <- ec }()
-			s.run(j, ec)
-		}(j)
+// unqueueLocked uncounts j, which has left the queue. Once no copy of
+// its key waits any more, a resolved leader of that key is forgotten.
+func (s *Service) unqueueLocked(j *job) {
+	if s.queuedKeys[j.key]--; s.queuedKeys[j.key] > 0 {
+		return
+	}
+	delete(s.queuedKeys, j.key)
+	if lead := s.leaders[j.key]; lead != nil && lead.state != StateRunning {
+		delete(s.leaders, j.key)
 	}
 }
 
@@ -541,6 +529,9 @@ func (s *Service) run(j *job, ec *experiments.EvalContext) {
 	}
 	now := s.opt.now()
 	s.mu.Lock()
+	if s.queuedKeys[j.key] == 0 {
+		delete(s.leaders, j.key) // else its report serves the queued copies
+	}
 	if s.opt.Cache != nil {
 		if cached {
 			s.cacheHit++
@@ -548,33 +539,39 @@ func (s *Service) run(j *job, ec *experiments.EvalContext) {
 			s.cacheMiss++
 		}
 	}
-	for _, x := range append([]*job{j}, j.followers...) {
-		x.report, x.err = rep, err
-		x.tg = nil // nothing reads it again; a served 10^4-node graph holds ~1.5 MB
-		t := s.tenantLocked(x.tenant)
-		if err != nil {
-			x.state = StateFailed
-			s.failed++
-			t.failed++
-		} else {
-			x.state = StateDone
-			s.completed++
-			t.completed++
-			lat := now.Sub(x.submitted)
-			t.lat.add(lat)
-			if t.cfg.SLOMs > 0 && ms(lat) > t.cfg.SLOMs {
-				t.sloMisses++
-			}
-		}
-		if s.draining {
-			s.drained++
-		}
-		s.open--
-		t.open--
-		s.running--
-		close(x.done)
+	s.running -= 1 + len(j.followers)
+	s.resolveLocked(j, rep, err, now)
+	for _, x := range j.followers {
+		s.resolveLocked(x, rep, err, now)
 	}
 	s.mu.Unlock()
+}
+
+// resolveLocked completes job x with a report (or its error) at now.
+func (s *Service) resolveLocked(x *job, rep *ScheduleReport, err error, now time.Time) {
+	x.report, x.err = rep, err
+	x.tg = nil // nothing reads it again; a served 10^4-node graph holds ~1.5 MB
+	t := s.tenantLocked(x.tenant)
+	if err != nil {
+		x.state = StateFailed
+		s.failed++
+		t.failed++
+	} else {
+		x.state = StateDone
+		s.completed++
+		t.completed++
+		lat := now.Sub(x.submitted)
+		t.lat.add(lat)
+		if t.cfg.SLOMs > 0 && ms(lat) > t.cfg.SLOMs {
+			t.sloMisses++
+		}
+	}
+	if s.draining {
+		s.drained++
+	}
+	s.open--
+	t.open--
+	close(x.done)
 }
 
 // lookupCached serves a job's report from the persistent cache. Any
@@ -659,7 +656,7 @@ func (s *Service) submit(req SubmitRequest, tg *core.TaskGraph) (SubmitResponse,
 		return SubmitResponse{}, &admissionError{
 			tenant:     tenant,
 			quota:      true,
-			retryAfter: s.tenantRetryLocked(t),
+			retryAfter: t.retryAfter(),
 			depth:      len(s.queue),
 		}
 	}
@@ -668,7 +665,7 @@ func (s *Service) submit(req SubmitRequest, tg *core.TaskGraph) (SubmitResponse,
 		s.rejected++
 		return SubmitResponse{}, &admissionError{
 			tenant:     tenant,
-			retryAfter: s.opt.Tick,
+			retryAfter: t.retryAfter(),
 			depth:      len(s.queue),
 		}
 	}
@@ -693,39 +690,13 @@ func (s *Service) submit(req SubmitRequest, tg *core.TaskGraph) (SubmitResponse,
 	}
 	s.jobs[j.id] = j
 	s.queue = append(s.queue, j)
+	s.queuedKeys[j.key]++
+	s.work.Signal()
 	s.open++
 	s.accepted++
 	t.open++
 	t.accepted++
 	return SubmitResponse{ID: j.id, QueueDepth: len(s.queue)}, nil
-}
-
-// tenantRetryLocked hints how long a quota-rejected tenant should back
-// off: the number of scheduling ticks its open jobs need to drain at
-// the tenant's weighted share of the batch cap (at least one tick, at
-// most the long-poll cap). Without a batch cap the whole queue drains
-// every tick, so one tick is the hint.
-func (s *Service) tenantRetryLocked(t *tenantState) time.Duration {
-	if s.opt.BatchCap <= 0 || t.cfg.Weight <= 0 {
-		return s.opt.Tick
-	}
-	total := 0
-	for _, st := range s.tenants {
-		total += st.cfg.Weight
-	}
-	per := s.opt.BatchCap * t.cfg.Weight / total
-	if per < 1 {
-		per = 1
-	}
-	ticks := (t.open + per - 1) / per
-	if ticks < 1 {
-		ticks = 1
-	}
-	d := time.Duration(ticks) * s.opt.Tick
-	if d > maxWait {
-		d = maxWait
-	}
-	return d
 }
 
 // shedForLocked applies the configured load-shed policy to make room
@@ -798,6 +769,7 @@ func (s *Service) shedForLocked(tenant string, tasks int) bool {
 		}
 	}
 	s.queue = rest
+	s.unqueueLocked(victim)
 	victim.state = StateShed
 	victim.tg = nil
 	victim.err = fmt.Errorf("shed by %s policy under queue pressure", s.opt.ShedPolicy)
@@ -864,9 +836,7 @@ func (s *Service) Status() Statusz {
 	st := Statusz{
 		UptimeMs:    float64(now.Sub(s.start)) / float64(time.Millisecond),
 		QueueCap:    s.opt.QueueCap,
-		BatchCap:    s.opt.BatchCap,
 		Workers:     s.opt.Workers,
-		TickMs:      float64(s.opt.Tick) / float64(time.Millisecond),
 		DefaultPEs:  s.opt.DefaultPEs,
 		ShedPolicy:  s.opt.ShedPolicy,
 		Queued:      len(s.queue),
@@ -924,8 +894,8 @@ func buildGraph(req SubmitRequest) (*core.TaskGraph, error) {
 
 // admissionError is a 429 with its Retry-After hint and the queue depth
 // at rejection time, surfaced in both the header and the JSON body.
-// quota distinguishes a per-tenant quota rejection (whose Retry-After is
-// the tenant's own drain estimate) from a full shared queue.
+// quota distinguishes a per-tenant quota rejection from a full shared
+// queue; both hint the rejected tenant's recent median latency.
 type admissionError struct {
 	tenant     string
 	quota      bool

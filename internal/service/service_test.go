@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,7 +179,7 @@ func TestSubmitBadInputs(t *testing.T) {
 // in-flight — before returning, and a draining service rejects new
 // submissions with 503.
 func TestDrainOnShutdown(t *testing.T) {
-	s := New(Options{QueueCap: 32, Workers: 2, Tick: time.Millisecond})
+	s := New(Options{QueueCap: 32, Workers: 2})
 	s.Start()
 	var ids []string
 	for i := 0; i < 10; i++ {
@@ -214,7 +215,7 @@ func TestDrainOnShutdown(t *testing.T) {
 // flight — and a later Close with a live context still completes the
 // drain.
 func TestCloseRespectsContext(t *testing.T) {
-	s := New(Options{QueueCap: 4, Workers: 1, Tick: time.Millisecond})
+	s := New(Options{QueueCap: 4, Workers: 1})
 	block := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	s.testHookRun = func() {
@@ -245,7 +246,7 @@ func TestCloseRespectsContext(t *testing.T) {
 	}
 }
 
-// TestCoalescing: identical submissions in one batch share a single
+// TestCoalescing: identical queued submissions share a single
 // evaluation, and every submitter still gets a complete report.
 func TestCoalescing(t *testing.T) {
 	s := New(Options{QueueCap: 32, Workers: 2})
@@ -257,15 +258,15 @@ func TestCoalescing(t *testing.T) {
 		}
 		ids = append(ids, resp.ID)
 	}
-	// Drain without Start: everything dispatches as one batch.
+	// Drain without Start: Close starts the workers.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Status()
-	if st.Coalesced != 5 {
-		t.Errorf("coalesced %d of 6 identical submissions, want 5", st.Coalesced)
+	if st.Coalesced != 5 || st.Evaluations != 1 {
+		t.Errorf("coalesced %d of 6 identical submissions in %d evaluations, want 5 in 1", st.Coalesced, st.Evaluations)
 	}
 	var first *ScheduleReport
 	for _, id := range ids {
@@ -285,10 +286,213 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// parkBacklog starts s with its worker held inside a small job of tenant
+// "hold", admits reqs behind it, and leaves time for any dispatcher that
+// acts on its own clock to move them: afterwards they wait for a worker.
+// onRun, if set, runs at the start of every later evaluation. It returns
+// the IDs of reqs and the function that lets the held worker go on.
+func parkBacklog(t *testing.T, s *Service, onRun func(), reqs ...SubmitRequest) ([]string, func()) {
+	t.Helper()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held sync.Once
+	s.testHookRun = func() {
+		first := false
+		held.Do(func() { first = true })
+		if first {
+			close(entered)
+			<-release
+		} else if onRun != nil {
+			onRun()
+		}
+	}
+	s.Start()
+	if _, err := s.Submit(SubmitRequest{Tenant: "hold", Workload: "synth:chain", Seed: 100, PEs: 4}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	var ids []string
+	for _, req := range reqs {
+		resp, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, resp.ID)
+	}
+	time.Sleep(20 * time.Millisecond)
+	return ids, func() { close(release) }
+}
+
+// drain closes s and fails the test if the drain does not finish.
+func drain(t *testing.T, s *Service) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParkedBacklogServedInFairOrder: eight econ (weight 1) jobs and then
+// eight gold (weight 3) jobs wait behind a busy worker. Once it is free,
+// the worker takes them in weighted-fair order, three gold to one econ,
+// not in arrival order.
+func TestParkedBacklogServedInFairOrder(t *testing.T) {
+	cfg, err := ParseTenantsConfig([]byte(`{"tenants":{"gold":{"weight":3},"econ":{"weight":1}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1, Tenants: cfg})
+	var order []byte
+	var gold, econ int64
+	onRun := func() {
+		g, e := gold, econ
+		for _, ts := range s.Status().Tenants {
+			switch ts.Name {
+			case "gold":
+				g = ts.Served
+			case "econ":
+				e = ts.Served
+			}
+		}
+		switch {
+		case g == gold+1 && e == econ:
+			order = append(order, 'g')
+		case e == econ+1 && g == gold:
+			order = append(order, 'e')
+		default:
+			order = append(order, '?')
+		}
+		gold, econ = g, e
+	}
+	var reqs []SubmitRequest
+	for i := int64(1); i <= 8; i++ {
+		reqs = append(reqs, tenantReq("econ", i))
+	}
+	for i := int64(11); i <= 18; i++ {
+		reqs = append(reqs, tenantReq("gold", i))
+	}
+	_, release := parkBacklog(t, s, onRun, reqs...)
+	release()
+	drain(t, s)
+	// The hold job moved the virtual clock to 1, so econ enters at
+	// progress 1 and gold at 3; ties go to the name first in order.
+	if want := "ggegggegggeeeeee"; string(order) != want {
+		t.Errorf("picks %q, want %q", order, want)
+	}
+}
+
+// TestRunningNeverExceedsWorkers: statusz counts a job running only once
+// a worker has it, so jobs waiting for the one worker read as queued.
+func TestRunningNeverExceedsWorkers(t *testing.T) {
+	s := New(Options{Workers: 1})
+	var maxRunning int
+	onRun := func() { maxRunning = max(maxRunning, s.Status().Running) }
+	var reqs []SubmitRequest
+	for i := int64(1); i <= 8; i++ {
+		reqs = append(reqs, fftReq(i))
+	}
+	_, release := parkBacklog(t, s, onRun, reqs...)
+	if st := s.Status(); st.Running != 1 || st.Queued != 8 {
+		t.Errorf("parked backlog: running %d queued %d, want 1 and 8", st.Running, st.Queued)
+	}
+	release()
+	drain(t, s)
+	if maxRunning > 1 {
+		t.Errorf("statusz read %d running with 1 worker", maxRunning)
+	}
+}
+
+// TestShedReachesParkedJobs: largest-graph-first evicts a large job that
+// is waiting for a worker to admit a small newcomer at a full queue.
+func TestShedReachesParkedJobs(t *testing.T) {
+	s := New(Options{QueueCap: 5, Workers: 1, ShedPolicy: ShedLargestGraphFirst})
+	var big []SubmitRequest
+	for i := int64(1); i <= 4; i++ {
+		big = append(big, SubmitRequest{Tenant: "bulk", Workload: "synth:cholesky", Seed: i, PEs: 4})
+	}
+	ids, release := parkBacklog(t, s, nil, big...)
+	if _, err := s.Submit(SubmitRequest{Tenant: "interactive", Workload: "synth:chain", Seed: 1, PEs: 4}); err != nil {
+		t.Errorf("small newcomer at a full queue of parked large jobs: %v, want one of them shed", err)
+	}
+	// Equal sizes: the newest large job is the victim.
+	if st, err := s.Result(ids[3]); err != nil || st.State != StateShed {
+		t.Errorf("newest large job: %+v, %v; want shed", st, err)
+	}
+	release()
+	drain(t, s)
+	if st := s.Status(); st.Shed != 1 || st.Completed != 5 || st.Open != 0 {
+		t.Errorf("after drain: shed %d completed %d open %d, want 1, 5, 0", st.Shed, st.Completed, st.Open)
+	}
+}
+
+// TestPickedDuplicateJoinsRunningLeader: a job identical to one a worker
+// is evaluating is picked by an idle worker, joins that evaluation, and
+// costs no evaluation of its own.
+func TestPickedDuplicateJoinsRunningLeader(t *testing.T) {
+	s := New(Options{Workers: 2})
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	s.testHookRun = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	s.Start()
+	a, err := s.Submit(fftReq(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered // a's evaluation is running
+	b, err := s.Submit(fftReq(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.Status().Coalesced == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	drain(t, s)
+	st := s.Status()
+	if st.Coalesced != 1 || st.Evaluations != 1 || st.Completed != 2 {
+		t.Errorf("coalesced %d evaluations %d completed %d, want 1, 1, 2", st.Coalesced, st.Evaluations, st.Completed)
+	}
+	ra, _ := s.Result(a.ID)
+	rb, _ := s.Result(b.ID)
+	if ra.Schedule == nil || ra.Schedule != rb.Schedule {
+		t.Error("the joined job did not receive its leader's report")
+	}
+}
+
+// TestParkedDuplicatesShareOneEvaluation: identical jobs waiting behind
+// the one busy worker cost a single evaluation between them. The first
+// one picked leads; the copies picked after it finished take its report.
+func TestParkedDuplicatesShareOneEvaluation(t *testing.T) {
+	s := New(Options{Workers: 1})
+	reqs := []SubmitRequest{fftReq(7), fftReq(7), fftReq(7), fftReq(7), fftReq(7)}
+	ids, release := parkBacklog(t, s, nil, reqs...)
+	release()
+	drain(t, s)
+	st := s.Status()
+	// Two evaluations: the hold job's and one for the five copies.
+	if st.Evaluations != 2 || st.Coalesced != 4 || st.Completed != 6 || st.Open != 0 {
+		t.Errorf("evaluations %d coalesced %d completed %d open %d, want 2, 4, 6, 0",
+			st.Evaluations, st.Coalesced, st.Completed, st.Open)
+	}
+	first, _ := s.Result(ids[0])
+	for _, id := range ids {
+		if r, _ := s.Result(id); r.Schedule == nil || r.Schedule != first.Schedule {
+			t.Errorf("job %s did not receive the shared report", id)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.leaders) != 0 || len(s.queuedKeys) != 0 {
+		t.Errorf("after drain: %d leaders and %d queued keys remembered, want none", len(s.leaders), len(s.queuedKeys))
+	}
+}
+
 // TestResultEndpoints: unknown IDs 404, long-poll returns promptly once
 // the job resolves, statusz counts add up.
 func TestResultEndpoints(t *testing.T) {
-	s := New(Options{QueueCap: 8, Workers: 2, Tick: time.Millisecond})
+	s := New(Options{QueueCap: 8, Workers: 2})
 	s.Start()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -362,7 +566,7 @@ func TestInlineGraphSubmission(t *testing.T) {
 	if err := tg.EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{QueueCap: 4, Workers: 1, Tick: time.Millisecond})
+	s := New(Options{QueueCap: 4, Workers: 1})
 	s.Start()
 	resp, err := s.Submit(SubmitRequest{Graph: buf.Bytes(), PEs: 8, Simulate: true})
 	if err != nil {

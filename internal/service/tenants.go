@@ -30,8 +30,8 @@ const maxTenantWeight = 1 << 20
 
 // TenantConfig is one tenant's scheduling contract.
 type TenantConfig struct {
-	// Weight is the tenant's fair-queueing weight: with a per-tick batch
-	// cap, backlogged tenants are served in proportion to their weights.
+	// Weight is the tenant's fair-queueing weight: backlogged tenants
+	// are served in proportion to their weights.
 	// Weight 0 marks a background tenant, served only when every
 	// positive-weight tenant's queue is idle.
 	Weight int `json:"weight"`
@@ -220,6 +220,18 @@ func (r *latencyRing) snapshot() []time.Duration {
 		return out
 	}
 	return append(out, r.buf[:r.n]...)
+}
+
+// retryAfter is the Retry-After hint of a rejected submission of this
+// tenant: the median of its recent completed latencies, what its jobs
+// lately took from admission to report, clamped to [1 ms, maxWait]. A
+// tenant that has completed nothing yet is told 1 s.
+func (t *tenantState) retryAfter() time.Duration {
+	if t.lat.n == 0 {
+		return time.Second
+	}
+	p50 := time.Duration(summarizeLatency(t.lat.snapshot()).P50Ms * float64(time.Millisecond))
+	return min(max(p50, time.Millisecond), maxWait)
 }
 
 // tenantState is one tenant's live accounting, guarded by Service.mu.

@@ -12,10 +12,24 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 func tenantReq(tenant string, seed int64) SubmitRequest {
 	return SubmitRequest{Tenant: tenant, Workload: "synth:fft", Seed: seed, PEs: 8}
+}
+
+// pickOne takes the next queued job the way a worker does and, when it
+// leads, runs it to completion, so a test steps the fair queue one pick
+// at a time without starting the workers.
+func pickOne(s *Service, ec *experiments.EvalContext) {
+	s.mu.Lock()
+	j := s.pickLocked()
+	s.mu.Unlock()
+	if j != nil {
+		s.run(j, ec)
+	}
 }
 
 // TestParseTenantsConfig is the table-driven config gate: valid contracts
@@ -59,8 +73,8 @@ func TestParseTenantsConfig(t *testing.T) {
 }
 
 // TestTenantQuotas is the table-driven admission battery: a tenant at its
-// max_open cap gets a 429 whose Retry-After reflects that tenant's own
-// drain rate, unknown tenants fall back to the default contract, and
+// max_open cap gets a 429 whose Retry-After is that tenant's own recent
+// median latency, unknown tenants fall back to the default contract, and
 // legacy clients (no tenant at all) are the default tenant.
 func TestTenantQuotas(t *testing.T) {
 	cfg, err := ParseTenantsConfig([]byte(
@@ -69,7 +83,7 @@ func TestTenantQuotas(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Not started: the queue cannot drain, so admission state is exact.
-	s := New(Options{QueueCap: 64, Workers: 1, BatchCap: 2, Tenants: cfg})
+	s := New(Options{QueueCap: 64, Workers: 1, Tenants: cfg})
 
 	// alice fills her quota; submission 6 is a per-tenant 429.
 	for i := 0; i < 5; i++ {
@@ -82,11 +96,31 @@ func TestTenantQuotas(t *testing.T) {
 	if !ok || !ae.quota || ae.tenant != "alice" {
 		t.Fatalf("over-quota: got %#v, want alice quota admissionError", err)
 	}
-	// Per-tenant Retry-After: 5 open jobs drain at alice's weighted share
-	// of the batch cap — 2*1/1 = 2 per tick with only alice seen so far —
-	// so ceil(5/2) = 3 ticks, not the generic single tick.
-	if want := 3 * s.opt.Tick; ae.retryAfter != want {
-		t.Errorf("quota Retry-After %v, want %v", ae.retryAfter, want)
+	// alice has completed nothing yet, so she is told 1 s.
+	if ae.retryAfter != time.Second {
+		t.Errorf("quota Retry-After %v with no completed job, want 1s", ae.retryAfter)
+	}
+	// Per-tenant Retry-After: the median of alice's recent latencies,
+	// clamped to [1 ms, maxWait].
+	for _, c := range []struct {
+		lat  []time.Duration
+		want time.Duration
+	}{
+		{[]time.Duration{3 * time.Millisecond, 500 * time.Millisecond, 7 * time.Millisecond}, 7 * time.Millisecond},
+		{[]time.Duration{40 * time.Millisecond, 10 * time.Millisecond}, 10 * time.Millisecond},
+		{[]time.Duration{100 * time.Microsecond}, time.Millisecond},
+		{[]time.Duration{5 * time.Minute}, maxWait},
+	} {
+		s.mu.Lock()
+		s.tenants["alice"].lat = latencyRing{}
+		for _, d := range c.lat {
+			s.tenants["alice"].lat.add(d)
+		}
+		s.mu.Unlock()
+		_, err = s.Submit(tenantReq("alice", 99))
+		if ae, ok := err.(*admissionError); !ok || ae.retryAfter != c.want {
+			t.Errorf("latencies %v: got %v, want a quota 429 hinting %v", c.lat, err, c.want)
+		}
 	}
 
 	// Unknown tenant: default contract, no per-tenant cap.
@@ -105,7 +139,7 @@ func TestTenantQuotas(t *testing.T) {
 	for _, ts := range st.Tenants {
 		byName[ts.Name] = ts
 	}
-	if a := byName["alice"]; a.Accepted != 5 || a.Rejected != 1 || a.Open != 5 || a.MaxOpen != 5 {
+	if a := byName["alice"]; a.Accepted != 5 || a.Rejected != 5 || a.Open != 5 || a.MaxOpen != 5 {
 		t.Errorf("alice row: %+v", a)
 	}
 	if m := byName["mystery"]; m.Accepted != 8 || m.Weight != 1 || m.MaxOpen != 0 {
@@ -114,7 +148,7 @@ func TestTenantQuotas(t *testing.T) {
 	if d := byName[DefaultTenant]; d.Accepted != 1 {
 		t.Errorf("default row: %+v", d)
 	}
-	if st.Rejected != 1 || st.Accepted != 14 {
+	if st.Rejected != 5 || st.Accepted != 14 {
 		t.Errorf("global counters: %+v", st)
 	}
 
@@ -235,14 +269,14 @@ func TestReloadTenants(t *testing.T) {
 }
 
 // TestZeroWeightTenantOnlyWhenIdle: a weight-0 background tenant is
-// served only on ticks where every positive-weight tenant's queue is
-// exhausted — never while foreground demand is waiting.
+// picked only once every positive-weight tenant's queue is exhausted —
+// never while foreground demand is waiting.
 func TestZeroWeightTenantOnlyWhenIdle(t *testing.T) {
 	cfg, err := ParseTenantsConfig([]byte(`{"default":{"weight":1},"tenants":{"bg":{"weight":0}}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{QueueCap: 64, Workers: 2, BatchCap: 2, Tenants: cfg})
+	s := New(Options{QueueCap: 64, Workers: 2, Tenants: cfg})
 	for i := 0; i < 4; i++ {
 		if _, err := s.Submit(tenantReq("bg", int64(i+1))); err != nil {
 			t.Fatal(err)
@@ -261,19 +295,15 @@ func TestZeroWeightTenantOnlyWhenIdle(t *testing.T) {
 		}
 		return 0
 	}
-	// Ticks 1-2 drain fg entirely; bg must not be touched while fg waits.
-	s.dispatch()
-	if fg, bg := served("fg"), served("bg"); fg != 2 || bg != 0 {
-		t.Fatalf("tick 1: fg %d bg %d, want 2 0", fg, bg)
-	}
-	s.dispatch()
-	if fg, bg := served("fg"), served("bg"); fg != 4 || bg != 0 {
-		t.Fatalf("tick 2: fg %d bg %d, want 4 0", fg, bg)
-	}
-	// fg idle: background fills the batch budget.
-	s.dispatch()
-	if fg, bg := served("fg"), served("bg"); fg != 4 || bg != 2 {
-		t.Fatalf("tick 3: fg %d bg %d, want 4 2", fg, bg)
+	// Picks 1-4 drain fg entirely; bg must not be touched while fg waits.
+	// Then fg is idle, and picks 5-6 go to the background tenant.
+	ec := experiments.NewEvalContext()
+	for pick := int64(1); pick <= 6; pick++ {
+		pickOne(s, ec)
+		wantFg, wantBg := min(pick, 4), max(pick-4, 0)
+		if fg, bg := served("fg"), served("bg"); fg != wantFg || bg != wantBg {
+			t.Fatalf("pick %d: fg %d bg %d, want %d %d", pick, fg, bg, wantFg, wantBg)
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -303,7 +333,7 @@ func TestFairPickDeterministic(t *testing.T) {
 	weights := map[string]int{"a": 3, "b": 2, "c": 1}
 
 	// run builds the queue in the given arrival order (seq = arrival
-	// index), then drains it through fairPick in BatchCap-4 rounds with
+	// index), then drains it through fairPick in rounds of four picks with
 	// fresh fair-queue state, recording the picked (tenant, key) trace.
 	run := func(order []int) []string {
 		queue := make([]*job, 0, len(specs))
@@ -352,16 +382,16 @@ func TestFairPickDeterministic(t *testing.T) {
 }
 
 // TestFairShareWindows drives two tenants at weights 3:1 with sustained
-// identical backlog through manual scheduling ticks and asserts the
-// served shares of every 10-tick window are 3:1 within one job — the
-// deterministic core of the fairness acceptance criterion (the race e2e
-// covers the same property through HTTP).
+// identical backlog through manual picks and asserts the served shares
+// of every window of 40 picks are 3:1 within one job — the deterministic
+// core of the fairness acceptance criterion (the race e2e covers the
+// same property through HTTP).
 func TestFairShareWindows(t *testing.T) {
 	cfg, err := ParseTenantsConfig([]byte(`{"default":{"weight":1},"tenants":{"gold":{"weight":3},"econ":{"weight":1}}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{QueueCap: 256, Workers: 4, BatchCap: 4, Tenants: cfg})
+	s := New(Options{QueueCap: 256, Workers: 4, Tenants: cfg})
 	// Identical sustained load: the same 100 submissions per tenant.
 	for i := 0; i < 100; i++ {
 		for _, tenant := range []string{"gold", "econ"} {
@@ -383,19 +413,20 @@ func TestFairShareWindows(t *testing.T) {
 	}
 	type point struct{ gold, econ int64 }
 	history := []point{{0, 0}}
-	// 25 ticks * 4 jobs = 100 served; gold (75 of 100 queued) and econ
-	// (25 of 100) both stay backlogged throughout.
-	for tick := 0; tick < 25; tick++ {
-		s.dispatch()
+	// 100 picks: gold (75 of 100 queued) and econ (25 of 100) both stay
+	// backlogged throughout.
+	ec := experiments.NewEvalContext()
+	for pick := 0; pick < 100; pick++ {
+		pickOne(s, ec)
 		g, e := served()
 		history = append(history, point{g, e})
 	}
-	for lo := 0; lo+10 < len(history); lo++ {
-		dg := history[lo+10].gold - history[lo].gold
-		de := history[lo+10].econ - history[lo].econ
-		// 10 ticks at batch cap 4 serve 40 jobs; 3:1 ±1 means 30/10.
+	for lo := 0; lo+40 < len(history); lo++ {
+		dg := history[lo+40].gold - history[lo].gold
+		de := history[lo+40].econ - history[lo].econ
+		// 40 picks at 3:1 ±1 means 30/10.
 		if dg < 29 || dg > 31 || de < 9 || de > 11 || dg+de != 40 {
-			t.Errorf("window [%d,%d): gold %d econ %d, want 30:10 within 1", lo, lo+10, dg, de)
+			t.Errorf("window [%d,%d): gold %d econ %d, want 30:10 within 1", lo, lo+40, dg, de)
 		}
 	}
 
