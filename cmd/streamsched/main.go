@@ -149,11 +149,16 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 func main() {
 	c, _ := parseFlags(flag.CommandLine, os.Args[1:]) // exits on a bad flag
 
-	// The one signal context: SIGINT/SIGTERM cancels the run (the service
-	// drains, a load test stops issuing), and a second signal kills the
-	// process the default way.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	context.AfterFunc(ctx, stop)
+	// Only the modes that read ctx hold SIGINT/SIGTERM: the first signal
+	// cancels the run (the service drains, a load test stops issuing) and
+	// a second kills the process the default way. A batch run or a sweep
+	// reads no context, so nothing holds the signal: the first ends it.
+	ctx, stop := context.Background(), func() {}
+	switch c.mode() {
+	case "-serve", "-loadtest", "-loadgen":
+		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		context.AfterFunc(ctx, stop)
+	}
 	err := run(ctx, c, os.Stdout, os.Stderr)
 	stop()
 	if err != nil {

@@ -20,8 +20,9 @@
 // (results.Fingerprint) content-addresses cells in the persistent cache.
 // DecodeJSON is a hand-written single-pass decoder that accepts exactly
 // the language encoding/json accepts for the same document struct, quirks
-// included (see its comment); the encoding/json decoder it replaced lives
-// on in the package tests as the differential oracle.
+// included (see its comment), and decodes as it reads, through a fixed
+// window, so no document is held whole; the encoding/json decoder it
+// replaced lives on in the package tests as the differential oracle.
 // StreamingIntervals, Levels, Work, and StreamingDepth expose the Section 4
 // steady-state analysis.
 package core

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/core"
@@ -146,18 +149,63 @@ func sameGraph(t *testing.T, a, b *core.TaskGraph) {
 	}
 }
 
+// tinyWindow is the window the oracle also decodes through: small enough
+// that nearly every token straddles a refill or outgrows the window.
+const tinyWindow = 3
+
 // checkAgainstReference decodes in with both decoders and fails unless
-// they agree on acceptance and, when accepting, on the graph.
+// they agree on acceptance and, when accepting, on the graph. The
+// hand-written decoder reads in whole, from memory, one byte per read,
+// and through a tiny window, so a refill falls inside every kind of
+// token; a reader that fails before the end must fail the decode, with
+// its own error whenever the reference accepts in.
 func checkAgainstReference(t *testing.T, in string) {
 	t.Helper()
-	got, err := core.DecodeJSON(strings.NewReader(in))
 	want, refErr := core.DecodeJSONReference(strings.NewReader(in))
-	if (err == nil) != (refErr == nil) {
-		t.Fatalf("decoders disagree on %q:\n  DecodeJSON: %v\n  reference:  %v", in, err, refErr)
+	check := func(how string, got *core.TaskGraph, err error) {
+		t.Helper()
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoders disagree on %q (%s):\n  DecodeJSON: %v\n  reference:  %v", in, how, err, refErr)
+		}
+		if err == nil {
+			sameGraph(t, got, want)
+		}
 	}
-	if err == nil {
-		sameGraph(t, got, want)
+	hidden := func() io.Reader { return struct{ io.Reader }{strings.NewReader(in)} } // no Len
+	got, err := core.DecodeJSON(strings.NewReader(in))
+	check("whole", got, err)
+	got, err = core.DecodeJSONBytes([]byte(in))
+	check("in memory", got, err)
+	got, err = core.DecodeJSON(iotest.OneByteReader(strings.NewReader(in)))
+	check("one byte per read", got, err)
+	got, err = core.DecodeJSONWindow(hidden(), tinyWindow)
+	check("tiny window", got, err)
+	for _, k := range []int{0, len(in) / 2, len(in) - 1} {
+		if k < 0 {
+			continue
+		}
+		_, err := core.DecodeJSONWindow(&failReader{r: hidden(), n: k}, tinyWindow)
+		if err == nil || refErr == nil && !errors.Is(err, errRead) {
+			t.Fatalf("%q through a reader failing after %d bytes: got %v", in, k, err)
+		}
 	}
+}
+
+var errRead = errors.New("read failed")
+
+// failReader passes n bytes of r through, then fails every read.
+type failReader struct {
+	r io.Reader
+	n int
+}
+
+func (f *failReader) Read(p []byte) (int, error) {
+	if f.n == 0 {
+		return 0, errRead
+	}
+	n, err := f.r.Read(p[:min(len(p), f.n)])
+	f.n -= n
+	return n, err
 }
 
 func TestDecodeJSONMatchesReference(t *testing.T) {
@@ -174,6 +222,70 @@ func FuzzDecodeJSONVsReference(f *testing.F) {
 		f.Add(in)
 	}
 	f.Fuzz(checkAgainstReference)
+}
+
+// TestDecodeJSONTokensLargerThanWindow: a name, and the value of an
+// unknown key, longer than the window grow it and decode whole.
+func TestDecodeJSONTokensLargerThanWindow(t *testing.T) {
+	long := strings.Repeat("n", 5000)
+	for _, in := range []string{
+		`{"nodes":[{"name":"` + long + `","kind":"source","out":4},{"name":"` + long + `é\u00e9","kind":"sink","in":4}],"edges":[[0,1]]}`,
+		`{"x":"` + long + `","nodes":[{"kind":"compute","in":4,"out":4,"y":"` + long + `"}]}`,
+		`{"x":[` + strings.Repeat(`"`+long+`",`, 3) + `1` + strings.Repeat("0", 5000) + `],"nodes":[{"kind":"compute","in":4,"out":4}]}`,
+		`{"nodes":[{"kind":"compute","in":` + strings.Repeat(" ", 5000) + `4,"out":4}]}`,
+	} {
+		checkAgainstReference(t, in)
+		got, err := core.DecodeJSONWindow(struct{ io.Reader }{strings.NewReader(in)}, 64)
+		if err != nil {
+			t.Fatalf("%.40q...: %v", in, err)
+		}
+		if strings.HasPrefix(in, `{"nodes":[{"name"`) && got.Nodes[0].Name != long {
+			t.Fatalf("name of %d bytes decoded as %d bytes", len(long), len(got.Nodes[0].Name))
+		}
+	}
+}
+
+// TestDecodeJSONReadsToEOF: bytes after the graph are still read, to the
+// end of r, however far past the window they run.
+func TestDecodeJSONReadsToEOF(t *testing.T) {
+	r := strings.NewReader(`{"nodes":[{"kind":"compute","in":4,"out":4}]} ` + strings.Repeat("trailing bytes ", 10_000))
+	if _, err := core.DecodeJSONWindow(iotest.HalfReader(r), 1<<10); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 0 {
+		t.Errorf("%d bytes left unread", r.Len())
+	}
+}
+
+// TestDecodeJSONStreams: decoding a 10^5-node document from a reader that
+// hides its length allocates about what decoding it in memory does, not
+// a buffer holding the whole document as well.
+func TestDecodeJSONStreams(t *testing.T) {
+	g, err := core.DecodeJSONBytes([]byte(chain(100_000, false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := g.EncodeJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(decode func() (*core.TaskGraph, error)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := decode(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	inMemory := allocated(func() (*core.TaskGraph, error) { return core.DecodeJSONBytes(doc.Bytes()) })
+	streamed := allocated(func() (*core.TaskGraph, error) {
+		return core.DecodeJSON(struct{ io.Reader }{bytes.NewReader(doc.Bytes())})
+	})
+	t.Logf("%d-byte document: %d bytes allocated streamed, %d in memory", doc.Len(), streamed, inMemory)
+	if float64(streamed) > 1.3*float64(inMemory) {
+		t.Errorf("streamed decode allocated %d bytes, over 1.3x the in-memory decode's %d", streamed, inMemory)
+	}
 }
 
 // TestDecodeJSONAdversarialScale decodes a 10^5-fan-out star and 10^5

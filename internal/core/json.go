@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -12,17 +11,25 @@ import (
 )
 
 func kindFromString(s string) (Kind, error) {
-	switch s {
-	case "compute":
-		return Compute, nil
-	case "buffer":
-		return Buffer, nil
-	case "source":
-		return Source, nil
-	case "sink":
-		return Sink, nil
+	if k, ok := kindNamed(s); ok {
+		return k, nil
 	}
 	return 0, fmt.Errorf("core: unknown node kind %q", s)
+}
+
+// kindNamed returns the Kind whose String is name.
+func kindNamed[S string | []byte](name S) (Kind, bool) {
+	switch string(name) {
+	case "compute":
+		return Compute, true
+	case "buffer":
+		return Buffer, true
+	case "source":
+		return Source, true
+	case "sink":
+		return Sink, true
+	}
+	return 0, false
 }
 
 // EncodeJSON writes the task graph as canonical JSON, the bytes
@@ -162,26 +169,34 @@ func (e *encoder) quote(s string) {
 // are syntax-checked then dropped; integers reject fractions, exponents
 // and overflow; strings are unquoted as encoding/json unquotes them,
 // invalid UTF-8 becoming U+FFFD; a top-level null is the empty graph; and
-// bytes after the first value are ignored (r is still read to EOF). A
-// test-only decoder that calls encoding/json is the differential oracle
-// for all of this (FuzzDecodeJSONVsReference). The decoder itself is one
-// pass over the bytes without reflection (DecodeJSONBytes).
+// bytes after the first value are ignored (r is still read to EOF, and a
+// read error anywhere fails the decode). A test-only decoder that calls
+// encoding/json is the differential oracle for all of this
+// (FuzzDecodeJSONVsReference).
+//
+// The decoder is one pass without reflection that decodes as it reads:
+// r is read through a window of jsonscan.Window bytes, never held whole,
+// and each name is unquoted into the graph's name arena as it is
+// scanned.
 func DecodeJSON(r io.Reader) (*TaskGraph, error) {
-	// bytes.Buffer doubles where io.ReadAll grows by a quarter, which
-	// copies a large document several times over.
-	var buf bytes.Buffer
-	if l, ok := r.(interface{ Len() int }); ok {
-		buf.Grow(l.Len() + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("core: decoding task graph: %w", err)
-	}
-	return DecodeJSONBytes(buf.Bytes())
+	return decodeReader(r, jsonscan.Window)
 }
 
-// DecodeJSONBytes is DecodeJSON on a document already in memory, decoded
-// in place. The graph keeps no reference to data: every node name is a
-// substring of one string copied out of it.
+// decodeReader is DecodeJSON through a window of size bytes.
+func decodeReader(r io.Reader, size int) (*TaskGraph, error) {
+	s := jsonscan.NewReader(r, size)
+	t, err := DecodeJSONAt(s, 0)
+	if err == nil {
+		s.Discard()
+	}
+	if rerr := s.ReadErr(); rerr != nil {
+		return nil, fmt.Errorf("core: decoding task graph: %w", rerr)
+	}
+	return t, err
+}
+
+// DecodeJSONBytes is DecodeJSON on a document already in memory: the
+// same pass, with no reader. The graph keeps no reference to data.
 func DecodeJSONBytes(data []byte) (*TaskGraph, error) {
 	return DecodeJSONAt(&jsonscan.Scanner{Data: data}, 0)
 }
@@ -192,10 +207,9 @@ func DecodeJSONBytes(data []byte) (*TaskGraph, error) {
 // DecodeJSON accepts of the value's bytes alone, wherever encoding/json
 // accepts the enclosing document.
 func DecodeJSONAt(s *jsonscan.Scanner, depth int) (*TaskGraph, error) {
-	var doc document
 	d := decoder{Scanner: s}
-	if err := d.graph(&doc, depth); err != nil {
+	if err := d.graph(depth); err != nil {
 		return nil, fmt.Errorf("core: decoding task graph: %w", err)
 	}
-	return doc.build(s.Data)
+	return d.doc.build()
 }

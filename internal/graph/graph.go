@@ -15,7 +15,8 @@
 // a pending list. The first read after an insertion (or Freeze) folds the
 // pending edges into the arrays in one O(V+E) pass, merging duplicates
 // with a stamp array: each edge keeps the position of its first copy in
-// both lists and the volume of its last. A frozen graph has nothing
+// both lists and the volume of its last (a first fold of edges already in
+// (from, to) order has none to merge). A frozen graph has nothing
 // pending.
 //
 // The freeze is the package's key invariant: a frozen DAG is immutable and
@@ -127,18 +128,37 @@ func (g *DAG) fold() {
 		return
 	}
 	// stamp[w] == v+1 while w has been seen in v's list (v+1+n on the
-	// predecessor side), at position pos[w].
-	stamp := make([]int, 2*g.n)
-	stamp, pos := stamp[:g.n], stamp[g.n:]
+	// predecessor side), at position pos[w]. A first fold of edges
+	// strictly increasing by (From, To), the order EncodeJSON writes them
+	// in, has no duplicate to merge and needs neither.
+	var stamp, pos []int
+	if len(g.out.off) > 0 || !increasing(g.pending) {
+		stamp = make([]int, 2*g.n)
+		stamp, pos = stamp[:g.n], stamp[g.n:]
+	} else {
+		pos = make([]int, g.n)
+	}
 	g.out = g.out.fold(g.n, g.pending, false, stamp, pos, 1)
 	g.in = g.in.fold(g.n, g.pending, true, stamp, pos, 1+g.n)
 	g.pending = nil
 	g.dirty = false
 }
 
+// increasing reports whether edges are strictly increasing by (From, To).
+func increasing(edges []Edge) bool {
+	for i := 1; i < len(edges); i++ {
+		p, e := edges[i-1], edges[i]
+		if p.From > e.From || p.From == e.From && p.To >= e.To {
+			return false
+		}
+	}
+	return true
+}
+
 // fold returns the adjacency a with the pending edges appended to each
-// node's list (keyed by the edge's head when in, else by its tail), then
-// duplicates merged: an edge keeps its first position and its last volume.
+// node's list (keyed by the edge's head when in, else by its tail), then,
+// unless stamp is nil, duplicates merged: an edge keeps its first
+// position and its last volume.
 func (a adjacency) fold(n int, pending []Edge, in bool, stamp, pos []int, mark int) adjacency {
 	ends := func(e Edge) (key, other NodeID) {
 		if in {
@@ -171,6 +191,9 @@ func (a adjacency) fold(n int, pending []Edge, in bool, stamp, pos []int, mark i
 		key, other := ends(e)
 		b.ids[next[key]], b.vols[next[key]] = other, e.Volume
 		next[key]++
+	}
+	if stamp == nil {
+		return b
 	}
 	// Merge duplicates, compacting the arrays in place.
 	w := 0
@@ -286,21 +309,19 @@ func (g *DAG) TopoOrder() ([]NodeID, error) {
 	for v := 0; v < g.n; v++ {
 		indeg[v] = g.in.off[v+1] - g.in.off[v]
 	}
-	queue := make([]NodeID, 0, g.n)
+	// The order is the FIFO queue itself: nodes leave it in the order
+	// they joined.
+	order := make([]NodeID, 0, g.n)
 	for v := 0; v < g.n; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, NodeID(v))
+			order = append(order, NodeID(v))
 		}
 	}
-	order := make([]NodeID, 0, g.n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, w := range g.out.nbrs(u) {
+	for head := 0; head < len(order); head++ {
+		for _, w := range g.out.nbrs(order[head]) {
 			indeg[w]--
 			if indeg[w] == 0 {
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}

@@ -259,3 +259,45 @@ func TestDuplicateEdgesFold(t *testing.T) {
 		t.Errorf("succs(c) = %v, want none", got)
 	}
 }
+
+// TestOrderedFoldMatchesMerge: a first fold of edges in strictly increasing
+// (From, To) order skips the duplicate merge, and builds the adjacency the
+// merging fold builds from the same edges (forced here by folding the
+// first edge in alone).
+func TestOrderedFoldMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(40)
+		var edges []Edge
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Intn(4) == 0 {
+					edges = append(edges, Edge{NodeID(u), NodeID(v), int64(1 + rng.Intn(9))})
+				}
+			}
+		}
+		ordered, merged := New(), New()
+		for i := 0; i < n; i++ {
+			ordered.AddNode()
+			merged.AddNode()
+		}
+		for i, e := range edges {
+			ordered.MustEdge(e.From, e.To, e.Volume)
+			merged.MustEdge(e.From, e.To, e.Volume)
+			if i == 0 {
+				merged.NumEdges()
+			}
+		}
+		for v := NodeID(0); int(v) < n; v++ {
+			if !slices.Equal(ordered.Succs(v), merged.Succs(v)) || !slices.Equal(ordered.SuccVolumes(v), merged.SuccVolumes(v)) ||
+				!slices.Equal(ordered.Preds(v), merged.Preds(v)) || !slices.Equal(ordered.PredVolumes(v), merged.PredVolumes(v)) {
+				t.Fatalf("trial %d node %d: ordered %v %v / %v %v, merged %v %v / %v %v", trial, v,
+					ordered.Succs(v), ordered.SuccVolumes(v), ordered.Preds(v), ordered.PredVolumes(v),
+					merged.Succs(v), merged.SuccVolumes(v), merged.Preds(v), merged.PredVolumes(v))
+			}
+		}
+		if !slices.Equal(ordered.Edges(), edges) {
+			t.Fatalf("trial %d: edges %v, want %v", trial, ordered.Edges(), edges)
+		}
+	}
+}

@@ -10,19 +10,31 @@
 // differential oracle. The Append functions are the writing half: strings
 // and floats exactly as json.Marshal writes them, and json.Marshal's
 // compaction of a raw value.
+//
+// A Scanner walks a document in memory (Data), or one it reads from a
+// source through a fixed window (NewReader): each token scan that reaches
+// the window's end slides the consumed bytes out and reads on, so a
+// document is decoded as it arrives and never held whole.
 package jsonscan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
 )
+
+// Window is the size of the buffer a Scanner reads its source through.
+// It grows only when one token is larger.
+const Window = 1 << 20
 
 // maxDepth is encoding/json's nesting limit: its scanner rejects a value
 // nested inside more than this many arrays and objects.
@@ -34,9 +46,17 @@ var errEOF = errors.New("unexpected end of JSON input")
 // leaves Off just past what it consumed. A value of the wrong JSON type
 // fails at once: encoding/json would finish the document first, but
 // rejects it either way.
+//
+// With a source (NewReader), Data is a window onto the document: a byte
+// slice a method returns is valid until the next method call.
 type Scanner struct {
 	Data []byte
 	Off  int
+
+	src    io.Reader
+	err    error // the source's first error; io.EOF at its end
+	base   int   // bytes of the document slid out before Data[0]
+	keyBuf []byte
 
 	stack []byte // Skip's open containers
 	// compact, when set, has Skip copy every whitespace-free run of Data
@@ -47,31 +67,127 @@ type Scanner struct {
 	mark    int
 }
 
+// NewReader returns a Scanner that reads the document from r through a
+// window of size bytes (Window outside tests), or of one byte more than
+// r holds when r reports its length and that is less.
+func NewReader(r io.Reader, size int) *Scanner {
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() < size {
+		size = l.Len() + 1
+	}
+	return &Scanner{Data: make([]byte, 0, max(size, 1)), src: r}
+}
+
+// fill reads more of the source into the window and reports whether it
+// read anything. It keeps Data[Off:], sliding it to the window's start
+// when the window is full and growing the window when Data[Off:] fills
+// it: a position past Off must be kept relative to Off across a call.
+func (s *Scanner) fill() bool {
+	if s.src == nil || s.err != nil {
+		return false
+	}
+	if len(s.Data) == cap(s.Data) {
+		buf := s.Data[:0]
+		if s.Off == 0 {
+			buf = make([]byte, 0, 2*cap(s.Data))
+		}
+		s.base += s.Off
+		s.Data, s.Off = append(buf, s.Data[s.Off:]...), 0
+	}
+	for range 100 {
+		n, err := s.src.Read(s.Data[len(s.Data):cap(s.Data)])
+		s.Data = s.Data[:len(s.Data)+n]
+		if err != nil {
+			s.err = err
+		}
+		if n > 0 || err != nil {
+			return n > 0
+		}
+	}
+	s.err = io.ErrNoProgress
+	return false
+}
+
+// want reads until the window holds n bytes from Off or the document
+// ends.
+func (s *Scanner) want(n int) {
+	for len(s.Data)-s.Off < n && s.fill() {
+	}
+}
+
+// ReadErr returns the error the source failed with, nil if none did or
+// it only ended.
+func (s *Scanner) ReadErr() error {
+	if s.err == io.EOF {
+		return nil
+	}
+	return s.err
+}
+
+// Discard reads the source to its end, dropping what it reads; ReadErr
+// then says whether that failed.
+func (s *Scanner) Discard() {
+	for s.Off = len(s.Data); s.fill(); s.Off = len(s.Data) {
+	}
+}
+
 // SyntaxErr reports invalid JSON at Off.
 func (s *Scanner) SyntaxErr(what string) error {
 	if s.Off >= len(s.Data) {
 		return errEOF
 	}
-	return fmt.Errorf("invalid character %q %s at offset %d", s.Data[s.Off], what, s.Off)
+	return fmt.Errorf("invalid character %q %s at offset %d", s.Data[s.Off], what, s.base+s.Off)
 }
 
 // TypeErr reports a value at Off that cannot decode into a Go value of
 // the named kind.
 func (s *Scanner) TypeErr(into string) error {
-	return fmt.Errorf("cannot unmarshal the value at offset %d into %s", s.Off, into)
+	return fmt.Errorf("cannot unmarshal the value at offset %d into %s", s.base+s.Off, into)
 }
 
-// Peek skips whitespace and returns the next byte, or 0 at the end.
-func (s *Scanner) Peek() byte {
-	data, i := s.Data, s.Off
-	for ; i < len(data); i++ {
-		if c := data[i]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			s.Off = i
-			return c
+// Peek skips whitespace and returns the next byte, or 0 at the end. It
+// stays small enough to inline: all but a non-space next byte takes the
+// slow path.
+func (s *Scanner) Peek() (c byte) {
+	if s.Off < len(s.Data) {
+		if c = s.Data[s.Off]; c > ' ' {
+			return
 		}
 	}
-	s.Off = i
-	return 0
+	return s.peekSlow()
+}
+
+// wsMask has bit c set for each JSON whitespace byte c.
+const wsMask = 1<<' ' | 1<<'\t' | 1<<'\n' | 1<<'\r'
+
+func (s *Scanner) peekSlow() byte {
+	for {
+		data, i := s.Data, s.Off
+		// Indented JSON is whitespace runs of spaces after a newline: skip
+		// the spaces eight at a time.
+		for i+8 <= len(data) {
+			v := binary.LittleEndian.Uint64(data[i:]) ^ 0x2020202020202020
+			if v == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(v) >> 3
+			if c := data[i]; c > ' ' || wsMask>>c&1 == 0 {
+				s.Off = i
+				return c
+			}
+			i++
+		}
+		for ; i < len(data); i++ {
+			if c := data[i]; c > ' ' || wsMask>>c&1 == 0 {
+				s.Off = i
+				return c
+			}
+		}
+		s.Off = i
+		if !s.fill() {
+			return 0
+		}
+	}
 }
 
 // skipPeek is Peek for Skip and object keys: in compact mode it also
@@ -100,41 +216,71 @@ func (s *Scanner) Open(c byte, into string) (bool, error) {
 }
 
 // Object consumes an object, calling field with each raw key; field
-// consumes the value.
+// consumes the value, and key is valid until it starts to.
 func (s *Scanner) Object(field func(key []byte) error) error {
-	s.Off++ // '{'
-	if s.Peek() == '}' {
-		s.Off++
-		return nil
-	}
-	for {
-		key, err := s.key()
-		if err != nil {
+	for first := true; ; first = false {
+		key, ok, err := s.NextKey(first)
+		if !ok {
 			return err
 		}
 		if err := field(key); err != nil {
 			return err
 		}
+	}
+}
+
+// NextKey steps through an object without a callback: first at its
+// opening brace, then after each member's value, it consumes up to the
+// next key and its colon and returns the raw key, valid until the next
+// call; ok is false once it has consumed the closing brace, or on error.
+func (s *Scanner) NextKey(first bool) (key []byte, ok bool, err error) {
+	if first {
+		s.Off++ // '{'
+		if s.Peek() == '}' {
+			s.Off++
+			return nil, false, nil
+		}
+	} else {
 		switch s.Peek() {
 		case ',':
 			s.Off++
 		case '}':
 			s.Off++
-			return nil
+			return nil, false, nil
 		default:
-			return s.SyntaxErr("after object key:value pair")
+			return nil, false, s.SyntaxErr("after object key:value pair")
 		}
 	}
+	key, err = s.key()
+	return key, err == nil, err
 }
 
 // key consumes an object key and its colon and returns the raw key.
 func (s *Scanner) key() ([]byte, error) {
-	if s.skipPeek() != '"' {
+	c := byte(0)
+	if s.compact {
+		c = s.skipPeek()
+	} else {
+		c = s.Peek()
+	}
+	if c != '"' {
 		return nil, s.SyntaxErr("looking for beginning of object key string")
 	}
-	key, err := s.Str()
+	key, _, err := s.str()
 	if err != nil {
 		return nil, err
+	}
+	if s.Off < len(s.Data) && s.Data[s.Off] == ':' {
+		s.Off++
+		if !s.compact && s.Off < len(s.Data) && s.Data[s.Off] == ' ' {
+			s.Off++ // the space indented JSON puts after a colon
+		}
+		return key, nil
+	}
+	if s.src != nil {
+		// Reading on to the colon may slide the window under key.
+		s.keyBuf = append(s.keyBuf[:0], key...)
+		key = s.keyBuf
 	}
 	if s.skipPeek() != ':' {
 		return nil, s.SyntaxErr("after object key")
@@ -146,25 +292,40 @@ func (s *Scanner) key() ([]byte, error) {
 // Array consumes an array, calling elem with each element's index; elem
 // consumes the element. It returns the number of elements decoded.
 func (s *Scanner) Array(elem func(i int) error) (int, error) {
-	s.Off++ // '['
-	if s.Peek() == ']' {
-		s.Off++
-		return 0, nil
-	}
-	for i := 0; ; i++ {
+	i := 0
+	for more, err := s.NextElem(true); ; more, err = s.NextElem(false) {
+		if !more {
+			return i, err
+		}
 		if err := elem(i); err != nil {
 			return i, err
 		}
-		switch s.Peek() {
-		case ',':
-			s.Off++
-		case ']':
-			s.Off++
-			return i + 1, nil
-		default:
-			return i + 1, s.SyntaxErr("after array element")
-		}
+		i++
 	}
+}
+
+// NextElem steps through an array without a callback: first at its
+// opening bracket, then after each element, it reports whether another
+// element follows, having consumed the comma before it, or the closing
+// bracket; more is false on error.
+func (s *Scanner) NextElem(first bool) (more bool, err error) {
+	if first {
+		s.Off++ // '['
+		if s.Peek() == ']' {
+			s.Off++
+			return false, nil
+		}
+		return true, nil
+	}
+	switch s.Peek() {
+	case ',':
+		s.Off++
+		return true, nil
+	case ']':
+		s.Off++
+		return false, nil
+	}
+	return false, s.SyntaxErr("after array element")
 }
 
 // List decodes an array (or null) into dst as encoding/json decodes into
@@ -199,12 +360,22 @@ func (s *Scanner) String(dst *string) error {
 	if ok, err := s.Open('"', "a string"); !ok {
 		return err
 	}
-	start := s.Off
-	raw, err := s.Str()
+	raw, _, err := s.str()
 	if err == nil {
-		*dst = unquote(s.Data[start:s.Off], raw)
+		*dst = unquote(s.token(raw), raw)
 	}
 	return err
+}
+
+// Unquoted scans a string from its opening quote and returns what it
+// stands for, the string String would decode: its raw contents when they
+// are plain, valid until the next call, else a copy.
+func (s *Scanner) Unquoted() ([]byte, error) {
+	raw, plain, err := s.str()
+	if err != nil || plain {
+		return raw, err
+	}
+	return []byte(unquote(s.token(raw), raw)), nil
 }
 
 // Bool decodes true or false into *dst, leaving it alone on null.
@@ -226,6 +397,31 @@ func (s *Scanner) Bool(dst *bool) error {
 // on null. A fraction or an exponent is a type error, as in
 // encoding/json.
 func (s *Scanner) Int(dst *int64) error {
+	// One pass for the common case: at most 18 digits, no leading zero,
+	// and a byte after them in the window that is no fraction or exponent.
+	c := s.Peek()
+	data, i := s.Data, s.Off
+	if c == '-' {
+		i++
+	}
+	var u uint64
+	j := i
+	for ; j < len(data) && j-i < 19 && data[j]-'0' <= 9; j++ {
+		u = u*10 + uint64(data[j]-'0')
+	}
+	if d := j - i; d > 0 && d < 19 && (d == 1 || data[i] != '0') && j < len(data) && data[j] != '.' && data[j]|0x20 != 'e' {
+		s.Off = j
+		if c == '-' {
+			*dst = -int64(u)
+		} else {
+			*dst = int64(u)
+		}
+		return nil
+	}
+	return s.intSlow(dst)
+}
+
+func (s *Scanner) intSlow(dst *int64) error {
 	tok, isInt, err := s.num("an integer")
 	if tok == nil || err != nil {
 		return err
@@ -280,15 +476,25 @@ func (s *Scanner) num(into string) (tok []byte, isInt bool, err error) {
 	case c != '-' && (c < '0' || c > '9'):
 		return nil, false, s.TypeErr(into)
 	}
-	start := s.Off
-	isInt, err = s.number()
-	return s.Data[start:s.Off], isInt, err
+	return s.number()
 }
 
-// number scans a JSON number and reports whether it has neither fraction
-// nor exponent.
-func (s *Scanner) number() (isInt bool, err error) {
-	data, i := s.Data, s.Off
+// number scans a JSON number and returns its token, valid until the next
+// call, and whether it has neither fraction nor exponent.
+func (s *Scanner) number() (tok []byte, isInt bool, err error) {
+	// Read on until the window holds every byte a number could go on
+	// with, and the byte after them.
+	for i := s.Off; ; {
+		for i < len(s.Data) && numberByte(s.Data[i]) {
+			i++
+		}
+		n := i - s.Off
+		if i < len(s.Data) || !s.fill() {
+			break
+		}
+		i = s.Off + n
+	}
+	data, start, i := s.Data, s.Off, s.Off
 	digits := func() int {
 		j := i
 		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
@@ -304,7 +510,7 @@ func (s *Scanner) number() (isInt bool, err error) {
 		i++
 	} else if digits() == 0 {
 		s.Off = i
-		return false, s.SyntaxErr("in numeric literal")
+		return nil, false, s.SyntaxErr("in numeric literal")
 	}
 	isInt = true
 	if at('.') {
@@ -312,7 +518,7 @@ func (s *Scanner) number() (isInt bool, err error) {
 		isInt = false
 		if digits() == 0 {
 			s.Off = i
-			return false, s.SyntaxErr("after decimal point in numeric literal")
+			return nil, false, s.SyntaxErr("after decimal point in numeric literal")
 		}
 	}
 	if at('e') || at('E') {
@@ -323,32 +529,51 @@ func (s *Scanner) number() (isInt bool, err error) {
 		}
 		if digits() == 0 {
 			s.Off = i
-			return false, s.SyntaxErr("in exponent of numeric literal")
+			return nil, false, s.SyntaxErr("in exponent of numeric literal")
 		}
 	}
 	s.Off = i
-	return isInt, nil
+	return data[start:i], isInt, nil
 }
 
-// Str scans a string from its opening quote and returns its raw contents:
-// no quotes, escapes unresolved. Like encoding/json's scanner it accepts
-// any byte but a control character, invalid UTF-8 included.
-func (s *Scanner) Str() ([]byte, error) {
+// numberByte reports whether a JSON number can go on with c.
+func numberByte(c byte) bool {
+	return c-'0' <= 9 || c == '-' || c == '+' || c == '.' || c|0x20 == 'e'
+}
+
+// str scans a string from its opening quote and returns its raw contents
+// (no quotes, escapes unresolved) and whether they are plain: the string
+// itself, with no escape and valid UTF-8. Like encoding/json's scanner it
+// accepts any byte but a control character, invalid UTF-8 included.
+func (s *Scanner) str() (raw []byte, plain bool, err error) {
 	data := s.Data
-	start := s.Off + 1
-	for i := start; i < len(data); i++ {
+	escaped, high := false, byte(0)
+	for i := s.Off + 1; ; i++ {
+		if i >= len(data) {
+			n := i - s.Off
+			if !s.fill() {
+				s.Off = len(s.Data)
+				return nil, false, errEOF
+			}
+			data, i = s.Data, s.Off+n
+		}
 		switch c := data[i]; {
 		case c == '"':
+			start := s.Off + 1
 			s.Off = i + 1
 			if s.compact {
 				s.escapeHTML(start, i)
 			}
-			return data[start:i], nil
+			raw = data[start:i]
+			return raw, !escaped && (high < utf8.RuneSelf || utf8.Valid(raw)), nil
 		case c < 0x20:
 			s.Off = i
-			return nil, s.SyntaxErr("in string literal")
+			return nil, false, s.SyntaxErr("in string literal")
 		case c == '\\':
-			i++
+			escaped = true
+			n := i - s.Off
+			s.want(n + 6) // \uXXXX, the longest escape
+			data, i = s.Data, s.Off+n+1
 			switch {
 			case i >= len(data):
 			case strings.IndexByte(`"\/bfnrt`, data[i]) >= 0:
@@ -357,17 +582,23 @@ func (s *Scanner) Str() ([]byte, error) {
 					i++
 					if !isHex(data[i]) {
 						s.Off = i
-						return nil, s.SyntaxErr("in \\u hexadecimal character escape")
+						return nil, false, s.SyntaxErr("in \\u hexadecimal character escape")
 					}
 				}
 			default:
 				s.Off = i
-				return nil, s.SyntaxErr("in string escape code")
+				return nil, false, s.SyntaxErr("in string escape code")
 			}
+		default:
+			high |= c
 		}
 	}
-	s.Off = len(data)
-	return nil, errEOF
+}
+
+// token returns the token, quotes included, of the string whose raw
+// contents str just returned.
+func (s *Scanner) token(raw []byte) []byte {
+	return s.Data[s.Off-len(raw)-2 : s.Off]
 }
 
 func isHex(c byte) bool {
@@ -393,20 +624,6 @@ func unquote(token, raw []byte) string {
 		panic("jsonscan: encoding/json rejected a scanned string: " + err.Error())
 	}
 	return str
-}
-
-// AppendUnquoted appends the string that token, a string token the
-// scanner accepted (quotes included), stands for; an empty token appends
-// nothing.
-func AppendUnquoted(dst, token []byte) []byte {
-	if len(token) < 2 {
-		return dst
-	}
-	raw := token[1 : len(token)-1]
-	if plain(raw) {
-		return append(dst, raw...)
-	}
-	return append(dst, unquote(token, raw)...)
 }
 
 // KeyIs reports whether the raw key names the field name, a key of ASCII
@@ -468,6 +685,7 @@ func foldRune(r rune) rune {
 
 // Literal consumes lit, whose first byte is next.
 func (s *Scanner) Literal(lit string) error {
+	s.want(len(lit))
 	for i := 0; i < len(lit); i, s.Off = i+1, s.Off+1 {
 		if s.Off >= len(s.Data) || s.Data[s.Off] != lit[i] {
 			return s.SyntaxErr("in literal " + lit)
@@ -503,11 +721,11 @@ func (s *Scanner) Skip(depth int) error {
 			}
 			continue
 		case c == '"':
-			if _, err := s.Str(); err != nil {
+			if _, _, err := s.str(); err != nil {
 				return err
 			}
 		case c == '-' || c >= '0' && c <= '9':
-			if _, err := s.number(); err != nil {
+			if _, _, err := s.number(); err != nil {
 				return err
 			}
 		case c == 't':

@@ -1,9 +1,12 @@
 package schedule_test
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/buffers"
@@ -89,7 +92,10 @@ func BenchmarkPartitionReferenceManyBlocks(b *testing.B) {
 }
 
 // BenchmarkScaleLadder times the batch path stage by stage across graph
-// sizes: decode (core.DecodeJSON of the graph's canonical JSON),
+// sizes: decode (core.DecodeJSON of the graph's canonical JSON from
+// memory) and decode-file (from a file through a bufio.Reader, as the
+// batch-xl benchmark reads one: like streamsched -graph's file, a reader
+// that hides its length),
 // fingerprint (results.Fingerprint, the service's cache and coalescing
 // key), partition (a reused Partitioner), schedule (a reused Scheduler)
 // and sizes (Equation 5 on a reused buffers.Sizer), each its own row, so a
@@ -118,6 +124,23 @@ func BenchmarkScaleLadder(b *testing.B) {
 		b.Run(fmt.Sprintf("gaussian-%d/decode", target), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.DecodeJSON(bytes.NewReader(doc.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		path := filepath.Join(b.TempDir(), "graph.json")
+		if err := os.WriteFile(path, doc.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("gaussian-%d/decode-file", target), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f, err := os.Open(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = core.DecodeJSON(bufio.NewReaderSize(f, 1<<20))
+				f.Close()
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

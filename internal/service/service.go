@@ -602,11 +602,11 @@ func (s *Service) lookupCached(j *job) (*ScheduleReport, error, bool) {
 	return rep, nil, true
 }
 
-// Submit admits one request. The graph is built and validated before
-// admission, so malformed submissions are 400s that never occupy queue
-// space; a tenant over its quota — and, after the shed policy has had
-// its say, a full queue — rejects with 429 and a Retry-After hint; a
-// draining service rejects with 503.
+// Submit admits one request. A draining service rejects with 503, and a
+// tenant at its quota with 429 and a Retry-After hint, before the graph
+// is built. The graph is then built and validated before admission, so
+// malformed submissions are 400s that never occupy queue space; a full
+// queue, after the shed policy has had its say, rejects with 429 too.
 func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 	return s.submit(req, nil)
 }
@@ -615,7 +615,20 @@ func (s *Service) Submit(req SubmitRequest) (SubmitResponse, error) {
 // req.Graph while it read the body, or nil. Any request it does not
 // settle goes through buildGraph.
 func (s *Service) submit(req SubmitRequest, tg *core.TaskGraph) (SubmitResponse, error) {
-	var err error
+	tenant := strings.TrimSpace(req.Tenant)
+	if tenant == "" {
+		tenant = DefaultTenant
+	}
+	// Refuse before paying: a draining service or a tenant at its quota
+	// turns the request away before its graph is built and hashed. Only
+	// shedding on a full queue needs the graph's size, so that waits for
+	// the full check under the lock below.
+	s.mu.Lock()
+	err := s.refuseLocked(tenant)
+	s.mu.Unlock()
+	if err != nil {
+		return SubmitResponse{}, err
+	}
 	if tg == nil || req.Workload != "" {
 		tg, err = buildGraph(req)
 	}
@@ -638,28 +651,14 @@ func (s *Service) submit(req SubmitRequest, tg *core.TaskGraph) (SubmitResponse,
 	if err != nil {
 		return SubmitResponse{}, httpapi.Errorf(http.StatusBadRequest, "bad submission: %v", err)
 	}
-	tenant := strings.TrimSpace(req.Tenant)
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
 	tasks := tg.NumComputeNodes()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		return SubmitResponse{}, httpapi.Errorf(http.StatusServiceUnavailable, "service is draining")
+	if err := s.refuseLocked(tenant); err != nil {
+		return SubmitResponse{}, err
 	}
 	t := s.tenantLocked(tenant)
-	if t.cfg.MaxOpen > 0 && t.open >= t.cfg.MaxOpen {
-		t.rejected++
-		s.rejected++
-		return SubmitResponse{}, &admissionError{
-			tenant:     tenant,
-			quota:      true,
-			retryAfter: t.retryAfter(),
-			depth:      len(s.queue),
-		}
-	}
 	if s.open >= s.opt.QueueCap && !s.shedForLocked(tenant, tasks) {
 		t.rejected++
 		s.rejected++
@@ -697,6 +696,26 @@ func (s *Service) submit(req SubmitRequest, tg *core.TaskGraph) (SubmitResponse,
 	t.open++
 	t.accepted++
 	return SubmitResponse{ID: j.id, QueueDepth: len(s.queue)}, nil
+}
+
+// refuseLocked rejects a submission from tenant when the service is
+// draining (503) or the tenant is at its quota (429), whatever its graph.
+func (s *Service) refuseLocked(tenant string) error {
+	if s.draining {
+		return httpapi.Errorf(http.StatusServiceUnavailable, "service is draining")
+	}
+	t := s.tenantLocked(tenant)
+	if t.cfg.MaxOpen > 0 && t.open >= t.cfg.MaxOpen {
+		t.rejected++
+		s.rejected++
+		return &admissionError{
+			tenant:     tenant,
+			quota:      true,
+			retryAfter: t.retryAfter(),
+			depth:      len(s.queue),
+		}
+	}
+	return nil
 }
 
 // shedForLocked applies the configured load-shed policy to make room

@@ -603,3 +603,41 @@ func TestParseTenantsArg(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestQuotaRefusalBuildsNoGraph: a tenant at its quota is refused before
+// its named workload is built or hashed, so the 429 allocates a small
+// fraction of what one build of the graph does, and still carries the
+// tenant, queue depth and Retry-After hint of the full admission check.
+func TestQuotaRefusalBuildsNoGraph(t *testing.T) {
+	cfg, err := ParseTenantsConfig([]byte(`{"tenants":{"alice":{"weight":1,"max_open":1}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not started: alice's one job stays open.
+	s := New(Options{QueueCap: 64, Workers: 1, Tenants: cfg})
+	if _, err := s.Submit(tenantReq("alice", 1)); err != nil {
+		t.Fatal(err)
+	}
+	vgg := SubmitRequest{Tenant: "alice", Workload: "onnx:vgg", PEs: 8}
+	build := testing.AllocsPerRun(1, func() {
+		if _, err := buildGraph(vgg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var refusal error
+	refused := testing.AllocsPerRun(10, func() { _, refusal = s.Submit(vgg) })
+	t.Logf("onnx:vgg: %.0f allocations to build, %.0f to refuse", build, refused)
+	ae, ok := refusal.(*admissionError)
+	if !ok || !ae.quota || ae.tenant != "alice" || ae.depth != 1 || ae.retryAfter != time.Second {
+		t.Fatalf("got %#v, want alice's quota 429 at depth 1 hinting 1s", refusal)
+	}
+	if refused*100 > build {
+		t.Errorf("a quota 429 allocated %.0f times, over 1%% of the %.0f a build of its graph does", refused, build)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
